@@ -215,7 +215,10 @@ def train_nb(
 
 def nb_predict(model: NBModel, tokens: Sequence[Token]) -> dict[EmotionClass, float]:
     """Normalized posterior over the model's classes (log-space softmax)."""
-    logs = model.log_posteriors(model.features_of(tokens))
+    return _softmax(model, model.log_posteriors(model.features_of(tokens)))
+
+
+def _softmax(model: NBModel, logs: Mapping[EmotionClass, float]) -> dict[EmotionClass, float]:
     top = max(logs.values())
     weights = {cls: math.exp(score - top) for cls, score in logs.items()}
     total = sum(weights.values())
@@ -241,7 +244,7 @@ def classify_post(
         features = model.features_of(tokens)
         if any(gram in model.vocabulary for gram in features):
             logs = model.log_posteriors(features)
-            posterior = nb_predict(model, tokens)
+            posterior = _softmax(model, logs)
             top = max(logs.values())
             winners = [cls for cls in model.classes if logs[cls] == top]
             if len(winners) == 1:

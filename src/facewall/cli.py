@@ -118,6 +118,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _UnknownUser(Exception):
+    """A --user that the analysis does not list."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -126,25 +130,43 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except LexiconError as exc:
+        print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except _UnknownUser as exc:
+        print(f"facewall: unknown user: {exc.args[0]!r}", file=sys.stderr)
+        return EXIT_INPUT
     except StoreError as exc:
         print(f"facewall: store error: {exc}", file=sys.stderr)
         return EXIT_STORE
 
 
-def _load_lexicon_arg(path: str | None) -> EmotionLexicon:
-    return default_lexicon() if path is None else load_lexicon(path)
-
-
-def _analysis_config(args: argparse.Namespace, lexicon: EmotionLexicon) -> AnalysisConfig:
-    return AnalysisConfig(
+def _open(args: argparse.Namespace) -> tuple[EmotionLexicon, Store, AnalysisConfig]:
+    """The lexicon, the store and the analysis config that the flags name."""
+    lexicon = default_lexicon() if args.lexicon is None else load_lexicon(args.lexicon)
+    store = Store.open(args.store)
+    config = AnalysisConfig(
         granularity=args.bucket, n_max=args.ngrams, lexicon_digest=lexicon.digest()
     )
+    return lexicon, store, config
+
+
+def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, dict, str]:
+    """The store, config, analysis meta and derived scope that chart and
+    export read; no --user means the all-users aggregate."""
+    _, store, config = _open(args)
+    meta = resolve_analysis(store, config)
+    try:
+        scope = scope_for(meta, args.user)
+    except KeyError:
+        raise _UnknownUser(args.user) from None
+    return store, config, meta, scope
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         batch = load_corpus(args.input, args.format)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"facewall: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     store = Store.open(args.store, create=True)
@@ -163,13 +185,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.ngrams < 1:
         print("facewall: --ngrams must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        lexicon = _load_lexicon_arg(args.lexicon)
-    except LexiconError as exc:
-        print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    store = Store.open(args.store)
-    config = _analysis_config(args, lexicon)
+    lexicon, store, config = _open(args)
     with store.lock():
         summary = analyze_store(store, lexicon, config)
     model_state = "trained" if summary.model_trained else "untrainable"
@@ -196,19 +212,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     if args.measure == "occurrences" and args.cls == VOLUME:
         print("facewall: volume has no occurrence series", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        lexicon = _load_lexicon_arg(args.lexicon)
-    except LexiconError as exc:
-        print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    store = Store.open(args.store)
-    config = _analysis_config(args, lexicon)
-    meta = resolve_analysis(store, config)
-    try:
-        scope = scope_for(meta, args.user)
-    except KeyError:
-        print(f"facewall: unknown user: {args.user!r}", file=sys.stderr)
-        return EXIT_INPUT
+    store, config, meta, scope = _open_analysis(args)
     scope_label = args.user if args.user is not None else "all users"
     granularity = meta["config"]["granularity"]
     table = load_series_table(store, config, scope)
@@ -236,13 +240,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"facewall: bad detector parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        lexicon = _load_lexicon_arg(args.lexicon)
-    except LexiconError as exc:
-        print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    store = Store.open(args.store)
-    config = _analysis_config(args, lexicon)
+    _, store, config = _open(args)
     reports, summary = detect_store(store, config, detector)
     payload = [report_to_dict(report, summary.granularity) for report in reports]
     Path(args.out).write_text(
@@ -257,19 +255,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what not in ("series", "ngrams"):
         print(f"facewall: unknown export kind: {args.what!r}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        lexicon = _load_lexicon_arg(args.lexicon)
-    except LexiconError as exc:
-        print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    store = Store.open(args.store)
-    config = _analysis_config(args, lexicon)
-    meta = resolve_analysis(store, config)
-    try:
-        scope = scope_for(meta, args.user)
-    except KeyError:
-        print(f"facewall: unknown user: {args.user!r}", file=sys.stderr)
-        return EXIT_INPUT
+    store, config, _, scope = _open_analysis(args)
     name = SERIES_CSV if args.what == "series" else NGRAMS_CSV
     source = store.derived_dir(scope, config.config_hash) / name
     shutil.copyfile(source, args.out)

@@ -69,6 +69,11 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
         raise RecordRejected("malformed")
     if source is not None and not isinstance(source, str):
         raise RecordRejected("malformed")
+    try:
+        # A JSON escape can carry a lone surrogate, which has no UTF-8 form.
+        "".join((user_id, timestamp, text, source or "")).encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordRejected("malformed") from None
     user_id = user_id.strip()
     if not user_id:
         raise RecordRejected("missing-field:user_id")
@@ -117,8 +122,9 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     """Read every record of the file in order, collecting rejections and
     dropping in-file duplicates (first occurrence kept).
 
-    Unreadable files raise OSError; a file with zero parseable records is a
-    valid, empty batch.
+    Unreadable files raise OSError, and files that are not UTF-8 raise
+    UnicodeDecodeError; a file with zero parseable records is a valid, empty
+    batch.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")

@@ -40,7 +40,6 @@ def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
 @dataclass
 class NGramProfile:
     owner: str
-    bucket: str = "all"
     counts: Counter[Gram] = field(default_factory=Counter)
     post_count: int = 0
 
@@ -49,26 +48,18 @@ def accumulate(profile: NGramProfile, tokens: Sequence[Token], n_max: int = DEFA
     """Fold one pruned post into the profile (orders 1..n_max)."""
     if n_max < 1:
         raise ValueError("bad-n")
-    for n in range(1, n_max + 1):
-        profile.counts.update(extract_ngrams(tokens, n))
+    profile.counts.update(ngrams_of_orders(tokens, n_max))
     profile.post_count += 1
     return profile
 
 
 def merge_profiles(a: NGramProfile, b: NGramProfile) -> NGramProfile:
-    """Pointwise sum of two profiles for the same owner and bucket scope."""
+    """Pointwise sum of two profiles for the same owner."""
     if a.owner != b.owner:
         raise ValueError("owner-mismatch")
-    if a.bucket != b.bucket:
-        raise ValueError("bucket-mismatch")
     counts: Counter[Gram] = Counter(a.counts)
     counts.update(b.counts)
-    return NGramProfile(
-        owner=a.owner,
-        bucket=a.bucket,
-        counts=counts,
-        post_count=a.post_count + b.post_count,
-    )
+    return NGramProfile(owner=a.owner, counts=counts, post_count=a.post_count + b.post_count)
 
 
 def render_gram(gram: Gram) -> str:
@@ -99,7 +90,7 @@ def write_ngram_csv(path: str | Path, profile: NGramProfile) -> None:
 
 
 def read_ngram_csv(path: str | Path) -> NGramProfile:
-    profile = NGramProfile(owner="", bucket="all")
+    profile = NGramProfile(owner="")
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -115,5 +106,7 @@ def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:
     """Union multiset over orders 1..n_max (the classifier's feature bag)."""
     features: Counter[Gram] = Counter()
     for n in range(1, n_max + 1):
-        features.update(extract_ngrams(tokens, n))
+        # Grams of different orders differ in length and never share a key,
+        # so a plain dict update merges the orders without adding counts.
+        dict.update(features, extract_ngrams(tokens, n))
     return features

@@ -15,13 +15,12 @@ import csv
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
-from .ingest import RawPost
 from .lexer import Token, prune, tokenize
 from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
 from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, user_scope
@@ -87,7 +86,6 @@ class _ScopedPost:
     stamp: datetime
     labels: frozenset[EmotionClass]
     occurrences: Counter
-    tokens: list[Token] = field(default_factory=list)
 
 
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
@@ -95,46 +93,52 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
 
     An empty store writes nothing (there is no bucket range to describe).
     The model trains when at least two classes have enough emoticon-labeled
-    posts; otherwise the cascade runs rule-only.
+    posts; otherwise the cascade runs rule-only. Users are then handled one
+    at a time, and `@all` is the fold of their n-gram profiles and records.
     """
-    posts = list(store.iter_posts())
     config_hash = config.config_hash
-    if not posts:
+    table = lexicon.emoticon_table()
+    by_user: dict[str, list[tuple[datetime, list[Token]]]] = {}
+    for post in store.iter_posts():
+        tokens = prune(tokenize(post.text, table))
+        by_user.setdefault(post.user_id, []).append((post.timestamp, tokens))
+    if not by_user:
         return AnalyzeSummary(users=0, posts=0, model_trained=False, config_hash=config_hash)
 
-    table = lexicon.emoticon_table()
-    prepared: list[tuple[RawPost, list[Token]]] = [
-        (post, prune(tokenize(post.text, table))) for post in posts
-    ]
-
-    pairs = classifier.training_pairs(
-        (tokens, classifier.emoticon_label(tokens, lexicon)) for _, tokens in prepared
+    # The training pairs are not kept, so each user's tokens are released
+    # once that user is written.
+    pairs = (
+        (tokens, classifier.emoticon_label(tokens, lexicon))
+        for posts in by_user.values()
+        for _, tokens in posts
     )
     model: NBModel | None
     try:
         model = classifier.train_nb(
-            pairs, n_max=config.n_max, alpha=config.alpha, min_train_docs=config.min_train_docs
+            classifier.training_pairs(pairs),
+            n_max=config.n_max,
+            alpha=config.alpha,
+            min_train_docs=config.min_train_docs,
         )
     except UntrainableError:
         model = None
 
-    by_user: dict[str, list[_ScopedPost]] = {}
-    everything: list[_ScopedPost] = []
-    for post, tokens in prepared:
-        label = classifier.classify_post(tokens, lexicon, model)
-        record = _ScopedPost(
-            stamp=post.timestamp,
-            labels=label.labels,
-            occurrences=classifier.occurrence_hits(tokens, lexicon),
-            tokens=tokens,
-        )
-        by_user.setdefault(post.user_id, []).append(record)
-        everything.append(record)
-
     users = sorted(by_user)
+    everything: list[_ScopedPost] = []
+    everyone = ngrams.NGramProfile(owner="all")
     for user_id in users:
-        _write_scope(store, user_scope(user_id), user_id, by_user[user_id], config, config_hash)
-    _write_scope(store, ALL_SCOPE, "all", everything, config, config_hash)
+        records: list[_ScopedPost] = []
+        profile = ngrams.NGramProfile(owner=user_id)
+        for stamp, tokens in by_user.pop(user_id):
+            label = classifier.classify_post(tokens, lexicon, model)
+            occurrences = classifier.occurrence_hits(tokens, lexicon)
+            records.append(_ScopedPost(stamp, label.labels, occurrences))
+            ngrams.accumulate(profile, tokens, config.n_max)
+        _write_scope(store, user_scope(user_id), user_id, records, profile, config, config_hash)
+        everyone.counts.update(profile.counts)
+        everyone.post_count += profile.post_count
+        everything.extend(records)
+    _write_scope(store, ALL_SCOPE, "all", everything, everyone, config, config_hash)
 
     if model is not None:
         model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
@@ -158,7 +162,10 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         config_hash, {"record_count": store.record_count, "users": len(users)}
     )
     return AnalyzeSummary(
-        users=len(users), posts=len(posts), model_trained=model is not None, config_hash=config_hash
+        users=len(users),
+        posts=len(everything),
+        model_trained=model is not None,
+        config_hash=config_hash,
     )
 
 
@@ -167,6 +174,7 @@ def _write_scope(
     scope: str,
     scope_label: str,
     records: list[_ScopedPost],
+    profile: ngrams.NGramProfile,
     config: AnalysisConfig,
     config_hash: str,
 ) -> None:
@@ -183,10 +191,6 @@ def _write_scope(
     write_series_csv(out_dir / SERIES_CSV, series_list)
 
     _write_occurrences(out_dir / OCCURRENCES_CSV, buckets, groups)
-
-    profile = ngrams.NGramProfile(owner=scope_label, bucket="all")
-    for record in records:
-        ngrams.accumulate(profile, record.tokens, config.n_max)
     ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile)
 
 

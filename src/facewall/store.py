@@ -40,8 +40,10 @@ class StoreError(Exception):
 
 
 def user_scope(user_id: str) -> str:
-    """Filesystem-safe directory name for a user id (reversible)."""
-    return quote(user_id, safe="")
+    """Filesystem-safe directory name for a user id (reversible). A leading
+    dot is escaped too, so "." and ".." never name a directory step."""
+    scope = quote(user_id, safe="")
+    return "%2E" + scope[1:] if scope.startswith(".") else scope
 
 
 def scope_user(scope: str) -> str:

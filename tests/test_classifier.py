@@ -218,6 +218,25 @@ def test_posteriors_sum_to_one_on_random_models():
         assert abs(sum(posterior.values()) - 1.0) < 1e-12
 
 
+def test_model_stage_scores_are_the_posterior():
+    rng = random.Random(4242)
+    vocab = ["a", "b", "c", "d"]
+    methods = set()
+    for _ in range(50):
+        docs = []
+        for cls in (HAPPY, SAD, LOVE):
+            for _ in range(rng.randrange(1, 4)):
+                docs.append((words(*[rng.choice(vocab) for _ in range(rng.randrange(0, 4))]), cls))
+        model = train_nb(docs, n_max=rng.choice([1, 2, 3]), min_train_docs=1)
+        query = words(*[rng.choice(vocab) for _ in range(rng.randrange(1, 4))])
+        if not any(gram in model.vocabulary for gram in model.features_of(query)):
+            continue
+        label = classify_post(query, LEX, model)
+        methods.add(label.method)
+        assert dict(label.scores) == nb_predict(model, query)
+    assert methods == {"model", "neutral"}
+
+
 def test_matches_brute_force_oracle():
     rng = random.Random(2024)
     vocab = ["a", "b", "c", "d"]

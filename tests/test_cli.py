@@ -58,6 +58,21 @@ def test_ingest_unreadable_input(capsys, tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+def test_ingest_non_utf8_input(capsys, tmp_path):
+    latin = tmp_path / "latin1.jsonl"
+    latin.write_bytes(
+        b'{"user_id":"u1","timestamp":"2015-01-01T00:00:00Z","text":"caf\xe9"}\n'
+    )
+    code, _, err = run(
+        capsys,
+        "ingest", "--input", str(latin), "--format", "jsonl", "--store", str(tmp_path / "store"),
+    )
+    assert code == 2
+    assert "cannot read input" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
+
 def test_ingest_csv_corpus(capsys, tmp_path):
     csv_file = tmp_path / "wall.csv"
     csv_file.write_text(
@@ -257,3 +272,31 @@ def test_export_requires_analyze(capsys, tmp_path):
         capsys, "export", "--store", store, "--what", "series", "--out", str(tmp_path / "s.csv")
     )
     assert code == 3
+
+
+def test_dot_user_ids_stay_inside_derived(capsys, tmp_path):
+    from facewall.store import user_scope
+
+    records = [post_record(".", "2015-01-02T10:00:00Z", "great day :-)")]
+    records += [post_record("..", f"2015-0{m}-03T10:00:00Z", "sad day :(") for m in (1, 2, 3)]
+    corpus = write_jsonl(tmp_path / "dots.jsonl", records)
+    root = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(root))
+    code, _, _ = run(capsys, "analyze", "--store", str(root))
+    assert code == 0
+
+    derived = root / "derived"
+    written = [p for p in root.rglob("*") if p.is_file()]
+    outside = [p for p in written if p.parent != root and derived not in p.parents]
+    assert outside == []
+    scopes = {p.relative_to(derived).parts[0] for p in written if derived in p.parents}
+    assert {user_scope("."), user_scope("..")} <= scopes
+    assert all(len(p.relative_to(derived).parts) == 3 for p in written if derived in p.parents)
+
+    out = tmp_path / "dotdot.csv"
+    code, _, _ = run(
+        capsys, "export", "--store", str(root), "--what", "series", "--out", str(out), "--user", ".."
+    )
+    assert code == 0
+    volume = [line.split(",") for line in out.read_text().splitlines() if ",volume," in line]
+    assert sum(int(row[2]) for row in volume) == 3

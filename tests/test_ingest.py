@@ -147,6 +147,27 @@ def test_load_csv_short_row_rejected(tmp_path):
     assert batch.rejected == [(2, "missing-field:text")]
 
 
+@pytest.mark.parametrize("field", ["user_id", "timestamp", "text", "source"])
+def test_lone_surrogate_is_malformed_and_the_batch_goes_on(tmp_path, field):
+    import json
+
+    from facewall.store import Store
+
+    good = post_record("u1", "2015-03-02T10:00:00Z", "fine", source="web")
+    bad = json.dumps(post_record("u2", "2015-03-02T11:00:00Z", "text", source="web"))
+    bad = bad.replace(f'"{field}": "', f'"{field}": "\\ud800', 1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        "\n".join([json.dumps(good), bad, json.dumps(good | {"user_id": "u3"})]) + "\n",
+        encoding="utf-8",
+    )
+    batch = load_corpus(path, "jsonl")
+    assert batch.rejected == [(2, "malformed")]
+    store = Store.open(tmp_path / "store", create=True)
+    assert store.append_batch(batch).written == 2
+    assert [post.user_id for post in store.iter_posts()] == ["u1", "u3"]
+
+
 def test_load_corpus_missing_file_is_os_error(tmp_path):
     with pytest.raises(OSError):
         load_corpus(tmp_path / "nope.jsonl", "jsonl")

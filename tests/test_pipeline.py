@@ -1,5 +1,6 @@
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from facewall.pipeline import (
     resolve_analysis,
 )
 from facewall.ingest import load_corpus
+from facewall.ngrams import read_ngram_csv
 from facewall.store import ALL_SCOPE, Store, user_scope
 from facewall.timeline import BucketSeries, DetectorConfig, TimeBucket, next_bucket_start, zscore_flags
 from helpers import post_record, write_jsonl
@@ -90,6 +92,17 @@ def test_reanalyze_same_config_is_byte_stable(analyzed):
     before = series_path.read_bytes()
     analyze_store(store, LEX, config)
     assert series_path.read_bytes() == before
+
+
+def test_all_users_ngrams_are_the_sum_of_the_per_user_profiles(analyzed):
+    store, config, _, records = analyzed
+    users = {record["user_id"] for record in records}
+    summed = Counter()
+    for user in users:
+        path = store.derived_dir(user_scope(user), config.config_hash) / "ngrams.csv"
+        summed.update(read_ngram_csv(path).counts)
+    everyone = read_ngram_csv(store.derived_dir(ALL_SCOPE, config.config_hash) / "ngrams.csv")
+    assert everyone.counts == summed
 
 
 def test_changed_granularity_lands_in_new_hash_dir(analyzed):

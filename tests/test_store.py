@@ -96,10 +96,10 @@ def test_lock_is_exclusive(tmp_path):
 
 
 def test_user_scope_encoding_is_reversible_and_flat():
-    for uid in ["plain", "with space", "a/b", "@all", "ü™er", "%40"]:
+    for uid in ["plain", "with space", "a/b", "@all", "ü™er", "%40", ".", "..", ".hidden", "%2E"]:
         scope = user_scope(uid)
         assert "/" not in scope
-        assert not scope.startswith("@")
+        assert not scope.startswith(("@", "."))
         from facewall.store import scope_user
 
         assert scope_user(scope) == uid
