@@ -37,17 +37,23 @@ class PostLabel:
     labels: frozenset[EmotionClass]
     method: str
     scores: Mapping[EmotionClass, float] = field(default_factory=dict)
+    # Emoticon plus word hits per class: the post's lexicon occurrences.
+    hits: Counter[EmotionClass] = field(default_factory=Counter)
+
+
+def _count_hits(
+    tokens: Iterable[Token], kind: TokenKind, lookup: Mapping[str, EmotionClass]
+) -> Counter[EmotionClass]:
+    hits: Counter[EmotionClass] = Counter()
+    for token in tokens:
+        if token.kind is kind and token.surface in lookup:
+            hits[lookup[token.surface]] += 1
+    return hits
 
 
 def emoticon_hits(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
     """Per-class count of emoticon tokens belonging to that class."""
-    hits: Counter[EmotionClass] = Counter()
-    for token in tokens:
-        if token.kind is TokenKind.EMOTICON:
-            cls = lexicon.emoticon_to_class.get(token.surface)
-            if cls is not None:
-                hits[cls] += 1
-    return hits
+    return _count_hits(tokens, TokenKind.EMOTICON, lexicon.emoticon_to_class)
 
 
 def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[EmotionClass]:
@@ -57,13 +63,7 @@ def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[Emot
 
 def lexicon_match(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
     """Per-class count of WORD tokens found in that class's word set."""
-    hits: Counter[EmotionClass] = Counter()
-    for token in tokens:
-        if token.kind is TokenKind.WORD:
-            cls = lexicon.word_to_class.get(token.surface)
-            if cls is not None:
-                hits[cls] += 1
-    return hits
+    return _count_hits(tokens, TokenKind.WORD, lexicon.word_to_class)
 
 
 def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
@@ -231,15 +231,16 @@ def classify_post(
     model: NBModel | None = None,
 ) -> PostLabel:
     """Cascade: emoticon rule, then keyword lexicon, then the model, then
-    Neutral."""
+    Neutral. Both rule counts come first: the label carries all the hits."""
     e_hits = emoticon_hits(tokens, lexicon)
-    if e_hits:
-        return PostLabel(frozenset(e_hits), METHOD_EMOTICON, {c: float(n) for c, n in e_hits.items()})
     w_hits = lexicon_match(tokens, lexicon)
+    if e_hits:
+        scores = {c: float(n) for c, n in e_hits.items()}
+        return PostLabel(frozenset(e_hits), METHOD_EMOTICON, scores, e_hits + w_hits)
     if w_hits:
         best = max(w_hits.values())
         winners = frozenset(cls for cls, n in w_hits.items() if n == best)
-        return PostLabel(winners, METHOD_LEXICON, {c: float(n) for c, n in w_hits.items()})
+        return PostLabel(winners, METHOD_LEXICON, {c: float(n) for c, n in w_hits.items()}, w_hits)
     if model is not None:
         features = model.features_of(tokens)
         if any(gram in model.vocabulary for gram in features):

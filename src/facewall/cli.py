@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .pipeline import (
     NGRAMS_CSV,
     SERIES_CSV,
     analyze_store,
+    derived_file,
     detect_store,
     load_occurrence_counts,
     load_series_table,
@@ -122,6 +122,10 @@ class _UnknownUser(Exception):
     """A --user that the analysis does not list."""
 
 
+class _CannotWrite(Exception):
+    """An --out path that cannot be written."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -135,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except _UnknownUser as exc:
         print(f"facewall: unknown user: {exc.args[0]!r}", file=sys.stderr)
+        return EXIT_INPUT
+    except _CannotWrite as exc:
+        print(f"facewall: cannot write output: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT
     except StoreError as exc:
         print(f"facewall: store error: {exc}", file=sys.stderr)
@@ -161,6 +168,13 @@ def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, dic
     except KeyError:
         raise _UnknownUser(args.user) from None
     return store, config, meta, scope
+
+
+def _write_output(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise _CannotWrite(exc) from None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -223,7 +237,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     width, height = args.size
     title = f"{args.cls}: {scope_label}"
     svg = render_series_chart(series, title, width=width, height=height, measure=args.measure)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _write_output(args.out, svg.encode("utf-8"))
     return EXIT_OK
 
 
@@ -243,10 +257,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     _, store, config = _open(args)
     reports, summary = detect_store(store, config, detector)
     payload = [report_to_dict(report, summary.granularity) for report in reports]
-    Path(args.out).write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    _write_output(args.out, text.encode("utf-8"))
     print(f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}")
     return EXIT_OK
 
@@ -257,8 +269,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     store, config, _, scope = _open_analysis(args)
     name = SERIES_CSV if args.what == "series" else NGRAMS_CSV
-    source = store.derived_dir(scope, config.config_hash) / name
-    shutil.copyfile(source, args.out)
+    _write_output(args.out, derived_file(store, config, scope, name).read_bytes())
     return EXIT_OK
 
 

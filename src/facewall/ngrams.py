@@ -104,9 +104,7 @@ def read_ngram_csv(path: str | Path) -> NGramProfile:
 
 def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:
     """Union multiset over orders 1..n_max (the classifier's feature bag)."""
-    features: Counter[Gram] = Counter()
-    for n in range(1, n_max + 1):
-        # Grams of different orders differ in length and never share a key,
-        # so a plain dict update merges the orders without adding counts.
-        dict.update(features, extract_ngrams(tokens, n))
-    return features
+    keys = [token_key(t) for t in tokens]
+    return Counter(
+        tuple(keys[i : i + n]) for n in range(1, n_max + 1) for i in range(len(keys) - n + 1)
+    )

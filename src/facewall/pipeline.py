@@ -131,8 +131,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         profile = ngrams.NGramProfile(owner=user_id)
         for stamp, tokens in by_user.pop(user_id):
             label = classifier.classify_post(tokens, lexicon, model)
-            occurrences = classifier.occurrence_hits(tokens, lexicon)
-            records.append(_ScopedPost(stamp, label.labels, occurrences))
+            records.append(_ScopedPost(stamp, label.labels, label.hits))
             ngrams.accumulate(profile, tokens, config.n_max)
         _write_scope(store, user_scope(user_id), user_id, records, profile, config, config_hash)
         everyone.counts.update(profile.counts)
@@ -234,14 +233,23 @@ def scope_for(meta: dict, user_id: str | None) -> str:
     return user_scope(user_id)
 
 
+def derived_file(store: Store, config: AnalysisConfig, scope: str, name: str) -> Path:
+    """Path of one derived file of a resolved analysis; a missing file (a
+    partial or crashed analyze) is a store error, not a traceback."""
+    path = store.derived_dir(scope, config.config_hash) / name
+    if not path.is_file():
+        raise StoreError("missing-artifact", f"{scope}/{name}; re-run `facewall analyze`")
+    return path
+
+
 def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> SeriesTable:
-    return read_series_csv(store.derived_dir(scope, config.config_hash) / SERIES_CSV)
+    return read_series_csv(derived_file(store, config, scope, SERIES_CSV))
 
 
 def load_occurrence_counts(
     store: Store, config: AnalysisConfig, scope: str
 ) -> tuple[list[str], dict[str, list[int]]]:
-    path = store.derived_dir(scope, config.config_hash) / OCCURRENCES_CSV
+    path = derived_file(store, config, scope, OCCURRENCES_CSV)
     starts: list[str] = []
     counts: dict[str, list[int]] = {c.value: [] for c in ALL_CLASSES}
     with open(path, "r", encoding="utf-8", newline="") as handle:

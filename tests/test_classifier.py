@@ -13,6 +13,7 @@ from facewall.classifier import (
     expand_lexicon,
     lexicon_match,
     nb_predict,
+    occurrence_hits,
     train_nb,
     training_pairs,
 )
@@ -125,6 +126,31 @@ def test_classify_no_evidence_is_neutral():
     label = classify_post(words("weather"), LEX)
     assert label.labels == {NEUTRAL}
     assert label.method == "neutral"
+
+
+def test_cascade_hits_are_the_post_occurrences():
+    rng = random.Random(5150)
+    model = train_nb(
+        [(words("sun", "day"), HAPPY), (words("rain", "day"), SAD), (words("sun", "sun"), HAPPY)],
+        n_max=2,
+        min_train_docs=1,
+    )
+    lexicon_words = ["happy", "sad", "love", "disappointed", "anger"]
+    other_words = ["sun", "rain", "day", "weather"]
+    emoticons = [":-)", ":(", "<3", "=(", ";-)"]  # ";-)" is in no class
+    seen = set()
+    for _ in range(500):
+        tokens = []
+        for at in range(rng.randrange(0, 8)):
+            pool = rng.choice([lexicon_words, other_words, other_words, emoticons])
+            make = emoticon if pool is emoticons else word
+            tokens.append(make(rng.choice(pool), at * 16))
+        for trained in (None, model):
+            label = classify_post(tokens, LEX, trained)
+            assert label.hits == occurrence_hits(tokens, LEX)
+            seen.add((label.method, bool(lexicon_match(tokens, LEX))))
+    assert ("emoticon", True) in seen  # emoticon post that also has lexicon words
+    assert {method for method, _ in seen} == {"emoticon", "lexicon", "model", "neutral"}
 
 
 # -- naive Bayes ----------------------------------------------------------------

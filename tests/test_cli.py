@@ -300,3 +300,42 @@ def test_dot_user_ids_stay_inside_derived(capsys, tmp_path):
     assert code == 0
     volume = [line.split(",") for line in out.read_text().splitlines() if ",volume," in line]
     assert sum(int(row[2]) for row in volume) == 3
+
+
+@pytest.mark.parametrize(
+    "missing, argv",
+    [
+        ("@all/series.csv", ["chart", "--class", "volume", "--all-users"]),
+        (
+            "u1/occurrences.csv",
+            ["chart", "--class", "happy", "--user", "u1", "--measure", "occurrences"],
+        ),
+        ("u2/series.csv", ["detect"]),
+        ("@all/series.csv", ["export", "--what", "series"]),
+        ("u1/ngrams.csv", ["export", "--what", "ngrams", "--user", "u1"]),
+    ],
+    ids=["chart-series", "chart-occurrences", "detect", "export-series", "export-ngrams"],
+)
+def test_missing_derived_file_is_a_store_error(capsys, corpus, tmp_path, missing, argv):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    scope, name = missing.split("/")
+    (hash_dir,) = (tmp_path / "store" / "derived" / scope).iterdir()
+    (hash_dir / name).unlink()
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+    assert code == 3
+    assert "store error: missing-artifact" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chart", "--class", "volume", "--all-users"], ["detect"], ["export", "--what", "series"]],
+    ids=["chart", "detect", "export"],
+)
+def test_unwritable_out_is_an_input_error(capsys, corpus, tmp_path, argv):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    for out in (tmp_path / "no-such-dir" / "out", tmp_path):
+        code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+        assert code == 2
+        assert "cannot write output" in err

@@ -8,13 +8,14 @@ from facewall.ngrams import (
     accumulate,
     extract_ngrams,
     merge_profiles,
+    ngrams_of_orders,
     parse_gram,
     profile_rows,
     read_ngram_csv,
     render_gram,
     write_ngram_csv,
 )
-from helpers import emoticon, words
+from helpers import emoticon, word, words
 
 
 def gram(*surfaces):
@@ -102,6 +103,21 @@ def test_count_conservation_random_lists():
         for n in (1, 2, 3):
             total = sum(extract_ngrams(token_list, n).values())
             assert total == max(0, length - n + 1)
+
+
+def test_feature_bag_is_the_sum_of_its_orders():
+    rng = random.Random(404)
+    for _ in range(300):
+        token_list = [
+            emoticon(":-)", at) if rng.random() < 0.2 else word(rng.choice("abc"), at)
+            for at in range(rng.randrange(0, 7))
+        ]
+        for n in (1, 2, 3, 4):
+            summed = sum((extract_ngrams(token_list, k) for k in range(1, n + 1)), Counter())
+            bag = ngrams_of_orders(token_list, n)
+            assert bag == summed
+            # Same key order too, so the model's float sums over a bag do not move.
+            assert list(bag) == list(summed)
 
 
 def test_accumulation_equals_merging_per_post_profiles():
