@@ -259,7 +259,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     payload = [report_to_dict(report, summary.granularity) for report in reports]
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     _write_output(args.out, text.encode("utf-8"))
-    print(f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}")
+    print(
+        f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}"
+        f" zscore={summary.zscore_flags} jsd={summary.jsd_flags}"
+    )
     return EXIT_OK
 
 

@@ -273,6 +273,8 @@ class DetectSummary:
     flagged_users: int
     flags: int
     granularity: str
+    zscore_flags: int
+    jsd_flags: int
 
 
 def detect_store(
@@ -284,13 +286,17 @@ def detect_store(
     reports: list[DeviationReport] = []
     total_flags = 0
     flagged_users = 0
+    signals: Counter[str] = Counter()
     for user_id in meta["users"]:
         table = load_series_table(store, config, user_scope(user_id))
         report = detect_user(user_id, table, granularity, detector)
         reports.append(report)
         total_flags += len(report.flags)
         flagged_users += bool(report.flags)
-    return reports, DetectSummary(len(reports), flagged_users, total_flags, granularity)
+        signals.update(flag.signal for flag in report.flags)
+    return reports, DetectSummary(
+        len(reports), flagged_users, total_flags, granularity, signals["zscore"], signals["jsd"]
+    )
 
 
 def detect_user(

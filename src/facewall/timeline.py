@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
-from statistics import fmean, stdev
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .lexicon import ALL_CLASSES, EmotionClass
@@ -162,10 +163,35 @@ class DetectorConfig:
     def validate(self) -> None:
         if self.window < 2:
             raise ValueError("bad-window")
-        if self.z_thresh <= 0 or self.jsd_thresh <= 0:
-            raise ValueError("thresholds must be positive")
+        for thresh in (self.z_thresh, self.jsd_thresh):
+            if not (math.isfinite(thresh) and thresh > 0):
+                raise ValueError("thresholds must be positive and finite")
         if self.min_hits < 0 or self.min_total < 0:
             raise ValueError("minimum counts must be non-negative")
+
+
+# Bits of the integer square root in _sqrt_of_frac: more than twice the float
+# mantissa, so one round-to-odd step followed by the float conversion rounds
+# correctly.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """Correctly rounded float square root of the positive rational n/m.
+
+    This is the round-to-odd integer method of CPython 3.11+
+    statistics.stdev, so the sample std it gives equals that function's
+    bitwise (3.10's stdev is not correctly rounded).
+    """
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    # the one rounding to 53 bits; scaling by 2**q is exact
+    return math.ldexp(root, q)
 
 
 def zscore_flags(
@@ -176,23 +202,29 @@ def zscore_flags(
 ) -> list[Flag]:
     """Flag buckets whose count departs from the trailing-window baseline.
 
-    Baseline is mean/sample-stdev of the W previous buckets. A flat baseline
-    (sigma = 0) with a strictly higher count is flagged with value infinity:
-    any departure from a constant history is a departure at every z.
+    Baseline is mean/sample-stdev of the W previous buckets, taken from
+    prefix sums of the counts and of their squares, so each bucket costs
+    O(1): sigma is the correctly rounded sqrt of the exact rational
+    (W*sxx - sx^2) / (W*(W-1)). A flat baseline (sigma = 0) with a strictly
+    higher count is flagged with value infinity: any departure from a
+    constant history is a departure at every z.
     """
     if window < 2:
         raise ValueError("bad-window")
     flags: list[Flag] = []
     counts = series.counts
+    sums = list(accumulate(counts, initial=0))
+    squares = list(accumulate((c * c for c in counts), initial=0))
+    dof = window * (window - 1)
     for t in range(window, len(counts)):
         count = counts[t]
         if count < min_hits:
             continue
-        base = counts[t - window : t]
-        mu = fmean(base)
-        sigma = stdev(base)
-        if sigma > 0:
-            z = (count - mu) / sigma
+        sx = sums[t] - sums[t - window]
+        spread = window * (squares[t] - squares[t - window]) - sx * sx
+        mu = sx / window
+        if spread:
+            z = (count - mu) / _sqrt_of_frac(spread, dof)
             if z >= z_thresh:
                 flags.append(
                     Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh)
@@ -255,13 +287,14 @@ def shift_flags(
     """
     if window < 2:
         raise ValueError("bad-window")
-    keys = [c.value for c in ALL_CLASSES]
+    columns = [class_counts[c.value] for c in ALL_CLASSES]
+    prefix = [list(accumulate(column, initial=0)) for column in columns]
     flags: list[Flag] = []
     for t in range(window, len(totals)):
         if totals[t] < min_total:
             continue
-        current = [float(class_counts[k][t]) for k in keys]
-        pooled = [float(sum(class_counts[k][t - window : t])) for k in keys]
+        current = [float(column[t]) for column in columns]
+        pooled = [float(sums[t] - sums[t - window]) for sums in prefix]
         if sum(current) == 0 or sum(pooled) == 0:
             continue
         value = jsd(current, pooled)

@@ -176,6 +176,15 @@ def test_detect_flow_and_errors(capsys, corpus, tmp_path):
     )
     assert code == 1  # window too small never touches the store
 
+    # a September burst of happy posts for u1 over a flat one-a-month history
+    burst = write_jsonl(
+        tmp_path / "burst.jsonl",
+        [
+            post_record("u1", f"2015-09-{day}T12:00:00Z", f"sunny walk {day} :-)")
+            for day in range(10, 14)
+        ],
+    )
+    run(capsys, "ingest", "--input", str(burst), "--format", "jsonl", "--store", store)
     run(capsys, "analyze", "--store", store)
     code, out, _ = run(capsys, "detect", "--store", store, "--out", str(out_file))
     assert code == 0
@@ -183,6 +192,27 @@ def test_detect_flow_and_errors(capsys, corpus, tmp_path):
     reports = json.loads(out_file.read_text())
     assert [r["user_id"] for r in reports] == ["u1", "u2"]
     assert all(r["config"]["window"] == 6 for r in reports)
+
+    for argv, signals in (([], ("zscore",)), (["--jsd", "0.01"], ("zscore", "jsd"))):
+        code, out, _ = run(capsys, "detect", "--store", store, "--out", str(out_file), *argv)
+        assert code == 0
+        summary = {key: int(value) for key, value in (f.split("=") for f in out.split())}
+        flags = [f for r in json.loads(out_file.read_text()) for f in r["flags"]]
+        assert summary["zscore"] + summary["jsd"] == summary["flags"] == len(flags)
+        for signal in ("zscore", "jsd"):
+            assert summary[signal] == sum(f["signal"] == signal for f in flags)
+            assert (summary[signal] > 0) == (signal in signals)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--z", "--jsd"])
+def test_detect_rejects_non_finite_thresholds(capsys, corpus, tmp_path, option, value):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "detect", "--store", store, "--out", str(out), option, value)
+    assert code == 1
+    assert "bad detector parameters" in err
+    assert not out.exists()
 
 
 def test_detect_stale_after_new_ingest(capsys, corpus, tmp_path):

@@ -1,15 +1,19 @@
 import json
 import math
 import random
+import statistics
+import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import pytest
 
-from facewall.lexicon import EmotionClass
+from facewall.lexicon import ALL_CLASSES, EmotionClass
 from facewall.timeline import (
     VOLUME,
     BucketSeries,
     DetectorConfig,
+    Flag,
     TimeBucket,
     bucket_start,
     bucketize,
@@ -146,6 +150,147 @@ def test_zscore_min_hits_guard():
 def test_zscore_bad_window():
     with pytest.raises(ValueError, match="bad-window"):
         zscore_flags(make_series([1, 2, 3]), window=1, z_thresh=2, min_hits=3)
+
+
+@pytest.mark.parametrize("field", ["z_thresh", "jsd_thresh"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_detector_config_rejects_non_finite_and_non_positive_thresholds(field, value):
+    with pytest.raises(ValueError, match="thresholds"):
+        DetectorConfig(**{field: value}).validate()
+    DetectorConfig(**{field: 1e300}).validate()
+
+
+# -- rolling kernels against their slice-per-bucket references ---------------------
+
+
+def reference_zscore_flags(series, window, z_thresh, min_hits):
+    """The slice + fmean/stdev loop that zscore_flags replaced."""
+    flags = []
+    counts = series.counts
+    for t in range(window, len(counts)):
+        count = counts[t]
+        if count < min_hits:
+            continue
+        base = counts[t - window : t]
+        mu = statistics.fmean(base)
+        sigma = statistics.stdev(base)
+        start = series.buckets[t].start
+        if sigma > 0:
+            z = (count - mu) / sigma
+            if z >= z_thresh:
+                flags.append(Flag(t, start, "zscore", series.class_key, z, z_thresh))
+        elif count > mu:
+            flags.append(Flag(t, start, "zscore", series.class_key, math.inf, z_thresh))
+    return flags
+
+
+def reference_shift_flags(class_counts, totals, buckets, window, jsd_thresh, min_total):
+    """The slice-sum pooling that shift_flags replaced."""
+    keys = [c.value for c in ALL_CLASSES]
+    flags = []
+    for t in range(window, len(totals)):
+        if totals[t] < min_total:
+            continue
+        current = [float(class_counts[k][t]) for k in keys]
+        pooled = [float(sum(class_counts[k][t - window : t])) for k in keys]
+        if sum(current) == 0 or sum(pooled) == 0:
+            continue
+        value = jsd(current, pooled)
+        if value >= jsd_thresh:
+            flags.append(Flag(t, buckets[t].start, "jsd", None, value, jsd_thresh))
+    return flags
+
+
+def bitwise(flags):
+    """Flags as tuples whose floats compare by their exact bits."""
+    return [
+        (f.bucket_index, f.bucket_start, f.signal, f.class_key, f.value.hex(), f.threshold.hex())
+        for f in flags
+    ]
+
+
+def random_counts(rng, length):
+    """Integer counts from 0 up to 10**6 with flat and all-zero stretches."""
+    top = rng.choice((1, 3, 10, 100, 10**4, 10**6))
+    counts = []
+    while len(counts) < length:
+        run = rng.randint(1, 12)
+        kind = rng.random()
+        if kind < 0.2:
+            counts.extend([0] * run)
+        elif kind < 0.4:
+            counts.extend([rng.randint(0, top)] * run)
+        else:
+            counts.extend(rng.randint(0, top) for _ in range(run))
+    return counts[:length]
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11 on"
+)
+def test_zscore_flags_match_the_stdev_reference_bitwise():
+    rng = random.Random(4242)
+    seen = {"finite": 0, "flat": 0, "short": 0}
+    for _ in range(400):
+        window = rng.randint(2, 30)
+        counts = random_counts(rng, rng.randint(0, 3 * window))
+        series = make_series(counts)
+        z_thresh = rng.choice((0.25, 1.0, 2.0, 3.5))
+        min_hits = rng.randint(0, 3)
+        got = zscore_flags(series, window, z_thresh, min_hits)
+        want = reference_zscore_flags(series, window, z_thresh, min_hits)
+        assert bitwise(got) == bitwise(want), (window, counts)
+        seen["finite"] += sum(math.isfinite(f.value) for f in got)
+        seen["flat"] += sum(f.value == math.inf for f in got)
+        seen["short"] += len(counts) <= window
+    assert all(seen.values()), seen
+
+
+def test_shift_flags_match_the_slice_sum_reference_bitwise():
+    rng = random.Random(2424)
+    keys = [c.value for c in ALL_CLASSES]
+    seen = {"flags": 0, "empty_window": 0, "short": 0}
+    for _ in range(300):
+        window = rng.randint(2, 30)
+        length = rng.randint(0, 3 * window)
+        counts = {key: random_counts(rng, length) for key in keys}
+        if rng.random() < 0.5:
+            # an all-zero stretch in every class: a window with no baseline
+            gap = rng.randrange(length + 1)
+            end = min(length, gap + window + rng.randint(0, 3))
+            for column in counts.values():
+                column[gap:end] = [0] * (end - gap)
+        totals = [sum(column[t] for column in counts.values()) for t in range(length)]
+        buckets = month_buckets(length)
+        jsd_thresh = rng.choice((0.01, 0.1, 0.25))
+        min_total = rng.randint(0, 5)
+        got = shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
+        want = reference_shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
+        assert bitwise(got) == bitwise(want), (window, counts)
+        seen["flags"] += len(got)
+        seen["empty_window"] += any(
+            totals[t] >= min_total and not any(totals[t - window : t])
+            for t in range(window, length)
+        )
+        seen["short"] += length <= window
+    assert all(seen.values()), seen
+
+
+def test_sqrt_of_frac_is_correctly_rounded():
+    from facewall.timeline import _sqrt_of_frac
+
+    rng = random.Random(99)
+    for _ in range(5000):
+        window = rng.randint(2, 30)
+        counts = random_counts(rng, window)
+        sx, sxx = sum(counts), sum(c * c for c in counts)
+        n, m = window * sxx - sx * sx, window * (window - 1)
+        if n == 0:
+            continue
+        s = _sqrt_of_frac(n, m)
+        below = (Fraction(math.nextafter(s, 0.0)) + Fraction(s)) / 2
+        above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+        assert below * below < Fraction(n, m) < above * above, (n, m, s)
 
 
 # -- Jensen-Shannon divergence -----------------------------------------------------
