@@ -18,8 +18,10 @@ from .lexicon import EmotionLexicon, LexiconError, default_lexicon, load_lexicon
 from .pipeline import (
     AnalysisConfig,
     NGRAMS_CSV,
+    OCCURRENCES_CSV,
     SERIES_CSV,
     analyze_store,
+    artifact_error,
     derived_file,
     detect_store,
     load_occurrence_counts,
@@ -232,7 +234,9 @@ def cmd_chart(args: argparse.Namespace) -> int:
     table = load_series_table(store, config, scope)
     series = table.to_series(args.cls, scope_label, granularity)
     if args.measure == "occurrences":
-        _, occ_counts = load_occurrence_counts(store, config, scope)
+        starts, occ_counts = load_occurrence_counts(store, config, scope)
+        if starts != table.bucket_starts:
+            raise artifact_error("corrupt-artifact", scope, OCCURRENCES_CSV)
         series.counts = occ_counts[args.cls]
     width, height = args.size
     title = f"{args.cls}: {scope_label}"
@@ -262,6 +266,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     print(
         f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}"
         f" zscore={summary.zscore_flags} jsd={summary.jsd_flags}"
+        + "".join(f" {cls}={n}" for cls, n in summary.zscore_by_class.items())
     )
     return EXIT_OK
 

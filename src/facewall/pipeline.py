@@ -11,12 +11,12 @@ shape reports, not cached series.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import classifier, ngrams
@@ -29,13 +29,15 @@ from .timeline import (
     BucketSeries,
     DetectorConfig,
     DeviationReport,
-    OCCURRENCE_HEADER,
     SeriesTable,
+    TimeBucket,
     bucketize,
     build_report,
     emotion_series,
+    read_occurrence_csv,
     read_series_csv,
     shift_flags,
+    write_occurrence_csv,
     write_series_csv,
     zscore_flags,
 )
@@ -189,20 +191,14 @@ def _write_scope(
     series_list.append(emotion_series(buckets, label_groups, VOLUME, scope=scope_label))
     write_series_csv(out_dir / SERIES_CSV, series_list)
 
-    _write_occurrences(out_dir / OCCURRENCES_CSV, buckets, groups)
+    occurrences = []
+    for group in groups:
+        totals: Counter = Counter()
+        for record in group:
+            totals.update(record.occurrences)
+        occurrences.append(totals)
+    write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
     ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile)
-
-
-def _write_occurrences(path: Path, buckets, groups) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(OCCURRENCE_HEADER)
-        for bucket, group in zip(buckets, groups):
-            totals: Counter = Counter()
-            for record in group:
-                totals.update(record.occurrences)
-            for cls in ALL_CLASSES:
-                writer.writerow([bucket.key, cls.value, totals.get(cls, 0)])
 
 
 # -- reading the cache ------------------------------------------------------
@@ -214,13 +210,30 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> dict:
     meta_path = store.derived_dir(META_SCOPE, config.config_hash) / META_JSON
     if not meta_path.exists():
         raise StoreError("not-analyzed", "run `facewall analyze` first")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("record_count") != store.record_count:
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError:  # not JSON, or not UTF-8
+        raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON) from None
+    if not _is_meta(meta):
+        raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON)
+    if meta["record_count"] != store.record_count:
         raise StoreError(
             "stale-analysis",
             "store changed since analyze; re-run `facewall analyze`",
         )
     return meta
+
+
+def _is_meta(meta: object) -> bool:
+    """Whether parsed analysis.json has the fields the readers use."""
+    return (
+        isinstance(meta, dict)
+        and isinstance(meta.get("record_count"), int)
+        and isinstance(meta.get("config"), dict)
+        and isinstance(meta["config"].get("granularity"), str)
+        and isinstance(meta.get("users"), list)
+        and all(isinstance(user, str) for user in meta["users"])
+    )
 
 
 def scope_for(meta: dict, user_id: str | None) -> str:
@@ -233,35 +246,37 @@ def scope_for(meta: dict, user_id: str | None) -> str:
     return user_scope(user_id)
 
 
+def artifact_error(reason: str, scope: str, name: str) -> StoreError:
+    """A missing or unreadable derived file: a partial or crashed analyze
+    (or damage since), which a fresh analyze repairs."""
+    return StoreError(reason, f"{scope}/{name}; re-run `facewall analyze`")
+
+
 def derived_file(store: Store, config: AnalysisConfig, scope: str, name: str) -> Path:
-    """Path of one derived file of a resolved analysis; a missing file (a
-    partial or crashed analyze) is a store error, not a traceback."""
+    """Path of one derived file of a resolved analysis; a missing file is a
+    store error, not a traceback."""
     path = store.derived_dir(scope, config.config_hash) / name
     if not path.is_file():
-        raise StoreError("missing-artifact", f"{scope}/{name}; re-run `facewall analyze`")
+        raise artifact_error("missing-artifact", scope, name)
     return path
 
 
 def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> SeriesTable:
-    return read_series_csv(derived_file(store, config, scope, SERIES_CSV))
+    path = derived_file(store, config, scope, SERIES_CSV)
+    try:
+        return read_series_csv(path)
+    except ValueError:
+        raise artifact_error("corrupt-artifact", scope, SERIES_CSV) from None
 
 
 def load_occurrence_counts(
     store: Store, config: AnalysisConfig, scope: str
 ) -> tuple[list[str], dict[str, list[int]]]:
     path = derived_file(store, config, scope, OCCURRENCES_CSV)
-    starts: list[str] = []
-    counts: dict[str, list[int]] = {c.value: [] for c in ALL_CLASSES}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != OCCURRENCE_HEADER:
-            raise ValueError(f"unexpected occurrences CSV header: {header!r}")
-        for day, class_key, count in reader:
-            if not starts or starts[-1] != day:
-                starts.append(day)
-            counts[class_key].append(int(count))
-    return starts, counts
+    try:
+        return read_occurrence_csv(path)
+    except ValueError:
+        raise artifact_error("corrupt-artifact", scope, OCCURRENCES_CSV) from None
 
 
 # -- detection --------------------------------------------------------------
@@ -275,6 +290,8 @@ class DetectSummary:
     granularity: str
     zscore_flags: int
     jsd_flags: int
+    # z-score flags per lexicon class, in LEXICON_CLASSES order
+    zscore_by_class: dict[str, int]
 
 
 def detect_store(
@@ -287,6 +304,7 @@ def detect_store(
     total_flags = 0
     flagged_users = 0
     signals: Counter[str] = Counter()
+    classes: Counter[str] = Counter()
     for user_id in meta["users"]:
         table = load_series_table(store, config, user_scope(user_id))
         report = detect_user(user_id, table, granularity, detector)
@@ -294,9 +312,36 @@ def detect_store(
         total_flags += len(report.flags)
         flagged_users += bool(report.flags)
         signals.update(flag.signal for flag in report.flags)
+        classes.update(flag.class_key for flag in report.flags if flag.signal == "zscore")
     return reports, DetectSummary(
-        len(reports), flagged_users, total_flags, granularity, signals["zscore"], signals["jsd"]
+        len(reports),
+        flagged_users,
+        total_flags,
+        granularity,
+        signals["zscore"],
+        signals["jsd"],
+        {cls.value: classes[cls.value] for cls in LEXICON_CLASSES},
     )
+
+
+class _TableBuckets(Sequence):
+    """A SeriesTable's buckets, each built on first use: the detectors read
+    a bucket's start only for the buckets they flag."""
+
+    def __init__(self, starts: list[str], granularity: str) -> None:
+        self._starts = starts
+        self._granularity = granularity
+        self._built: dict[int, TimeBucket] = {}
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index: int) -> TimeBucket:
+        bucket = self._built.get(index)
+        if bucket is None:
+            start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
+            bucket = self._built[index] = TimeBucket(start, index, self._granularity)
+        return bucket
 
 
 def detect_user(
@@ -304,8 +349,7 @@ def detect_user(
 ) -> DeviationReport:
     """Run both detectors over one user's cached series."""
     flags = []
-    volume = table.to_series(VOLUME, user_id, granularity)
-    buckets = volume.buckets
+    buckets = _TableBuckets(table.bucket_starts, granularity)
     for cls in LEXICON_CLASSES:
         series = BucketSeries(
             user_id, cls.value, buckets, table.counts[cls.value], table.totals

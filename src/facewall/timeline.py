@@ -13,8 +13,9 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -104,7 +105,7 @@ def bucketize(
 class BucketSeries:
     scope: str
     class_key: str
-    buckets: list[TimeBucket]
+    buckets: Sequence[TimeBucket]
     counts: list[int]
     totals: list[int]
 
@@ -255,12 +256,22 @@ def jsd(p: Sequence[float], q: Sequence[float]) -> float:
     sum_p, sum_q = sum(p), sum(q)
     if sum_p == 0 or sum_q == 0:
         raise ValueError("empty-distribution")
-    pn = [x / sum_p for x in p]
-    qn = [x / sum_q for x in q]
+    return _jsd(p, q, sum_p, sum_q)
+
+
+def _jsd(p: Sequence[float], q: Sequence[float], sum_p: float, sum_q: float) -> float:
+    """jsd of two checked, non-empty distributions given their masses.
+
+    shift_flags passes integer counts: x / sum of integers below 2**53
+    rounds exactly as the float division of their float values does, so
+    both callers get the same bits.
+    """
     div = 0.0
     # accumulate per index so jsd(P,Q) and jsd(Q,P) add the same terms in the
     # same order: symmetry holds bitwise, not just within rounding
-    for a, b in zip(pn, qn):
+    for x, y in zip(p, q):
+        a = x / sum_p
+        b = y / sum_q
         mid = (a + b) / 2
         term = 0.0
         if a > 0:
@@ -288,16 +299,21 @@ def shift_flags(
     if window < 2:
         raise ValueError("bad-window")
     columns = [class_counts[c.value] for c in ALL_CLASSES]
-    prefix = [list(accumulate(column, initial=0)) for column in columns]
+    if any(column and min(column) < 0 for column in columns):
+        raise ValueError("negative probability mass")
+    # per bucket: the class counts, and the running class sums before it
+    rows = list(zip(*columns))
+    prefix = list(zip(*(accumulate(column, initial=0) for column in columns)))
     flags: list[Flag] = []
     for t in range(window, len(totals)):
         if totals[t] < min_total:
             continue
-        current = [float(column[t]) for column in columns]
-        pooled = [float(sums[t] - sums[t - window]) for sums in prefix]
-        if sum(current) == 0 or sum(pooled) == 0:
+        current = rows[t]
+        pooled = list(map(sub, prefix[t], prefix[t - window]))
+        mass, pooled_mass = sum(current), sum(pooled)
+        if mass == 0 or pooled_mass == 0:
             continue
-        value = jsd(current, pooled)
+        value = _jsd(current, pooled, mass, pooled_mass)
         if value >= jsd_thresh:
             flags.append(Flag(t, buckets[t].start, "jsd", None, value, jsd_thresh))
     return flags
@@ -391,18 +407,74 @@ class SeriesTable:
 
 
 def read_series_csv(path: str | Path) -> SeriesTable:
-    bucket_starts: list[str] = []
-    counts: dict[str, list[int]] = {key: [] for key in SERIES_CLASS_KEYS}
-    totals: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SERIES_HEADER:
-            raise ValueError(f"unexpected series CSV header: {header!r}")
-        for row in reader:
-            day, class_key, count, total = row[0], row[1], int(row[2]), int(row[3])
-            if not bucket_starts or bucket_starts[-1] != day:
-                bucket_starts.append(day)
-                totals.append(total)
-            counts[class_key].append(count)
-    return SeriesTable(bucket_starts, counts, totals)
+    """Parse series.csv column by column; a file that deviates from the
+    layout write_series_csv gives raises ValueError."""
+    fields = _bucket_fields(path, SERIES_HEADER, SERIES_CLASS_KEYS)
+    width = len(SERIES_HEADER)
+    stride = width * len(SERIES_CLASS_KEYS)
+    counts = {
+        key: _counts(fields[2 + width * k :: stride]) for k, key in enumerate(SERIES_CLASS_KEYS)
+    }
+    return SeriesTable(fields[0::stride], counts, _counts(fields[3::stride]))
+
+
+def write_occurrence_csv(
+    path: str | Path,
+    buckets: Sequence[TimeBucket],
+    occurrences: Sequence[Mapping[EmotionClass, int]],
+) -> None:
+    """One row per (bucket, class): the lexicon occurrences of the bucket's
+    posts, classes in ALL_CLASSES order."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(OCCURRENCE_HEADER)
+        for bucket, counts in zip(buckets, occurrences):
+            for cls in ALL_CLASSES:
+                writer.writerow([bucket.key, cls.value, counts.get(cls, 0)])
+
+
+def read_occurrence_csv(path: str | Path) -> tuple[list[str], dict[str, list[int]]]:
+    """Bucket starts and per-class counts of occurrences.csv; a file that
+    deviates from its layout raises ValueError."""
+    keys = [c.value for c in ALL_CLASSES]
+    fields = _bucket_fields(path, OCCURRENCE_HEADER, keys)
+    width = len(OCCURRENCE_HEADER)
+    stride = width * len(keys)
+    counts = {key: _counts(fields[2 + width * k :: stride]) for k, key in enumerate(keys)}
+    return fields[0::stride], counts
+
+
+def _bucket_fields(path: str | Path, header: list[str], keys: Sequence[str]) -> list[str]:
+    """The body fields of a derived CSV with one row per bucket and key,
+    the keys in the given order within each bucket. Field i of key k's rows
+    is then the stride fields[i + len(header) * k :: len(header) * len(keys)].
+    Raises ValueError for a wrong header, a cut or ragged body, rows out of
+    key order, or bucket starts that are not ISO dates."""
+    with open(path, "r", encoding="utf-8") as handle:
+        head, _, body = handle.read().partition("\n")
+    if head.split(",") != header:
+        raise ValueError(f"unexpected CSV header: {head!r}")
+    width, depth = len(header), len(keys)
+    rows = body.count("\n")
+    fields = body.replace("\n", ",").split(",")
+    # a whole body ends in a newline, which leaves one empty last field
+    if fields.pop() or len(fields) != width * rows:
+        raise ValueError("cut or ragged CSV body")
+    days = fields[0::width]
+    starts = days[0::depth]
+    # also rejects a last bucket with fewer rows than keys
+    if fields[1::width] != list(keys) * len(starts):
+        raise ValueError("CSV rows out of bucket and key order")
+    if any(days[k::depth] != starts for k in range(1, depth)):
+        raise ValueError("CSV rows of one bucket differ in bucket start")
+    for day in starts:
+        date.fromisoformat(day)
+    return fields
+
+
+def _counts(column: list[str]) -> list[int]:
+    """A CSV column of counts as ints; a negative count raises ValueError."""
+    counts = list(map(int, column))
+    if counts and min(counts) < 0:
+        raise ValueError("negative count in CSV")
+    return counts

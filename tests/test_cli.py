@@ -202,6 +202,14 @@ def test_detect_flow_and_errors(capsys, corpus, tmp_path):
         for signal in ("zscore", "jsd"):
             assert summary[signal] == sum(f["signal"] == signal for f in flags)
             assert (summary[signal] > 0) == (signal in signals)
+        classes = ("happy", "sad", "love", "disappointment")
+        assert list(summary)[-4:] == list(classes)
+        assert sum(summary[cls] for cls in classes) == summary["zscore"]
+        for cls in classes:
+            assert summary[cls] == sum(
+                f["signal"] == "zscore" and f["class"] == cls for f in flags
+            )
+        assert summary["happy"] > 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -369,3 +377,80 @@ def test_unwritable_out_is_an_input_error(capsys, corpus, tmp_path, argv):
         code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
         assert code == 2
         assert "cannot write output" in err
+
+
+def rewrite(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8", newline="")
+
+
+def with_count(line, count):
+    day, cls, _, *rest = line.split(",")
+    return ",".join([day, cls, count, *rest])
+
+
+def with_day(line, day):
+    return ",".join([day, *line.split(",")[1:]])
+
+
+CHART_OCCURRENCES = ["chart", "--class", "happy", "--user", "u1", "--measure", "occurrences"]
+
+
+@pytest.mark.parametrize(
+    "damaged, edit, argv",
+    [
+        ("u2/series.csv", lambda lines: lines[:-3] + [lines[-3][:9]], ["detect"]),
+        ("u2/series.csv", lambda lines: lines[:-2], ["detect"]),
+        (
+            "u2/series.csv",
+            lambda lines: lines[:2] + [with_count(lines[2], "two")] + lines[3:],
+            ["detect"],
+        ),
+        (
+            "@all/series.csv",
+            lambda lines: lines[:-1],
+            ["chart", "--class", "volume", "--all-users"],
+        ),
+        ("u1/occurrences.csv", lambda lines: lines[:-2] + [lines[-2][:14]], CHART_OCCURRENCES),
+        (
+            "u1/occurrences.csv",
+            lambda lines: [lines[0]] + [with_day(line, "2014-12-01") for line in lines[1:6]]
+            + lines[6:],
+            CHART_OCCURRENCES,
+        ),
+        ("@meta/analysis.json", lambda lines: lines[: len(lines) // 2], ["detect"]),
+        (
+            "@meta/analysis.json",
+            lambda lines: lines[: len(lines) // 2],
+            ["chart", "--class", "volume", "--all-users"],
+        ),
+        (
+            "@meta/analysis.json",
+            lambda lines: lines[: len(lines) // 2],
+            ["export", "--what", "series"],
+        ),
+        ("@meta/analysis.json", lambda lines: ["[]\n"], ["detect"]),
+    ],
+    ids=[
+        "series-cut-mid-row",
+        "series-cut-at-a-row-boundary",
+        "series-non-integer-count",
+        "chart-series-cut",
+        "occurrences-cut-mid-row",
+        "occurrences-bucket-starts-differ",
+        "meta-cut-detect",
+        "meta-cut-chart",
+        "meta-cut-export",
+        "meta-not-an-object",
+    ],
+)
+def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    scope, name = damaged.split("/")
+    (hash_dir,) = (tmp_path / "store" / "derived" / scope).iterdir()
+    rewrite(hash_dir / name, edit)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+    assert code == 3
+    assert f"store error: corrupt-artifact: {damaged}; re-run `facewall analyze`" in err
+    assert not out.exists()

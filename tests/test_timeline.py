@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -10,10 +11,12 @@ import pytest
 
 from facewall.lexicon import ALL_CLASSES, EmotionClass
 from facewall.timeline import (
+    SERIES_CLASS_KEYS,
     VOLUME,
     BucketSeries,
     DetectorConfig,
     Flag,
+    SeriesTable,
     TimeBucket,
     bucket_start,
     bucketize,
@@ -21,6 +24,7 @@ from facewall.timeline import (
     emotion_series,
     jsd,
     next_bucket_start,
+    read_occurrence_csv,
     read_series_csv,
     report_to_dict,
     shift_flags,
@@ -356,6 +360,13 @@ def test_shift_flags_disjoint_mix_fires():
     assert flags[0].value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_shift_flags_rejects_negative_counts():
+    counts = {c.value: [1] * 8 for c in ALL_CLASSES}
+    counts["sad"][2] = -1
+    with pytest.raises(ValueError):
+        shift_flags(counts, [5] * 8, month_buckets(8), window=3, min_total=0)
+
+
 def test_shift_flags_min_total_guard():
     rows = [[10, 0, 0, 0, 0]] * 6 + [[0, 4, 0, 0, 0]]
     totals = [10] * 6 + [4]
@@ -445,3 +456,115 @@ def test_proportion_half_even_formatting(tmp_path):
     path = tmp_path / "series.csv"
     write_series_csv(path, [series])
     assert path.read_text(encoding="utf-8").splitlines()[1].endswith("0.125000")
+
+
+def reference_read_series_csv(path):
+    """The csv.reader loop that read_series_csv replaced."""
+    bucket_starts = []
+    counts = {key: [] for key in SERIES_CLASS_KEYS}
+    totals = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == ["bucket_start", "class", "count", "total", "proportion"]
+        for row in reader:
+            day, class_key, count, total = row[0], row[1], int(row[2]), int(row[3])
+            if not bucket_starts or bucket_starts[-1] != day:
+                bucket_starts.append(day)
+                totals.append(total)
+            counts[class_key].append(count)
+    return SeriesTable(bucket_starts, counts, totals)
+
+
+def random_series_list(rng, length):
+    """The six series of one scope, as analyze writes them: counts up to
+    10**9, each bucket's total shared by every class."""
+    buckets = month_buckets(length, year=rng.randint(1990, 2030), month=rng.randint(1, 12))
+    top = rng.choice((1, 10, 10**4, 10**9))
+    totals = [rng.randint(0, top) for _ in range(length)]
+    series_list = []
+    for key in SERIES_CLASS_KEYS:
+        counts = list(totals) if key == VOLUME else [rng.randint(0, top) for _ in range(length)]
+        series_list.append(BucketSeries("u1", key, buckets, counts, totals))
+    return series_list
+
+
+def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
+    rng = random.Random(5151)
+    path = tmp_path / "series.csv"
+    lengths = [0, 1, 2] + [rng.randint(3, 400) for _ in range(60)]
+    for length in lengths:
+        write_series_csv(path, random_series_list(rng, length))
+        want = reference_read_series_csv(path)
+        assert read_series_csv(path) == want, length
+        assert len(want.bucket_starts) == length
+
+
+def series_lines(tmp_path):
+    path = tmp_path / "series.csv"
+    write_series_csv(path, random_series_list(random.Random(7), 3))
+    return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def with_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+def split_row(line):
+    day, _, rest = line.partition(",")
+    return [day + "\r\n", rest]
+
+
+SERIES_DAMAGE = {
+    "cut-mid-row": lambda lines: lines[:-3] + [lines[-3][:9]],
+    "cut-after-a-comma": lambda lines: lines[:-1] + [lines[-1][:11]],
+    "cut-at-a-row-boundary-in-a-bucket": lambda lines: lines[:-2],
+    "non-integer-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "1.5")] + lines[3:],
+    "empty-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "")] + lines[3:],
+    "negative-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "-1")] + lines[3:],
+    "non-integer-total": lambda lines: [lines[0], with_field(lines[1], 3, "n/a")] + lines[2:],
+    "classes-out-of-order": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+    "bucket-start-differs-in-a-bucket": (
+        lambda lines: lines[:3] + [with_field(lines[3], 0, "1980-01-01")] + lines[4:]
+    ),
+    "bucket-start-not-a-date": (
+        lambda lines: [lines[0]] + [with_field(line, 0, "2015-13-01") for line in lines[1:7]]
+        + lines[7:]
+    ),
+    "extra-field": lambda lines: lines[:4] + [lines[4].rstrip("\r\n") + ",x\r\n"] + lines[5:],
+    "row-split-in-two": lambda lines: lines[:4] + split_row(lines[4]) + lines[5:],
+    "bad-header": lambda lines: ["bucket_start,class,count,total\r\n"] + lines[1:],
+    "empty-file": lambda lines: [],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SERIES_DAMAGE))
+def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
+    path, lines = series_lines(tmp_path)
+    path.write_text("".join(SERIES_DAMAGE[damage](lines)), encoding="utf-8", newline="")
+    with pytest.raises(ValueError):
+        read_series_csv(path)
+
+
+def test_read_series_csv_accepts_lf_line_ends(tmp_path):
+    path, lines = series_lines(tmp_path)
+    want = read_series_csv(path)
+    path.write_text("".join(line.replace("\r\n", "\n") for line in lines), encoding="utf-8")
+    assert read_series_csv(path) == want
+
+
+def test_read_occurrence_csv_columns_and_damage(tmp_path):
+    path = tmp_path / "occurrences.csv"
+    rows = ["bucket_start,class,count"]
+    for day, counts in (("2015-01-01", (3, 0, 1, 0, 7)), ("2015-02-01", (0, 2, 0, 5, 0))):
+        rows += [f"{day},{c.value},{n}" for c, n in zip(ALL_CLASSES, counts)]
+    text = "\r\n".join(rows) + "\r\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    starts, counts = read_occurrence_csv(path)
+    assert starts == ["2015-01-01", "2015-02-01"]
+    assert counts == {"happy": [3, 0], "sad": [0, 2], "love": [1, 0],
+                      "disappointment": [0, 5], "neutral": [7, 0]}
+    path.write_text(text[:-9], encoding="utf-8", newline="")
+    with pytest.raises(ValueError):
+        read_occurrence_csv(path)
