@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexer import Token, TokenKind
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .ngrams import Gram, ngrams_of_orders, parse_gram, render_gram
+from .ngrams import Gram, iter_grams, ngrams_of_orders, parse_gram, render_gram
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
@@ -41,29 +41,44 @@ class PostLabel:
     hits: Counter[EmotionClass] = field(default_factory=Counter)
 
 
-def _count_hits(
-    tokens: Iterable[Token], kind: TokenKind, lookup: Mapping[str, EmotionClass]
-) -> Counter[EmotionClass]:
-    hits: Counter[EmotionClass] = Counter()
+def _rule_hits(
+    tokens: Iterable[Token], lexicon: EmotionLexicon
+) -> tuple[dict[EmotionClass, int], dict[EmotionClass, int]]:
+    """Emoticon and word hits per class in one pass, each dict in order of
+    first hit (the order emoticon_hits and lexicon_match give)."""
+    emoticons, words = lexicon.emoticon_to_class, lexicon.word_to_class
+    word, emoticon = TokenKind.WORD, TokenKind.EMOTICON
+    e_hits: dict[EmotionClass, int] = {}
+    w_hits: dict[EmotionClass, int] = {}
     for token in tokens:
-        if token.kind is kind and token.surface in lookup:
-            hits[lookup[token.surface]] += 1
-    return hits
+        kind = token.kind
+        if kind is word:
+            cls = words.get(token.surface)
+            if cls is not None:
+                w_hits[cls] = w_hits.get(cls, 0) + 1
+        elif kind is emoticon:
+            cls = emoticons.get(token.surface)
+            if cls is not None:
+                e_hits[cls] = e_hits.get(cls, 0) + 1
+    return e_hits, w_hits
 
 
 def emoticon_hits(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
     """Per-class count of emoticon tokens belonging to that class."""
-    return _count_hits(tokens, TokenKind.EMOTICON, lexicon.emoticon_to_class)
+    return Counter(_rule_hits(tokens, lexicon)[0])
 
 
 def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[EmotionClass]:
     """Classes asserted by any emoticon in the post (whole-post rule)."""
-    return set(emoticon_hits(tokens, lexicon))
+    lookup = lexicon.emoticon_to_class
+    return {
+        lookup[t.surface] for t in tokens if t.kind is TokenKind.EMOTICON and t.surface in lookup
+    }
 
 
 def lexicon_match(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
     """Per-class count of WORD tokens found in that class's word set."""
-    return _count_hits(tokens, TokenKind.WORD, lexicon.word_to_class)
+    return Counter(_rule_hits(tokens, lexicon)[1])
 
 
 def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
@@ -109,18 +124,19 @@ class NBModel:
         return scores
 
     def to_dict(self) -> dict:
+        text = {gram: render_gram(gram) for gram in self.vocabulary}
         return {
             "schema": 1,
             "alpha": self.alpha,
             "n_max": self.n_max,
             "classes": [cls.value for cls in self.classes],
             "doc_counts": {cls.value: self.doc_counts[cls] for cls in self.classes},
-            "vocabulary": sorted(render_gram(gram) for gram in self.vocabulary),
+            "vocabulary": sorted(text.values()),
             "features": {
                 cls.value: {
-                    render_gram(gram): count
+                    text[gram]: count
                     for gram, count in sorted(
-                        self.feature_counts[cls].items(), key=lambda kv: render_gram(kv[0])
+                        self.feature_counts[cls].items(), key=lambda kv: text[kv[0]]
                     )
                 }
                 for cls in self.classes
@@ -198,7 +214,7 @@ def train_nb(
             raise ValueError("neutral is not a trainable class")
         content = [t for t in tokens if t.kind is not TokenKind.EMOTICON]
         doc_counts[cls] += 1
-        features.setdefault(cls, Counter()).update(ngrams_of_orders(content, n_max))
+        features.setdefault(cls, Counter()).update(iter_grams(content, n_max))
     survivors = tuple(
         cls for cls in LEXICON_CLASSES if doc_counts.get(cls, 0) >= min_train_docs
     )
@@ -232,15 +248,17 @@ def classify_post(
 ) -> PostLabel:
     """Cascade: emoticon rule, then keyword lexicon, then the model, then
     Neutral. Both rule counts come first: the label carries all the hits."""
-    e_hits = emoticon_hits(tokens, lexicon)
-    w_hits = lexicon_match(tokens, lexicon)
+    e_hits, w_hits = _rule_hits(tokens, lexicon)
     if e_hits:
         scores = {c: float(n) for c, n in e_hits.items()}
-        return PostLabel(frozenset(e_hits), METHOD_EMOTICON, scores, e_hits + w_hits)
+        hits = Counter(e_hits)
+        hits.update(w_hits)
+        return PostLabel(frozenset(e_hits), METHOD_EMOTICON, scores, hits)
     if w_hits:
         best = max(w_hits.values())
         winners = frozenset(cls for cls, n in w_hits.items() if n == best)
-        return PostLabel(winners, METHOD_LEXICON, {c: float(n) for c, n in w_hits.items()}, w_hits)
+        scores = {c: float(n) for c, n in w_hits.items()}
+        return PostLabel(winners, METHOD_LEXICON, scores, Counter(w_hits))
     if model is not None:
         features = model.features_of(tokens)
         if any(gram in model.vocabulary for gram in features):

@@ -24,6 +24,7 @@ from .pipeline import (
     artifact_error,
     derived_file,
     detect_store,
+    load_ngram_profile,
     load_occurrence_counts,
     load_series_table,
     resolve_analysis,
@@ -276,7 +277,14 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(f"facewall: unknown export kind: {args.what!r}", file=sys.stderr)
         return EXIT_INPUT
     store, config, _, scope = _open_analysis(args)
-    name = SERIES_CSV if args.what == "series" else NGRAMS_CSV
+    # A damaged file is a store error, as in chart and detect; the export
+    # itself is the cached bytes.
+    if args.what == "series":
+        load_series_table(store, config, scope)
+        name = SERIES_CSV
+    else:
+        load_ngram_profile(store, config, scope)
+        name = NGRAMS_CSV
     _write_output(args.out, derived_file(store, config, scope, name).read_bytes())
     return EXIT_OK
 

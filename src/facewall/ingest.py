@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -38,13 +39,23 @@ class RawPost:
     source: str | None = None
 
     def dedupe_key(self) -> tuple[str, str, str]:
+        return self._dedupe_key
+
+    # Computed once per post: ingest dedupes a post in the batch and again
+    # against the store, then writes its record with the same timestamp text.
+    @cached_property
+    def _dedupe_key(self) -> tuple[str, str, str]:
         digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-        return (self.user_id, format_rfc3339(self.timestamp), digest)
+        return (self.user_id, self._stamp_text, digest)
+
+    @cached_property
+    def _stamp_text(self) -> str:
+        return format_rfc3339(self.timestamp)
 
     def to_record(self) -> dict:
         record = {
             "user_id": self.user_id,
-            "timestamp": format_rfc3339(self.timestamp),
+            "timestamp": self._stamp_text,
             "text": self.text,
         }
         if self.source is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -24,21 +24,29 @@ class TokenKind(Enum):
     NUMBER = "number"
     PUNCT = "punct"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is Python code, run for every token a kind set tests.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    surface: str
-    start: int
-    end: int
 
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
+class Token(namedtuple("Token", "kind surface start end")):
+    """One scanned token: a value, immutable, equal and hashed by its
+    fields (kind, surface, start, end)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: TokenKind, surface: str, start: int, end: int) -> "Token":
+        if start >= end:
             raise ValueError("token span must be non-empty")
+        return _new_token(cls, (kind, surface, start, end))
 
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
+
+
+# Builds a Token without the span check; only for spans known non-empty.
+_new_token = tuple.__new__
 
 
 # URL: scheme or leading www. up to the next whitespace. MENTION: @ then up
@@ -68,6 +76,9 @@ class EmoticonTable:
             raise ValueError("duplicate emoticon table entry")
         self.entries: tuple[str, ...] = tuple(sorted(entries, key=lambda e: (-len(e), e)))
         self._scanner = _compile_scanner(self.entries)
+        # token kind by scanner group number, the Match.lastindex of a token
+        groups = self._scanner.groupindex
+        self._group_kinds = (None,) + tuple(TokenKind[g] for g in sorted(groups, key=groups.get))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -80,7 +91,9 @@ class EmoticonTable:
 
 
 def _compile_scanner(emoticons: tuple[str, ...]) -> re.Pattern:
-    branches = ["(?P<WS>\\s+)"]
+    # No branch matches at whitespace (each starts with a non-space
+    # character), so the search steps over it and every match is a token.
+    branches = []
     if emoticons:
         branches.append("(?P<EMOTICON>%s)" % "|".join(re.escape(e) for e in emoticons))
     branches += [
@@ -105,15 +118,17 @@ def tokenize(text: str, table: EmoticonTable) -> list[Token]:
     lands in exactly one token span.
     """
     norm = normalize_text(text)
+    kinds, word = table._group_kinds, TokenKind.WORD
     tokens: list[Token] = []
+    append = tokens.append
     for m in table.scan(norm):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
-        surface = m.group()
-        if kind == "WORD":
+        kind = kinds[m.lastindex]
+        start, end = m.span()
+        surface = norm[start:end]
+        if kind is word:
             surface = surface.casefold()
-        tokens.append(Token(TokenKind[kind], surface, m.start(), m.end()))
+        # every branch of the scanner matches at least one character
+        append(_new_token(Token, (kind, surface, start, end)))
     return tokens
 
 
@@ -124,9 +139,9 @@ _PRUNED_KINDS = frozenset({TokenKind.URL, TokenKind.MENTION, TokenKind.PUNCT})
 
 def prune(tokens: Iterable[Token]) -> list[Token]:
     """Drop URLs, mentions, punctuation, and bare articles; keep order."""
+    word = TokenKind.WORD
     return [
         t
         for t in tokens
-        if t.kind not in _PRUNED_KINDS
-        and not (t.kind is TokenKind.WORD and t.surface in ARTICLES)
+        if t.kind not in _PRUNED_KINDS and not (t.kind is word and t.surface in ARTICLES)
     ]

@@ -29,6 +29,10 @@ class EmotionClass(Enum):
     DISAPPOINTMENT = "disappointment"
     NEUTRAL = "neutral"
 
+    # Identity hashing, exact for singleton members: hit tables, label sets
+    # and series tests hash a class per post (Enum.__hash__ is Python code).
+    __hash__ = object.__hash__
+
     @property
     def key(self) -> str:
         return self.value

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .lexer import Token
+from .lexer import Token, TokenKind
 
 # One gram element is (kind name, surface); a gram is a tuple of them.
 GramElement = tuple[str, str]
@@ -25,16 +26,33 @@ GRAM_SEP = "␟"
 DEFAULT_MAX_N = 3
 
 
+_KIND_NAME = {kind: kind.name for kind in TokenKind}
+
+
 def token_key(token: Token) -> GramElement:
-    return (token.kind.name, token.surface)
+    return (_KIND_NAME[token.kind], token.surface)
+
+
+def _shifted_keys(tokens: Iterable[Token], n: int) -> list[list[GramElement]]:
+    """The tokens' keys, then copies shifted left by 1..n-1: zipping the
+    first k of them gives the in-order windows of length k."""
+    keys = [(_KIND_NAME[t.kind], t.surface) for t in tokens]
+    return [keys[i:] for i in range(n)]
+
+
+def iter_grams(tokens: Iterable[Token], n_max: int) -> Iterator[Gram]:
+    """The grams of orders 1..n_max, order by order, each order in window
+    order: counted straight into a Counter, this sequence gives the keys
+    in the same order as the feature bag."""
+    shifted = _shifted_keys(tokens, n_max)
+    return chain.from_iterable(zip(*shifted[:n]) for n in range(1, n_max + 1))
 
 
 def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
     """All in-order windows of length n as a multiset; empty when len < n."""
     if n < 1:
         raise ValueError("bad-n")
-    keys = [token_key(t) for t in tokens]
-    return Counter(tuple(keys[i : i + n]) for i in range(len(keys) - n + 1))
+    return Counter(zip(*_shifted_keys(tokens, n)))
 
 
 @dataclass
@@ -48,7 +66,7 @@ def accumulate(profile: NGramProfile, tokens: Sequence[Token], n_max: int = DEFA
     """Fold one pruned post into the profile (orders 1..n_max)."""
     if n_max < 1:
         raise ValueError("bad-n")
-    profile.counts.update(ngrams_of_orders(tokens, n_max))
+    profile.counts.update(iter_grams(tokens, n_max))
     profile.post_count += 1
     return profile
 
@@ -63,7 +81,7 @@ def merge_profiles(a: NGramProfile, b: NGramProfile) -> NGramProfile:
 
 
 def render_gram(gram: Gram) -> str:
-    return GRAM_SEP.join(f"{kind}:{surface}" for kind, surface in gram)
+    return GRAM_SEP.join([f"{kind}:{surface}" for kind, surface in gram])
 
 
 def parse_gram(text: str) -> Gram:
@@ -104,7 +122,4 @@ def read_ngram_csv(path: str | Path) -> NGramProfile:
 
 def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:
     """Union multiset over orders 1..n_max (the classifier's feature bag)."""
-    keys = [token_key(t) for t in tokens]
-    return Counter(
-        tuple(keys[i : i + n]) for n in range(1, n_max + 1) for i in range(len(keys) - n + 1)
-    )
+    return Counter(iter_grams(tokens, n_max))

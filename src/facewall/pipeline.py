@@ -11,6 +11,7 @@ shape reports, not cached series.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from collections import Counter
@@ -83,11 +84,9 @@ class AnalyzeSummary:
     config_hash: str
 
 
-@dataclass
-class _ScopedPost:
-    stamp: datetime
-    labels: frozenset[EmotionClass]
-    occurrences: Counter
+# One classified post of a scope, as bucketize takes it: its time, then its
+# labels and its lexicon occurrences as counts in LEXICON_CLASSES order.
+_ScopedPost = tuple[datetime, tuple[frozenset[EmotionClass], tuple[int, ...]]]
 
 
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
@@ -133,7 +132,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         profile = ngrams.NGramProfile(owner=user_id)
         for stamp, tokens in by_user.pop(user_id):
             label = classifier.classify_post(tokens, lexicon, model)
-            records.append(_ScopedPost(stamp, label.labels, label.hits))
+            row = tuple([label.hits.get(cls, 0) for cls in LEXICON_CLASSES])
+            records.append((stamp, (label.labels, row)))
             ngrams.accumulate(profile, tokens, config.n_max)
         _write_scope(store, user_scope(user_id), user_id, records, profile, config, config_hash)
         everyone.counts.update(profile.counts)
@@ -182,8 +182,8 @@ def _write_scope(
     out_dir = store.derived_dir(scope, config_hash)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    buckets, groups = bucketize(((r.stamp, r) for r in records), config.granularity)
-    label_groups = [[r.labels for r in group] for group in groups]
+    buckets, groups = bucketize(records, config.granularity)
+    label_groups = [[labels for labels, _ in group] for group in groups]
 
     series_list = [
         emotion_series(buckets, label_groups, cls, scope=scope_label) for cls in ALL_CLASSES
@@ -191,12 +191,9 @@ def _write_scope(
     series_list.append(emotion_series(buckets, label_groups, VOLUME, scope=scope_label))
     write_series_csv(out_dir / SERIES_CSV, series_list)
 
-    occurrences = []
-    for group in groups:
-        totals: Counter = Counter()
-        for record in group:
-            totals.update(record.occurrences)
-        occurrences.append(totals)
+    occurrences = [
+        dict(zip(LEXICON_CLASSES, map(sum, zip(*[row for _, row in group])))) for group in groups
+    ]
     write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
     ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile)
 
@@ -267,6 +264,14 @@ def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> Serie
         return read_series_csv(path)
     except ValueError:
         raise artifact_error("corrupt-artifact", scope, SERIES_CSV) from None
+
+
+def load_ngram_profile(store: Store, config: AnalysisConfig, scope: str) -> ngrams.NGramProfile:
+    path = derived_file(store, config, scope, NGRAMS_CSV)
+    try:
+        return ngrams.read_ngram_csv(path)
+    except (ValueError, csv.Error):
+        raise artifact_error("corrupt-artifact", scope, NGRAMS_CSV) from None
 
 
 def load_occurrence_counts(

@@ -30,15 +30,14 @@ def parse_rfc3339(text: str) -> datetime:
     m = _TIMESTAMP_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
-    year, month, day, hour, minute, second = (int(m.group(i)) for i in range(1, 7))
-    frac = m.group(7)
+    *fields, frac, zulu, sign, hours, minutes = m.groups()
+    year, month, day, hour, minute, second = map(int, fields)
     micro = int(frac[:6].ljust(6, "0")) if frac else 0
-    if m.group(8):
+    if zulu:
         tz = timezone.utc
     else:
-        sign = 1 if m.group(9) == "+" else -1
-        offset = timedelta(hours=int(m.group(10)), minutes=int(m.group(11)))
-        tz = timezone(sign * offset)
+        offset = timedelta(hours=int(hours), minutes=int(minutes))
+        tz = timezone(offset if sign == "+" else -offset)
     stamp = datetime(year, month, day, hour, minute, second, micro, tzinfo=tz)
     return stamp.astimezone(timezone.utc)
 

@@ -49,10 +49,12 @@ def criterion(capsys):
 # -- pipeline fixture ---------------------------------------------------------
 
 
-def _facewall(*argv, tz=None):
+def _facewall(*argv, tz=None, hashseed=None):
     env = dict(os.environ)
     if tz is not None:
         env["TZ"] = tz
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run(
         [sys.executable, "-m", "facewall", *argv], capture_output=True, text=True, env=env
     )
@@ -67,14 +69,15 @@ def pipeline(tmp_path_factory):
 
     runs = {}
     # the second run happens under a different host timezone: outputs must
-    # be byte-identical anyway (all bucketing is UTC-only)
-    for name, tz in (("one", None), ("two", "Pacific/Kiritimati")):
+    # be byte-identical anyway (all bucketing is UTC-only); the two runs'
+    # distinct string hash seeds expose any output that follows set order
+    for name, tz, hashseed in (("one", None, "1"), ("two", "Pacific/Kiritimati", "2")):
         store = root / f"store_{name}"
         timings = {}
 
         def timed(key, *argv):
             start = time.perf_counter()
-            out = _facewall(*argv, tz=tz)
+            out = _facewall(*argv, tz=tz, hashseed=hashseed)
             timings[key] = time.perf_counter() - start
             return out
 
@@ -87,10 +90,13 @@ def pipeline(tmp_path_factory):
         chart = store / "volume.svg"
         _facewall(
             "chart", "--store", str(store), "--class", "volume", "--all-users",
-            "--out", str(chart), tz=tz,
+            "--out", str(chart), tz=tz, hashseed=hashseed,
         )
         series = store / "series.csv"
-        _facewall("export", "--store", str(store), "--what", "series", "--out", str(series), tz=tz)
+        _facewall(
+            "export", "--store", str(store), "--what", "series", "--out", str(series),
+            tz=tz, hashseed=hashseed,
+        )
         runs[name] = {
             "store": store,
             "ingest_out": ingest_out,
@@ -361,9 +367,28 @@ def test_disappointment_ramp_reconstruction(criterion, pipeline, capsys):
 # -- criterion 7: determinism ---------------------------------------------------------
 
 
+def _derived_files(store):
+    derived = store / "derived"
+    return {
+        path.relative_to(derived).as_posix(): path.read_bytes()
+        for path in sorted(derived.rglob("*"))
+        if path.is_file()
+    }
+
+
 def test_pipeline_determinism(criterion, pipeline):
     with criterion("determinism"):
         one, two = pipeline["one"], pipeline["two"]
+        # every scope's series, occurrences and ngrams, model.json, analysis.json
+        derived_one, derived_two = _derived_files(one["store"]), _derived_files(two["store"])
+        assert sorted(derived_one) == sorted(derived_two)
+        names = {path.rsplit("/", 1)[1] for path in derived_one}
+        assert names == {
+            "series.csv", "occurrences.csv", "ngrams.csv", "model.json", "analysis.json"
+        }
+        assert len(derived_one) == 3 * (len(RAMPED_USERS) + len(CONTROL_USERS) + 1) + 2
+        for path, data in derived_one.items():
+            assert data == derived_two[path], path
         assert one["series"].read_bytes() == two["series"].read_bytes()
         assert one["report"].read_bytes() == two["report"].read_bytes()
         assert one["chart"].read_bytes() == two["chart"].read_bytes()

@@ -299,6 +299,13 @@ def test_export_flow_and_errors(capsys, corpus, tmp_path):
     assert code == 0
     assert ngram_csv.read_text().splitlines()[0] == "n,gram,count"
 
+    # a good export is the cached file, byte for byte
+    derived = tmp_path / "store" / "derived"
+    (all_dir,) = (derived / "@all").iterdir()
+    (u1_dir,) = (derived / "u1").iterdir()
+    assert series_csv.read_bytes() == (all_dir / "series.csv").read_bytes()
+    assert ngram_csv.read_bytes() == (u1_dir / "ngrams.csv").read_bytes()
+
 
 def test_export_requires_analyze(capsys, tmp_path):
     corpus = write_jsonl(
@@ -394,6 +401,7 @@ def with_day(line, day):
 
 
 CHART_OCCURRENCES = ["chart", "--class", "happy", "--user", "u1", "--measure", "occurrences"]
+EXPORT_U1 = ["export", "--user", "u1", "--what"]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +438,23 @@ CHART_OCCURRENCES = ["chart", "--class", "happy", "--user", "u1", "--measure", "
             ["export", "--what", "series"],
         ),
         ("@meta/analysis.json", lambda lines: ["[]\n"], ["detect"]),
+        (
+            "@all/series.csv",
+            lambda lines: lines[:-3] + [lines[-3][:9]],
+            ["export", "--what", "series"],
+        ),
+        ("u1/series.csv", lambda lines: lines[:-1], EXPORT_U1 + ["series"]),
+        ("u1/ngrams.csv", lambda lines: lines[:-2] + [lines[-2][:3]], EXPORT_U1 + ["ngrams"]),
+        (
+            "u1/ngrams.csv",
+            lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",one\n"] + lines[3:],
+            EXPORT_U1 + ["ngrams"],
+        ),
+        (
+            "u1/ngrams.csv",
+            lambda lines: lines[:2] + ['1,"' + "x" * 200_000 + '",1\n'] + lines[2:],
+            EXPORT_U1 + ["ngrams"],
+        ),
     ],
     ids=[
         "series-cut-mid-row",
@@ -442,6 +467,11 @@ CHART_OCCURRENCES = ["chart", "--class", "happy", "--user", "u1", "--measure", "
         "meta-cut-chart",
         "meta-cut-export",
         "meta-not-an-object",
+        "export-series-cut-mid-row",
+        "export-series-cut-at-a-row-boundary",
+        "export-ngrams-cut-mid-row",
+        "export-ngrams-non-integer-count",
+        "export-ngrams-oversized-field",
     ],
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):

@@ -1,0 +1,234 @@
+"""The flat analyze kernels against the straightforward code they replaced,
+kept here as references: the scanner with an explicit whitespace branch,
+the frozen-dataclass token, per-post feature bags merged into the profile
+and the class tables, Counter-based rule hits, and per-item gram rendering
+in model.json."""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+import unicodedata
+from collections import Counter
+
+import pytest
+
+from facewall.classifier import (
+    METHOD_EMOTICON,
+    METHOD_LEXICON,
+    classify_post,
+    train_nb,
+)
+from facewall.lexer import Token, TokenKind, prune, tokenize
+from facewall.lexicon import EmotionClass, default_lexicon
+from facewall.ngrams import NGramProfile, accumulate, ngrams_of_orders, render_gram
+from helpers import emoticon, word
+
+LEX = default_lexicon()
+TABLE = LEX.emoticon_table()
+LEXICON_WORDS = sorted(w for ws in LEX.words.values() for w in ws)
+EMOTICONS = sorted(LEX.all_emoticons()) + [";-)"]  # ";-)" is in no class
+OTHER_WORDS = ["sun", "rain", "day", "3", "weather", "é"]
+
+
+def random_post(rng: random.Random) -> list[Token]:
+    tokens = []
+    for at in range(rng.randrange(0, 9)):
+        pick = rng.random()
+        if pick < 0.2:
+            tokens.append(emoticon(rng.choice(EMOTICONS), at * 16))
+        elif pick < 0.4:
+            tokens.append(word(rng.choice(LEXICON_WORDS), at * 16))
+        elif pick < 0.5:
+            tokens.append(Token(TokenKind.NUMBER, rng.choice(["3", "42"]), at * 16, at * 16 + 2))
+        else:
+            tokens.append(word(rng.choice(OTHER_WORDS), at * 16))
+    return tokens
+
+
+# -- tokens -----------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The scanner with a whitespace branch that the loop skips."""
+    branches = ["(?P<WS>\\s+)"]
+    branches.append("(?P<EMOTICON>%s)" % "|".join(re.escape(e) for e in TABLE.entries))
+    branches += [
+        r"(?P<URL>(?i:https?://|www\.)\S*)",
+        r"(?P<MENTION>@[\w.]{1,50})",
+        r"(?P<NUMBER>\d+(?:[.,]\d+)*)",
+        r"(?P<WORD>[^\W\d_]+(?:['\-][^\W\d_]+)*)",
+        r"(?P<PUNCT>\S)",
+    ]
+    tokens = []
+    for m in re.compile("|".join(branches)).finditer(unicodedata.normalize("NFC", text)):
+        kind = m.lastgroup
+        if kind == "WS":
+            continue
+        surface = m.group().casefold() if kind == "WORD" else m.group()
+        tokens.append((kind, surface, m.start(), m.end()))
+    return tokens
+
+
+def test_tokenize_matches_the_whitespace_branch_scanner():
+    rng = random.Random(2024)
+    pieces = [" ", "  ", "\t", "\n", " ", "　", ":-)", ":(", "<3", "=(", "the", "Ünïcode",
+              "don't", "1,234.5", "@bob", "http://x.y/z", "www.a.b", "!", "#", "-", "'", "λ"]
+    for _ in range(500):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 12)))
+        got = [(t.kind.name, t.surface, t.start, t.end) for t in tokenize(text, TABLE)]
+        assert got == reference_tokenize(text), text
+
+
+def test_token_keeps_its_value_surface():
+    token = Token(TokenKind.WORD, "happy", 3, 8)
+    assert (token.kind, token.surface, token.start, token.end) == (TokenKind.WORD, "happy", 3, 8)
+    assert token.span == (3, 8)
+    twin = Token(TokenKind.WORD, "happy", 3, 8)
+    assert token == twin and hash(token) == hash(twin) and len({token, twin}) == 1
+    assert token != Token(TokenKind.WORD, "happy", 4, 9)
+    assert token != Token(TokenKind.EMOTICON, "happy", 3, 8)
+    assert repr(token) == "Token(kind=<TokenKind.WORD: 'word'>, surface='happy', start=3, end=8)"
+    for field in ("kind", "surface", "start", "end"):
+        with pytest.raises(AttributeError):
+            setattr(token, field, None)
+    with pytest.raises(AttributeError):
+        token.extra = 1
+    assert tokenize("happy", TABLE) == [Token(TokenKind.WORD, "happy", 0, 5)]
+
+
+def test_token_hash_is_the_frozen_dataclass_hash():
+    # a frozen dataclass hashes the tuple of its fields
+    token = Token(TokenKind.EMOTICON, ":-)", 0, 3)
+    assert hash(token) == hash((TokenKind.EMOTICON, ":-)", 0, 3))
+
+
+def test_enum_members_hash_by_identity_and_stay_distinct():
+    for enum in (TokenKind, EmotionClass):
+        assert len({*enum}) == len(enum)
+        for member in enum:
+            assert hash(member) == object.__hash__(member)
+            assert {member: 1}[enum[member.name]] == 1
+
+
+# -- n-gram profiles and the model's class tables -------------------------------------
+
+
+def reference_bag(tokens, n_max: int) -> Counter:
+    """A post's feature bag, window by window from slices."""
+    keys = [(t.kind.name, t.surface) for t in tokens]
+    return Counter(
+        tuple(keys[i : i + n]) for n in range(1, n_max + 1) for i in range(len(keys) - n + 1)
+    )
+
+
+def reference_accumulate(profile: NGramProfile, tokens, n_max: int) -> None:
+    profile.counts.update(reference_bag(tokens, n_max))
+    profile.post_count += 1
+
+
+def test_feature_bag_matches_the_sliced_windows():
+    rng = random.Random(303)
+    for _ in range(300):
+        tokens = random_post(rng)
+        for n_max in (0, 1, 2, 3, 4):
+            bag = ngrams_of_orders(tokens, n_max)
+            assert bag == reference_bag(tokens, n_max)
+            assert list(bag) == list(reference_bag(tokens, n_max))
+
+
+def test_accumulate_matches_merging_each_bag():
+    rng = random.Random(606)
+    for n_max in (1, 2, 3, 5):
+        fast, slow = NGramProfile("u"), NGramProfile("u")
+        for _ in range(60):
+            tokens = prune(random_post(rng))
+            accumulate(fast, tokens, n_max)
+            reference_accumulate(slow, tokens, n_max)
+        assert fast.counts == slow.counts and fast.post_count == slow.post_count
+        assert list(fast.counts) == list(slow.counts)
+
+
+def reference_feature_tables(docs, n_max: int) -> dict[EmotionClass, Counter]:
+    features: dict[EmotionClass, Counter] = {}
+    for tokens, cls in docs:
+        content = [t for t in tokens if t.kind is not TokenKind.EMOTICON]
+        features.setdefault(cls, Counter()).update(reference_bag(content, n_max))
+    return features
+
+
+def reference_to_json(model) -> str:
+    payload = {
+        "schema": 1,
+        "alpha": model.alpha,
+        "n_max": model.n_max,
+        "classes": [cls.value for cls in model.classes],
+        "doc_counts": {cls.value: model.doc_counts[cls] for cls in model.classes},
+        "vocabulary": sorted(render_gram(gram) for gram in model.vocabulary),
+        "features": {
+            cls.value: {
+                render_gram(gram): count
+                for gram, count in sorted(
+                    model.feature_counts[cls].items(), key=lambda kv: render_gram(kv[0])
+                )
+            }
+            for cls in model.classes
+        },
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_train_nb_tables_match_the_per_document_bags():
+    rng = random.Random(909)
+    classes = [EmotionClass.HAPPY, EmotionClass.SAD, EmotionClass.LOVE]
+    for n_max in (1, 2, 3):
+        docs = [(random_post(rng), rng.choice(classes)) for _ in range(80)]
+        model = train_nb(docs, n_max=n_max, min_train_docs=1)
+        reference = reference_feature_tables(docs, n_max)
+        for cls in model.classes:
+            table = model.feature_counts[cls]
+            assert table == reference[cls]
+            # key order feeds the model's float sums, so it must not move
+            assert list(table) == list(reference[cls])
+        assert model.to_json() == reference_to_json(model)
+
+
+# -- the cascade's rule hits ----------------------------------------------------------
+
+
+def reference_rule_label(tokens):
+    """The emoticon and keyword stages as Counters, as before the one-pass count."""
+    def hits(kind, lookup):
+        counted = Counter()
+        for token in tokens:
+            if token.kind is kind and token.surface in lookup:
+                counted[lookup[token.surface]] += 1
+        return counted
+
+    e_hits = hits(TokenKind.EMOTICON, LEX.emoticon_to_class)
+    w_hits = hits(TokenKind.WORD, LEX.word_to_class)
+    if e_hits:
+        scores = {c: float(n) for c, n in e_hits.items()}
+        return frozenset(e_hits), METHOD_EMOTICON, scores, e_hits + w_hits
+    if w_hits:
+        best = max(w_hits.values())
+        winners = frozenset(c for c, n in w_hits.items() if n == best)
+        return winners, METHOD_LEXICON, {c: float(n) for c, n in w_hits.items()}, w_hits
+    return None
+
+
+def test_rule_stages_match_the_counter_cascade():
+    rng = random.Random(1313)
+    for _ in range(800):
+        tokens = random_post(rng)
+        expected = reference_rule_label(tokens)
+        label = classify_post(tokens, LEX)
+        if expected is None:
+            assert label.method == "neutral" and not label.hits
+            continue
+        labels, method, scores, hits = expected
+        assert (label.labels, label.method, label.scores) == (labels, method, scores)
+        assert list(label.scores) == list(scores)
+        assert isinstance(label.hits, Counter)
+        assert label.hits == hits and list(label.hits) == list(hits)
