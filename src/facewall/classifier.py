@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexer import Token, TokenKind
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .ngrams import Gram, iter_grams, ngrams_of_orders, parse_gram, render_gram
+from .ngrams import Gram, iter_grams, ngrams_of_orders, render_gram
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
@@ -45,7 +45,7 @@ def _rule_hits(
     tokens: Iterable[Token], lexicon: EmotionLexicon
 ) -> tuple[dict[EmotionClass, int], dict[EmotionClass, int]]:
     """Emoticon and word hits per class in one pass, each dict in order of
-    first hit (the order emoticon_hits and lexicon_match give)."""
+    first hit."""
     emoticons, words = lexicon.emoticon_to_class, lexicon.word_to_class
     word, emoticon = TokenKind.WORD, TokenKind.EMOTICON
     e_hits: dict[EmotionClass, int] = {}
@@ -63,11 +63,6 @@ def _rule_hits(
     return e_hits, w_hits
 
 
-def emoticon_hits(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
-    """Per-class count of emoticon tokens belonging to that class."""
-    return Counter(_rule_hits(tokens, lexicon)[0])
-
-
 def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[EmotionClass]:
     """Classes asserted by any emoticon in the post (whole-post rule)."""
     lookup = lexicon.emoticon_to_class
@@ -76,16 +71,12 @@ def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[Emot
     }
 
 
-def lexicon_match(tokens: Iterable[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
-    """Per-class count of WORD tokens found in that class's word set."""
-    return Counter(_rule_hits(tokens, lexicon)[1])
-
-
 def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
-    """Word plus emoticon lexicon occurrences per class (for the
-    occurrence-based series)."""
-    hits = emoticon_hits(tokens, lexicon)
-    hits.update(lexicon_match(tokens, lexicon))
+    """Emoticon plus word lexicon occurrences per class, outside the
+    cascade: always equal to the hits classify_post returns."""
+    e_hits, w_hits = _rule_hits(tokens, lexicon)
+    hits = Counter(e_hits)
+    hits.update(w_hits)
     return hits
 
 
@@ -143,51 +134,8 @@ class NBModel:
             },
         }
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "NBModel":
-        classes = tuple(EmotionClass(name) for name in obj["classes"])
-        feature_counts = {
-            c: {parse_gram(text): int(n) for text, n in obj["features"][c.value].items()}
-            for c in classes
-        }
-        model = build_model(
-            classes=classes,
-            doc_counts={c: int(obj["doc_counts"][c.value]) for c in classes},
-            feature_counts=feature_counts,
-            alpha=float(obj["alpha"]),
-            n_max=int(obj["n_max"]),
-        )
-        listed = obj.get("vocabulary")
-        if listed is not None and frozenset(parse_gram(t) for t in listed) != model.vocabulary:
-            raise ValueError("model vocabulary does not match its feature tables")
-        return model
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "NBModel":
-        return cls.from_dict(json.loads(text))
-
-
-def build_model(
-    classes: tuple[EmotionClass, ...],
-    doc_counts: Mapping[EmotionClass, int],
-    feature_counts: Mapping[EmotionClass, Mapping[Gram, int]],
-    alpha: float,
-    n_max: int,
-) -> NBModel:
-    vocabulary = frozenset(g for counts in feature_counts.values() for g in counts)
-    mass = {cls: sum(feature_counts[cls].values()) for cls in classes}
-    return NBModel(
-        classes=classes,
-        doc_counts=dict(doc_counts),
-        feature_counts={cls: dict(feature_counts[cls]) for cls in classes},
-        feature_mass=mass,
-        vocabulary=vocabulary,
-        alpha=alpha,
-        n_max=n_max,
-    )
 
 
 def train_nb(
@@ -220,10 +168,13 @@ def train_nb(
     )
     if len(survivors) < 2:
         raise UntrainableError("untrainable")
-    return build_model(
+    feature_counts = {cls: dict(features.get(cls, {})) for cls in survivors}
+    return NBModel(
         classes=survivors,
         doc_counts={cls: doc_counts[cls] for cls in survivors},
-        feature_counts={cls: features.get(cls, Counter()) for cls in survivors},
+        feature_counts=feature_counts,
+        feature_mass={cls: sum(counts.values()) for cls, counts in feature_counts.items()},
+        vocabulary=frozenset(g for counts in feature_counts.values() for g in counts),
         alpha=alpha,
         n_max=n_max,
     )

@@ -80,12 +80,6 @@ class EmoticonTable:
         groups = self._scanner.groupindex
         self._group_kinds = (None,) + tuple(TokenKind[g] for g in sorted(groups, key=groups.get))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.entries
-
     def scan(self, text: str) -> Iterator[re.Match]:
         return self._scanner.finditer(text)
 
@@ -106,18 +100,13 @@ def _compile_scanner(emoticons: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(branches))
 
 
-def normalize_text(text: str) -> str:
-    """NFC normalization applied before scanning; spans index this form."""
-    return unicodedata.normalize("NFC", text)
-
-
 def tokenize(text: str, table: EmoticonTable) -> list[Token]:
     """Scan text left to right into typed tokens.
 
-    Total function: every non-whitespace character of the normalized text
-    lands in exactly one token span.
+    Total function: every non-whitespace character of the NFC-normalized
+    text lands in exactly one token span; spans index that normalized form.
     """
-    norm = normalize_text(text)
+    norm = unicodedata.normalize("NFC", text)
     kinds, word = table._group_kinds, TokenKind.WORD
     tokens: list[Token] = []
     append = tokens.append

@@ -33,10 +33,6 @@ class EmotionClass(Enum):
     # and series tests hash a class per post (Enum.__hash__ is Python code).
     __hash__ = object.__hash__
 
-    @property
-    def key(self) -> str:
-        return self.value
-
 
 # Canonical ordering for reports, CSV rows, and tie-free iteration.
 LEXICON_CLASSES: tuple[EmotionClass, ...] = (
@@ -152,7 +148,7 @@ def _check_disjoint(table: Mapping[EmotionClass, frozenset[str]], what: str) -> 
 def load_lexicon(path: str | Path) -> EmotionLexicon:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file: {exc}") from exc
     try:
         obj = json.loads(text)

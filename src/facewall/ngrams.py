@@ -25,12 +25,7 @@ GRAM_SEP = "␟"
 
 DEFAULT_MAX_N = 3
 
-
 _KIND_NAME = {kind: kind.name for kind in TokenKind}
-
-
-def token_key(token: Token) -> GramElement:
-    return (_KIND_NAME[token.kind], token.surface)
 
 
 def _shifted_keys(tokens: Iterable[Token], n: int) -> list[list[GramElement]]:

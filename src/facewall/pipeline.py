@@ -15,9 +15,8 @@ import csv
 import hashlib
 import json
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 from . import classifier, ngrams
@@ -31,7 +30,6 @@ from .timeline import (
     DetectorConfig,
     DeviationReport,
     SeriesTable,
-    TimeBucket,
     bucketize,
     build_report,
     emotion_series,
@@ -56,17 +54,17 @@ CONFIG_SCHEMA = 1
 class AnalysisConfig:
     granularity: str = "month"
     n_max: int = 3
-    alpha: float = 1.0
-    min_train_docs: int = 5
     lexicon_digest: str = ""
 
     def semantic_fields(self) -> dict:
+        # The model's fixed smoothing and class cut-off stay in the hashed
+        # fields, so the hash names everything the derived files depend on.
         return {
             "schema": CONFIG_SCHEMA,
             "granularity": self.granularity,
             "n_max": self.n_max,
-            "alpha": self.alpha,
-            "min_train_docs": self.min_train_docs,
+            "alpha": classifier.DEFAULT_ALPHA,
+            "min_train_docs": classifier.DEFAULT_MIN_TRAIN_DOCS,
             "lexicon": self.lexicon_digest,
         }
 
@@ -115,12 +113,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     )
     model: NBModel | None
     try:
-        model = classifier.train_nb(
-            classifier.training_pairs(pairs),
-            n_max=config.n_max,
-            alpha=config.alpha,
-            min_train_docs=config.min_train_docs,
-        )
+        model = classifier.train_nb(classifier.training_pairs(pairs), n_max=config.n_max)
     except UntrainableError:
         model = None
 
@@ -258,30 +251,28 @@ def derived_file(store: Store, config: AnalysisConfig, scope: str, name: str) ->
     return path
 
 
-def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> SeriesTable:
-    path = derived_file(store, config, scope, SERIES_CSV)
+def _load(store: Store, config: AnalysisConfig, scope: str, name: str, read):
+    """read(path) of one derived file; a missing file or one read cannot
+    parse is a store error."""
+    path = derived_file(store, config, scope, name)
     try:
-        return read_series_csv(path)
-    except ValueError:
-        raise artifact_error("corrupt-artifact", scope, SERIES_CSV) from None
+        return read(path)
+    except (ValueError, csv.Error):
+        raise artifact_error("corrupt-artifact", scope, name) from None
+
+
+def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> SeriesTable:
+    return _load(store, config, scope, SERIES_CSV, read_series_csv)
 
 
 def load_ngram_profile(store: Store, config: AnalysisConfig, scope: str) -> ngrams.NGramProfile:
-    path = derived_file(store, config, scope, NGRAMS_CSV)
-    try:
-        return ngrams.read_ngram_csv(path)
-    except (ValueError, csv.Error):
-        raise artifact_error("corrupt-artifact", scope, NGRAMS_CSV) from None
+    return _load(store, config, scope, NGRAMS_CSV, ngrams.read_ngram_csv)
 
 
 def load_occurrence_counts(
     store: Store, config: AnalysisConfig, scope: str
 ) -> tuple[list[str], dict[str, list[int]]]:
-    path = derived_file(store, config, scope, OCCURRENCES_CSV)
-    try:
-        return read_occurrence_csv(path)
-    except ValueError:
-        raise artifact_error("corrupt-artifact", scope, OCCURRENCES_CSV) from None
+    return _load(store, config, scope, OCCURRENCES_CSV, read_occurrence_csv)
 
 
 # -- detection --------------------------------------------------------------
@@ -329,32 +320,12 @@ def detect_store(
     )
 
 
-class _TableBuckets(Sequence):
-    """A SeriesTable's buckets, each built on first use: the detectors read
-    a bucket's start only for the buckets they flag."""
-
-    def __init__(self, starts: list[str], granularity: str) -> None:
-        self._starts = starts
-        self._granularity = granularity
-        self._built: dict[int, TimeBucket] = {}
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def __getitem__(self, index: int) -> TimeBucket:
-        bucket = self._built.get(index)
-        if bucket is None:
-            start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
-            bucket = self._built[index] = TimeBucket(start, index, self._granularity)
-        return bucket
-
-
 def detect_user(
     user_id: str, table: SeriesTable, granularity: str, detector: DetectorConfig
 ) -> DeviationReport:
     """Run both detectors over one user's cached series."""
     flags = []
-    buckets = _TableBuckets(table.bucket_starts, granularity)
+    buckets = table.buckets(granularity)
     for cls in LEXICON_CLASSES:
         series = BucketSeries(
             user_id, cls.value, buckets, table.counts[cls.value], table.totals

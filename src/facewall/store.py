@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 from .ingest import CorpusBatch, RawPost
 from .rfc3339 import parse_rfc3339
@@ -44,10 +44,6 @@ def user_scope(user_id: str) -> str:
     dot is escaped too, so "." and ".." never name a directory step."""
     scope = quote(user_id, safe="")
     return "%2E" + scope[1:] if scope.startswith(".") else scope
-
-
-def scope_user(scope: str) -> str:
-    return unquote(scope)
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,19 @@ class Store:
     def _load_manifest(self) -> None:
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise StoreError("store-io", f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError("store-io", "unreadable manifest: not a JSON object")
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise StoreError(
                 "schema-mismatch",
                 f"store schema {manifest.get('schema_version')!r}, expected {SCHEMA_VERSION}",
             )
+        if not isinstance(manifest.get("record_count"), int) or not isinstance(
+            manifest.get("analyses", {}), dict
+        ):
+            raise StoreError("store-io", "unreadable manifest: bad record_count or analyses")
         self._manifest = manifest
 
     def _save_manifest(self) -> None:
@@ -154,7 +156,7 @@ class Store:
                         text=obj["text"],
                         source=obj.get("source"),
                     )
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: not an object
             raise StoreError("store-io", f"corrupt post log: {exc}") from exc
 
     def _existing_keys(self) -> set[tuple[str, str, str]]:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
 from .lexicon import ALL_CLASSES, EmotionClass
 
@@ -396,14 +397,32 @@ class SeriesTable:
     counts: dict[str, list[int]]
     totals: list[int]
 
+    def buckets(self, granularity: str) -> Sequence[TimeBucket]:
+        return _TableBuckets(self.bucket_starts, granularity)
+
     def to_series(self, class_key: str, scope: str, granularity: str) -> BucketSeries:
-        buckets = [
-            TimeBucket(
-                datetime.fromisoformat(day).replace(tzinfo=timezone.utc), i, granularity
-            )
-            for i, day in enumerate(self.bucket_starts)
-        ]
-        return BucketSeries(scope, class_key, buckets, list(self.counts[class_key]), list(self.totals))
+        counts, totals = list(self.counts[class_key]), list(self.totals)
+        return BucketSeries(scope, class_key, self.buckets(granularity), counts, totals)
+
+
+class _TableBuckets(Sequence):
+    """A SeriesTable's buckets, each built on first use: the detectors read
+    a bucket's start only for the buckets they flag."""
+
+    def __init__(self, starts: list[str], granularity: str) -> None:
+        self._starts = starts
+        self._granularity = granularity
+        self._built: dict[int, TimeBucket] = {}
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index: int) -> TimeBucket:
+        bucket = self._built.get(index)
+        if bucket is None:
+            start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
+            bucket = self._built[index] = TimeBucket(start, index, self._granularity)
+        return bucket
 
 
 def read_series_csv(path: str | Path) -> SeriesTable:

@@ -6,17 +6,16 @@ from fractions import Fraction
 import pytest
 
 from facewall.classifier import (
-    NBModel,
     UntrainableError,
     classify_post,
     emoticon_label,
     expand_lexicon,
-    lexicon_match,
     nb_predict,
     occurrence_hits,
     train_nb,
     training_pairs,
 )
+from facewall.lexer import TokenKind
 from facewall.lexicon import (
     EmotionClass,
     LexiconError,
@@ -100,9 +99,10 @@ def test_emoticon_label_examples():
 
 
 def test_lexicon_match_examples():
-    assert dict(lexicon_match([word("anger")], LEX)) == {DISAPPOINTMENT: 1}
-    assert dict(lexicon_match(words("love", "love"), LEX)) == {LOVE: 2}
-    assert dict(lexicon_match([word("weather")], LEX)) == {}
+    # word-only posts: the occurrences are the keyword matches
+    assert dict(occurrence_hits([word("anger")], LEX)) == {DISAPPOINTMENT: 1}
+    assert dict(occurrence_hits(words("love", "love"), LEX)) == {LOVE: 2}
+    assert dict(occurrence_hits([word("weather")], LEX)) == {}
 
 
 def test_classify_emoticon_beats_keyword():
@@ -148,7 +148,8 @@ def test_cascade_hits_are_the_post_occurrences():
         for trained in (None, model):
             label = classify_post(tokens, LEX, trained)
             assert label.hits == occurrence_hits(tokens, LEX)
-            seen.add((label.method, bool(lexicon_match(tokens, LEX))))
+            keywords = occurrence_hits([t for t in tokens if t.kind is TokenKind.WORD], LEX)
+            seen.add((label.method, bool(keywords)))
     assert ("emoticon", True) in seen  # emoticon post that also has lexicon words
     assert {method for method, _ in seen} == {"emoticon", "lexicon", "model", "neutral"}
 
@@ -360,20 +361,18 @@ def test_expand_lexicon_degenerate_arguments():
 
 
 def test_model_json_round_trip():
+    # model.json is an export: it names the smoothing, the order, the sorted
+    # rendered vocabulary, and each class's documents and feature counts
     model = toy_model(alpha=0.5)
-    restored = NBModel.from_json(model.to_json())
-    assert restored.vocabulary == model.vocabulary
-    assert restored.alpha == model.alpha
-    query = words("great", "day")
-    assert nb_predict(restored, query) == nb_predict(model, query)
-    # serialized form is valid, deterministic JSON naming the export fields
-    payload = json.loads(model.to_json())
-    assert set(payload) >= {"alpha", "n_max", "vocabulary", "features", "doc_counts"}
-    assert json.loads(model.to_json()) == payload
-
-
-def test_model_json_rejects_inconsistent_vocabulary():
-    payload = json.loads(toy_model().to_json())
-    payload["vocabulary"].append("WORD:ghost")
-    with pytest.raises(ValueError):
-        NBModel.from_dict(payload)
+    text = model.to_json()
+    payload = json.loads(text)
+    assert payload["alpha"] == 0.5
+    assert payload["n_max"] == 1
+    assert payload["classes"] == ["happy", "sad"]
+    assert payload["vocabulary"] == ["WORD:bad", "WORD:day", "WORD:great"]
+    assert payload["doc_counts"] == {"happy": 1, "sad": 1}
+    assert payload["features"] == {
+        "happy": {"WORD:day": 1, "WORD:great": 1},
+        "sad": {"WORD:bad": 1, "WORD:day": 1},
+    }
+    assert model.to_json() == text

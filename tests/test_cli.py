@@ -163,6 +163,48 @@ def test_analyze_bad_lexicon(capsys, corpus, tmp_path):
     assert "bad lexicon" in err
 
 
+def test_analyze_non_utf8_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path):
+    store = str(tmp_path / "store")
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    latin = tmp_path / "lex.json"
+    latin.write_bytes(b'\xff{"classes": {"happy": {"words": ["caf\xe9"]}}}')
+    code, _, err = run(capsys, "analyze", "--store", store, "--lexicon", str(latin))
+    assert code == 2
+    assert "bad lexicon" in err
+
+
+def test_non_object_post_log_line_is_a_store_error(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    with open(store / "posts.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("[1]\n")
+    manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+    manifest["record_count"] += 1
+    (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--store", str(store))
+    assert code == 3
+    assert "store-io: corrupt post log" in err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        b"[]\n",
+        b'\xff{"schema_version": 1}\n',
+        b'{"schema_version": 1, "analyses": {}}\n',
+        b'{"schema_version": 1, "record_count": 17, "analyses": []}\n',
+    ],
+    ids=["array", "non-utf8", "no-record-count", "analyses-array"],
+)
+def test_damaged_manifest_is_a_store_error(capsys, corpus, tmp_path, damage):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    (store / "manifest.json").write_bytes(damage)
+    code, _, err = run(capsys, "analyze", "--store", str(store))
+    assert code == 3
+    assert "store-io: unreadable manifest" in err
+
+
 def test_detect_flow_and_errors(capsys, corpus, tmp_path):
     store = str(tmp_path / "store")
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)

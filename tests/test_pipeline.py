@@ -1,3 +1,4 @@
+import json
 import random
 import statistics
 from collections import Counter
@@ -127,12 +128,12 @@ def test_detect_store_summary(analyzed):
 
 def test_model_export_is_reloadable(analyzed):
     store, config, _, _ = analyzed
-    from facewall.classifier import NBModel
-
     model_path = store.derived_dir("@model", config.config_hash) / "model.json"
-    model = NBModel.from_json(model_path.read_text(encoding="utf-8"))
-    assert model.n_max == 3
-    assert model.vocab_size > 0
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    assert model["n_max"] == 3
+    assert model["alpha"] == 1.0
+    assert model["vocabulary"] and model["vocabulary"] == sorted(set(model["vocabulary"]))
+    assert set(model["doc_counts"]) == set(model["features"]) == set(model["classes"])
 
 
 def test_detector_sensitivity_on_stationary_series():

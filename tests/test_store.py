@@ -1,10 +1,15 @@
 import json
+from urllib.parse import unquote
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facewall.ingest import load_corpus
 from facewall.store import Store, StoreError, user_scope
 from helpers import post_record, write_jsonl
+
+# Same examples on every run; no example database left in the tree.
+settings.register_profile("derandomized", derandomize=True, database=None)
 
 
 def corpus(tmp_path, n=3, name="c.jsonl"):
@@ -100,6 +105,13 @@ def test_user_scope_encoding_is_reversible_and_flat():
         scope = user_scope(uid)
         assert "/" not in scope
         assert not scope.startswith(("@", "."))
-        from facewall.store import scope_user
+        assert unquote(scope) == uid
 
-        assert scope_user(scope) == uid
+
+@settings(settings.get_profile("derandomized"))
+@given(st.text())
+def test_any_user_scope_is_reversible_and_flat(uid):
+    scope = user_scope(uid)
+    assert unquote(scope) == uid
+    assert "/" not in scope
+    assert not scope.startswith(("@", "."))
