@@ -188,6 +188,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     store = Store.open(args.store, create=True)
     with store.lock():
+        torn = store.cut_torn_tail()
+        if torn:
+            print(
+                f"facewall: cut a torn last line ({torn} bytes) from {store.posts_path}",
+                file=sys.stderr,
+            )
         receipt = store.append_batch(batch)
     for line, reason in batch.rejected[:20]:
         print(f"facewall: {args.input}:{line}: rejected ({reason})", file=sys.stderr)

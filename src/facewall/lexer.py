@@ -100,25 +100,9 @@ def _compile_scanner(emoticons: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(branches))
 
 
-def tokenize(text: str, table: EmoticonTable) -> list[Token]:
-    """Scan text left to right into typed tokens.
-
-    Total function: every non-whitespace character of the NFC-normalized
-    text lands in exactly one token span; spans index that normalized form.
-    """
-    norm = unicodedata.normalize("NFC", text)
-    kinds, word = table._group_kinds, TokenKind.WORD
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in table.scan(norm):
-        kind = kinds[m.lastindex]
-        start, end = m.span()
-        surface = norm[start:end]
-        if kind is word:
-            surface = surface.casefold()
-        # every branch of the scanner matches at least one character
-        append(_new_token(Token, (kind, surface, start, end)))
-    return tokens
+def _surface(kind: TokenKind, raw: str) -> str:
+    """A token's surface: words case-folded, every other kind as written."""
+    return raw.casefold() if kind is TokenKind.WORD else raw
 
 
 ARTICLES = frozenset({"a", "an", "the"})
@@ -126,11 +110,87 @@ ARTICLES = frozenset({"a", "an", "the"})
 _PRUNED_KINDS = frozenset({TokenKind.URL, TokenKind.MENTION, TokenKind.PUNCT})
 
 
+def _kept(kind: TokenKind, surface: str) -> bool:
+    """Whether prune keeps a token: no URL, mention, punctuation or bare article."""
+    return kind not in _PRUNED_KINDS and not (kind is TokenKind.WORD and surface in ARTICLES)
+
+
+def tokenize(text: str, table: EmoticonTable) -> list[Token]:
+    """Scan text left to right into typed tokens.
+
+    Total function: every non-whitespace character of the NFC-normalized
+    text lands in exactly one token span; spans index that normalized form.
+    """
+    norm = unicodedata.normalize("NFC", text)
+    kinds = table._group_kinds
+    tokens: list[Token] = []
+    append = tokens.append
+    for m in table.scan(norm):
+        kind = kinds[m.lastindex]
+        start, end = m.span()
+        # every branch of the scanner matches at least one character
+        append(_new_token(Token, (kind, _surface(kind, norm[start:end]), start, end)))
+    return tokens
+
+
 def prune(tokens: Iterable[Token]) -> list[Token]:
     """Drop URLs, mentions, punctuation, and bare articles; keep order."""
-    word = TokenKind.WORD
-    return [
-        t
-        for t in tokens
-        if t.kind not in _PRUNED_KINDS and not (t.kind is word and t.surface in ARTICLES)
-    ]
+    return [t for t in tokens if _kept(t.kind, t.surface)]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with make(key), once."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class TokenInterner:
+    """Tokenize and prune with one shared Token and one dense int id per
+    distinct (kind, surface), for a run over many posts.
+
+    Each distinct scanner match is looked at once: a memo keyed on its
+    group and raw text gives the id of its canonical token, or -1 for a
+    token prune drops. A post is then a tuple of ids, which holds no Token
+    of its own. A canonical token stands for all its occurrences, so its
+    span is that of its surface alone, (0, len(surface)).
+    """
+
+    def __init__(self, table: EmoticonTable) -> None:
+        self._scan = table._scanner.findall
+        # findall gives one string per group, empty but for the group that
+        # matched: its position names the kind
+        self._kinds = table._group_kinds[1:]
+        self._ids: dict[tuple[TokenKind, str], int] = {}
+        self._memo = _Memo(self._intern)
+        # the canonical token of each id
+        self.tokens: list[Token] = []
+
+    def _intern(self, groups: tuple[str, ...]) -> int:
+        at, raw = next((at, raw) for at, raw in enumerate(groups) if raw)
+        kind = self._kinds[at]
+        surface = _surface(kind, raw)
+        if not _kept(kind, surface):
+            return -1
+        token_id = self._ids.get((kind, surface))
+        if token_id is None:
+            token_id = self._ids[kind, surface] = len(self.tokens)
+            self.tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
+        return token_id
+
+    def ids(self, text: str) -> tuple[int, ...]:
+        """The ids of prune(tokenize(text, table)), token by token."""
+        norm = unicodedata.normalize("NFC", text)
+        ids = tuple(map(self._memo.__getitem__, self._scan(norm)))
+        if -1 in ids:
+            ids = tuple([token_id for token_id in ids if token_id >= 0])
+        return ids
+
+    def tokens_of(self, ids: Iterable[int]) -> list[Token]:
+        """The canonical tokens of a post's ids."""
+        return list(map(self.tokens.__getitem__, ids))

@@ -11,8 +11,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lexer import Token, TokenKind
 
@@ -28,26 +29,44 @@ DEFAULT_MAX_N = 3
 _KIND_NAME = {kind: kind.name for kind in TokenKind}
 
 
-def _shifted_keys(tokens: Iterable[Token], n: int) -> list[list[GramElement]]:
-    """The tokens' keys, then copies shifted left by 1..n-1: zipping the
-    first k of them gives the in-order windows of length k."""
-    keys = [(_KIND_NAME[t.kind], t.surface) for t in tokens]
+def _shifted(keys: list, n: int) -> list[list]:
+    """The keys, then copies shifted left by 1..n-1: zipping the first k of
+    them gives the in-order windows of length k."""
     return [keys[i:] for i in range(n)]
 
 
-def iter_grams(tokens: Iterable[Token], n_max: int) -> Iterator[Gram]:
-    """The grams of orders 1..n_max, order by order, each order in window
+def _token_keys(tokens: Iterable[Token]) -> list[GramElement]:
+    return [(_KIND_NAME[t.kind], t.surface) for t in tokens]
+
+
+def _windows(keys: list, n_max: int) -> Iterator[tuple]:
+    """The windows of orders 1..n_max, order by order, each order in window
     order: counted straight into a Counter, this sequence gives the keys
     in the same order as the feature bag."""
-    shifted = _shifted_keys(tokens, n_max)
+    shifted = _shifted(keys, n_max)
     return chain.from_iterable(zip(*shifted[:n]) for n in range(1, n_max + 1))
+
+
+def iter_grams(tokens: Iterable[Token], n_max: int) -> Iterator[Gram]:
+    """The grams of orders 1..n_max, in feature-bag order."""
+    return _windows(_token_keys(tokens), n_max)
+
+
+def interned_grams(posts: Sequence[Sequence[int]], n_max: int) -> Iterator[tuple[int, ...]]:
+    """The grams of orders 1..n_max of each post given as token ids (see
+    lexer.TokenInterner), a gram the tuple of its tokens' ids; in no
+    particular order, which a profile's export does not need."""
+    shifted = [posts] + [list(map(itemgetter(slice(k, None)), posts)) for k in range(1, n_max)]
+    return chain.from_iterable(
+        chain.from_iterable(map(zip, *shifted[:n])) for n in range(1, n_max + 1)
+    )
 
 
 def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
     """All in-order windows of length n as a multiset; empty when len < n."""
     if n < 1:
         raise ValueError("bad-n")
-    return Counter(zip(*_shifted_keys(tokens, n)))
+    return Counter(zip(*_shifted(_token_keys(tokens), n)))
 
 
 @dataclass
@@ -89,17 +108,61 @@ def parse_gram(text: str) -> Gram:
     return tuple(elements)
 
 
-def profile_rows(profile: NGramProfile) -> Iterator[tuple[int, str, int]]:
-    """(n, rendered gram, count) rows sorted by (n, gram) for stable export."""
-    rendered = [(len(gram), render_gram(gram), count) for gram, count in profile.counts.items()]
-    return iter(sorted(rendered))
+# csv.writer's line end (the excel dialect)
+_EOL = "\r\n"
 
 
-def write_ngram_csv(path: str | Path, profile: NGramProfile) -> None:
+class _Echo:
+    """A file for csv.writer whose writerow returns the row's text."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+class GramRanking:
+    """The export order of a set of grams, each rendered once and ranked
+    once by (n, text): a profile over any of them writes its ngrams.csv
+    rows in rank order. Grams that render alike (only when a surface holds
+    GRAM_SEP) share a rank, and their rows go by count, so the rows come
+    out as sorted (n, text, count) rows do."""
+
+    def __init__(self, grams: Iterable, render: Callable[[Any], str]) -> None:
+        heads = {gram: (len(gram), render(gram)) for gram in grams}
+        ranked: list[tuple[int, str]] = []
+        self._rank: dict = {}
+        for gram in sorted(heads, key=heads.__getitem__):
+            head = heads[gram]
+            if not ranked or ranked[-1] != head:
+                ranked.append(head)
+            self._rank[gram] = len(ranked) - 1
+        # each rank's CSV row up to its count, quoted by the csv module
+        writer = csv.writer(_Echo())
+        self._csv_heads = [writer.writerow(head + ("",))[: -len(_EOL)] for head in ranked]
+
+    @classmethod
+    def of_tokens(cls, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> "GramRanking":
+        """Ranking of interned grams, the id grams of these canonical tokens."""
+        elements = [render_gram((key,)) for key in _token_keys(tokens)]
+        return cls(grams, lambda gram: GRAM_SEP.join([elements[i] for i in gram]))
+
+    def csv_rows(self, counts: Mapping) -> str:
+        """The (n, rendered gram, count) rows of counts over ranked grams,
+        sorted, as the CSV text csv.writer gives."""
+        heads = self._csv_heads
+        ranked = sorted(zip(map(self._rank.__getitem__, counts), counts.values()))
+        return "".join([f"{heads[rank]}{count}{_EOL}" for rank, count in ranked])
+
+
+def write_ngram_csv(
+    path: str | Path, profile: NGramProfile, ranking: GramRanking | None = None
+) -> None:
+    """Write the profile's rows in export order. A profile of interned
+    grams needs the ranking of its grams; Gram keys are ranked here."""
+    if ranking is None:
+        ranking = GramRanking(profile.counts, render_gram)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "gram", "count"])
-        writer.writerows(profile_rows(profile))
+        csv.writer(handle).writerow(["n", "gram", "count"])
+        handle.write(ranking.csv_rows(profile.counts))
 
 
 def read_ngram_csv(path: str | Path) -> NGramProfile:

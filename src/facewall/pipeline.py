@@ -17,11 +17,15 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
-from .lexer import Token, prune, tokenize
+from .lexer import TokenInterner
+# The per-token steps that TokenInterner takes at once; the benchmark's
+# tracer (perfbench/tracing.py) wraps them at these bindings.
+from .lexer import prune, tokenize  # noqa: F401
 from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
 from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, user_scope
 from .timeline import (
@@ -30,6 +34,7 @@ from .timeline import (
     DetectorConfig,
     DeviationReport,
     SeriesTable,
+    TimeBucket,
     bucketize,
     build_report,
     emotion_series,
@@ -82,9 +87,9 @@ class AnalyzeSummary:
     config_hash: str
 
 
-# One classified post of a scope, as bucketize takes it: its time, then its
-# labels and its lexicon occurrences as counts in LEXICON_CLASSES order.
-_ScopedPost = tuple[datetime, tuple[frozenset[EmotionClass], tuple[int, ...]]]
+# One classified post of a scope: its labels and its lexicon occurrences as
+# counts in LEXICON_CLASSES order.
+_Record = tuple[frozenset[EmotionClass], tuple[int, ...]]
 
 
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
@@ -92,24 +97,26 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
 
     An empty store writes nothing (there is no bucket range to describe).
     The model trains when at least two classes have enough emoticon-labeled
-    posts; otherwise the cascade runs rule-only. Users are then handled one
-    at a time, and `@all` is the fold of their n-gram profiles and records.
+    posts; otherwise the cascade runs rule-only. Tokens are interned: a post
+    is held as its token ids, the cascade sees the shared canonical tokens,
+    and grams are tuples of ids, rendered once for all scopes. `@all` is
+    the fold of the users' n-gram profiles and of their bucketed records.
     """
     config_hash = config.config_hash
-    table = lexicon.emoticon_table()
-    by_user: dict[str, list[tuple[datetime, list[Token]]]] = {}
+    interner = TokenInterner(lexicon.emoticon_table())
+    # Each post is its time and its token ids: tuples of ints and times,
+    # which the cyclic garbage collector soon stops walking.
+    by_user: dict[str, list[tuple[datetime, tuple[int, ...]]]] = {}
     for post in store.iter_posts():
-        tokens = prune(tokenize(post.text, table))
-        by_user.setdefault(post.user_id, []).append((post.timestamp, tokens))
+        by_user.setdefault(post.user_id, []).append((post.timestamp, interner.ids(post.text)))
     if not by_user:
         return AnalyzeSummary(users=0, posts=0, model_trained=False, config_hash=config_hash)
 
-    # The training pairs are not kept, so each user's tokens are released
-    # once that user is written.
+    tokens_of = interner.tokens_of
+    every_post = (ids for posts in by_user.values() for _, ids in posts)
     pairs = (
         (tokens, classifier.emoticon_label(tokens, lexicon))
-        for posts in by_user.values()
-        for _, tokens in posts
+        for tokens in map(tokens_of, every_post)
     )
     model: NBModel | None
     try:
@@ -118,21 +125,35 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         model = None
 
     users = sorted(by_user)
-    everything: list[_ScopedPost] = []
+    profiles = {}
     everyone = ngrams.NGramProfile(owner="all")
     for user_id in users:
-        records: list[_ScopedPost] = []
-        profile = ngrams.NGramProfile(owner=user_id)
-        for stamp, tokens in by_user.pop(user_id):
-            label = classifier.classify_post(tokens, lexicon, model)
-            row = tuple([label.hits.get(cls, 0) for cls in LEXICON_CLASSES])
-            records.append((stamp, (label.labels, row)))
-            ngrams.accumulate(profile, tokens, config.n_max)
-        _write_scope(store, user_scope(user_id), user_id, records, profile, config, config_hash)
+        posts = [ids for _, ids in by_user[user_id]]
+        profile = profiles[user_id] = ngrams.NGramProfile(owner=user_id, post_count=len(posts))
+        profile.counts.update(ngrams.interned_grams(posts, config.n_max))
         everyone.counts.update(profile.counts)
         everyone.post_count += profile.post_count
-        everything.extend(records)
-    _write_scope(store, ALL_SCOPE, "all", everything, everyone, config, config_hash)
+    ranking = ngrams.GramRanking.of_tokens(everyone.counts, interner.tokens)
+
+    # (bucket start, the user's records in that bucket) over all users
+    user_buckets: list[tuple[datetime, list[_Record]]] = []
+    # one object per distinct record: there are few, and @all holds them all
+    shared: dict[_Record, _Record] = {}
+    for user_id in users:
+        records: list[tuple[datetime, _Record]] = []
+        for stamp, ids in by_user.pop(user_id):
+            label = classifier.classify_post(tokens_of(ids), lexicon, model)
+            record = (label.labels, tuple([label.hits.get(cls, 0) for cls in LEXICON_CLASSES]))
+            records.append((stamp, shared.setdefault(record, record)))
+        buckets, groups = bucketize(records, config.granularity)
+        _write_scope(
+            store, user_scope(user_id), user_id, buckets, groups,
+            profiles.pop(user_id), ranking, config_hash,
+        )
+        user_buckets.extend(zip([bucket.start for bucket in buckets], groups))
+    buckets, nested = bucketize(user_buckets, config.granularity)
+    groups = [list(chain.from_iterable(group)) for group in nested]
+    _write_scope(store, ALL_SCOPE, "all", buckets, groups, everyone, ranking, config_hash)
 
     if model is not None:
         model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
@@ -157,7 +178,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     )
     return AnalyzeSummary(
         users=len(users),
-        posts=len(everything),
+        posts=everyone.post_count,
         model_trained=model is not None,
         config_hash=config_hash,
     )
@@ -167,17 +188,16 @@ def _write_scope(
     store: Store,
     scope: str,
     scope_label: str,
-    records: list[_ScopedPost],
+    buckets: list[TimeBucket],
+    groups: list[list[_Record]],
     profile: ngrams.NGramProfile,
-    config: AnalysisConfig,
+    ranking: ngrams.GramRanking,
     config_hash: str,
 ) -> None:
     out_dir = store.derived_dir(scope, config_hash)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    buckets, groups = bucketize(records, config.granularity)
     label_groups = [[labels for labels, _ in group] for group in groups]
-
     series_list = [
         emotion_series(buckets, label_groups, cls, scope=scope_label) for cls in ALL_CLASSES
     ]
@@ -188,7 +208,7 @@ def _write_scope(
         dict(zip(LEXICON_CLASSES, map(sum, zip(*[row for _, row in group])))) for group in groups
     ]
     write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
-    ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile)
+    ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile, ranking)
 
 
 # -- reading the cache ------------------------------------------------------

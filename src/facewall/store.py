@@ -2,7 +2,8 @@
 the derived-artifact cache keyed by (scope, analysis config hash).
 
 Appends never rewrite existing log bytes, so re-ingesting the same corpus
-leaves the store byte-identical. One writer at a time is enforced with an
+leaves the store byte-identical; ingest only cuts a torn last line, the
+remains of a write cut short, which was never a record. One writer at a time is enforced with an
 advisory flock on <root>/.lock.
 """
 
@@ -25,6 +26,9 @@ POSTS_FILE = "posts.jsonl"
 MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".lock"
 DERIVED_DIR = "derived"
+
+# bytes read at a time when looking back for the log's last newline
+_TAIL_CHUNK = 1 << 16
 
 # Reserved derived scopes. quote() output never starts with "@", so these
 # cannot collide with an encoded user id.
@@ -146,6 +150,7 @@ class Store:
     # -- post log ----------------------------------------------------------
 
     def iter_posts(self):
+        line = ""
         try:
             with open(self.posts_path, "r", encoding="utf-8") as handle:
                 for line in handle:
@@ -157,7 +162,36 @@ class Store:
                         source=obj.get("source"),
                     )
         except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: not an object
+            if line and not line.endswith("\n"):
+                raise StoreError(
+                    "store-io", f"corrupt post log: torn last line ({exc}); "
+                    "`facewall ingest` cuts it"
+                ) from exc
             raise StoreError("store-io", f"corrupt post log: {exc}") from exc
+
+    def cut_torn_tail(self) -> int:
+        """Cut the log back to its last newline and return the bytes cut.
+
+        Every record ends in a newline, so bytes after the last one are a
+        write cut short, never a record. Call under lock().
+        """
+        try:
+            with open(self.posts_path, "r+b") as handle:
+                size = end = handle.seek(0, os.SEEK_END)
+                keep = 0
+                while end:
+                    start = max(0, end - _TAIL_CHUNK)
+                    handle.seek(start)
+                    newline = handle.read(end - start).rfind(b"\n")
+                    if newline >= 0:
+                        keep = start + newline + 1
+                        break
+                    end = start
+                if keep < size:
+                    handle.truncate(keep)
+        except OSError as exc:
+            raise StoreError("store-io", str(exc)) from exc
+        return size - keep
 
     def _existing_keys(self) -> set[tuple[str, str, str]]:
         if self._keys is None:

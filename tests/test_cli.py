@@ -186,6 +186,42 @@ def test_non_object_post_log_line_is_a_store_error(capsys, corpus, tmp_path):
     assert "store-io: corrupt post log" in err
 
 
+def test_ingest_cuts_a_torn_post_log_tail(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    log = store / "posts.jsonl"
+    whole = log.read_bytes()
+    # a write cut short: part of one more record, no newline
+    log.write_bytes(whole + b'{"source": null, "text": "half a po')
+
+    code, _, err = run(capsys, "analyze", "--store", str(store))
+    assert code == 3
+    assert "store-io: corrupt post log: torn last line" in err
+    assert "`facewall ingest`" in err
+
+    code, out, err = run(
+        capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store)
+    )
+    assert code == 0
+    assert out.strip() == "ingested=0 rejected=0 duplicates=17"
+    assert "cut a torn last line (35 bytes)" in err
+    assert log.read_bytes() == whole
+
+    code, out, _ = run(capsys, "analyze", "--store", str(store))
+    assert code == 0 and out.startswith("users=2 posts=17 ")
+
+
+def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    whole = (store / "posts.jsonl").read_bytes()
+    code, _, err = run(
+        capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store)
+    )
+    assert code == 0 and "torn" not in err
+    assert (store / "posts.jsonl").read_bytes() == whole
+
+
 @pytest.mark.parametrize(
     "damage",
     [

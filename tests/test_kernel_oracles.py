@@ -1,29 +1,53 @@
 """The flat analyze kernels against the straightforward code they replaced,
 kept here as references: the scanner with an explicit whitespace branch,
 the frozen-dataclass token, per-post feature bags merged into the profile
-and the class tables, Counter-based rule hits, and per-item gram rendering
-in model.json."""
+and the class tables, Counter-based rule hits, per-item gram rendering in
+model.json and in ngrams.csv, and the whole of analyze built from the
+per-token API."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
 import unicodedata
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from facewall.classifier import (
     METHOD_EMOTICON,
     METHOD_LEXICON,
+    UntrainableError,
     classify_post,
+    emoticon_label,
     train_nb,
+    training_pairs,
 )
+from facewall.ingest import load_corpus
 from facewall.lexer import Token, TokenKind, prune, tokenize
-from facewall.lexicon import EmotionClass, default_lexicon
-from facewall.ngrams import NGramProfile, accumulate, ngrams_of_orders, render_gram
-from helpers import emoticon, word
+from facewall.lexicon import ALL_CLASSES, EmotionClass, default_lexicon, lexicon_from_dict
+from facewall.ngrams import (
+    GRAM_SEP,
+    NGramProfile,
+    accumulate,
+    ngrams_of_orders,
+    render_gram,
+    write_ngram_csv,
+)
+from facewall.pipeline import AnalysisConfig, analyze_store
+from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store, user_scope
+from facewall.timeline import (
+    VOLUME,
+    bucketize,
+    emotion_series,
+    write_occurrence_csv,
+    write_series_csv,
+)
+from helpers import emoticon, post_record, word, write_jsonl
 
 LEX = default_lexicon()
 TABLE = LEX.emoticon_table()
@@ -232,3 +256,168 @@ def test_rule_stages_match_the_counter_cascade():
         assert list(label.scores) == list(scores)
         assert isinstance(label.hits, Counter)
         assert label.hits == hits and list(label.hits) == list(hits)
+
+
+# -- ngrams.csv rows -------------------------------------------------------------------
+
+
+def reference_ngram_csv(profile: NGramProfile) -> bytes:
+    """Every row rendered, then all rows sorted, as before grams were ranked."""
+    rows = sorted((len(gram), render_gram(gram), count) for gram, count in profile.counts.items())
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([["n", "gram", "count"]] + rows)
+    return out.getvalue().encode("utf-8")
+
+
+# grams whose CSV field needs quoting: a comma, a quote, a line break
+QUOTED_GRAMS = [
+    (("NUMBER", "1,000"),),
+    (("EMOTICON", ':"('), ("WORD", "x")),
+    (("EMOTICON", "a\nb"), ("NUMBER", "2.5"), ("WORD", "y")),
+]
+
+
+def test_ngram_csv_is_the_sorted_rendered_rows(tmp_path):
+    rng = random.Random(4242)
+    # two bigrams that render alike (an emoticon holding GRAM_SEP), with
+    # different counts: the rows must still come out by count
+    left = (("EMOTICON", f"x{GRAM_SEP}EMOTICON:y"), ("WORD", "z"))
+    right = (("EMOTICON", "x"), ("EMOTICON", f"y{GRAM_SEP}WORD:z"))
+    assert render_gram(left) == render_gram(right)
+    path = tmp_path / "ngrams.csv"
+    for _ in range(40):
+        profile = NGramProfile("u")
+        for _ in range(rng.randrange(0, 6)):
+            accumulate(profile, random_post(rng), rng.choice((1, 2, 3)))
+        profile.counts[left] += rng.randrange(1, 4)
+        profile.counts[right] += rng.randrange(1, 4)
+        for quoted in QUOTED_GRAMS:
+            profile.counts[quoted] += rng.randrange(0, 3)
+        write_ngram_csv(path, profile)
+        assert path.read_bytes() == reference_ngram_csv(profile)
+
+
+# -- analyze from the per-token API ----------------------------------------------------
+
+# Emoticons that are also a word ("xo"), hold a CSV quote (':"('), or render
+# alike in a gram (the GRAM_SEP pair); a keyword that case-folds from "ß".
+ORACLE_LEXICON = lexicon_from_dict(
+    {
+        "classes": {
+            "happy": {"words": ["happy", "great", "xo"], "emoticons": [":-)", ":)"]},
+            "sad": {"words": ["sad", "gloomy", "Straße"], "emoticons": [":(", ':"(']},
+            "love": {"words": ["love"], "emoticons": ["<3", "xo", f"x{GRAM_SEP}EMOTICON:y"]},
+            "disappointment": {"words": ["sigh"], "emoticons": [f"y{GRAM_SEP}WORD:z", "x"]},
+        }
+    }
+)
+
+ORACLE_PIECES = [
+    "The", "AN", "the", "a", "café", "cafe\u0301", "ß", "SS", "Straße", "STRASSE", "xo", "XO",
+    "<3", "3", "1,000", '"quoted"', ':"(', ":-)", ":)", ":(", "happy", "great", "sad", "gloomy",
+    "love", "sigh", "sun", "rain", "http://a.b/c?d=1,2", "@bob", "!", f"x{GRAM_SEP}EMOTICON:y",
+    f"y{GRAM_SEP}WORD:z", "x", "z",
+]
+ORACLE_ONLY = [":-)", "<3", "xo", "http://a.b/c?d=1,2", "@bob", "@bob http://x.y", "The AN a", ""]
+
+
+def adversarial_records(seed: int, pieces: list[str], only: list[str]) -> list[dict]:
+    rng = random.Random(seed)
+    start = datetime(2014, 12, 30, tzinfo=timezone.utc)
+    records = []
+    for i in range(240):
+        # months with no posts in between, so buckets must be filled in
+        day = rng.choice([0, 1, 3, 40, 41, 120, 300, 301, 700])
+        stamp = start + timedelta(days=day, hours=rng.randrange(24))
+        if i % 9 == 0:
+            text = rng.choice(only)
+        else:
+            text = " ".join(rng.choice(pieces) for _ in range(rng.randrange(1, 8)))
+        user = rng.choice(["u1", "u2", "ü/3", ".hidden"])
+        records.append(post_record(user, stamp.strftime("%Y-%m-%dT%H:%M:%SZ"), text))
+    return records
+
+
+def reference_scope(out, scope_label, records, profile, granularity) -> None:
+    out.mkdir(parents=True)
+    buckets, groups = bucketize(records, granularity)
+    labels = [[label.labels for label in group] for group in groups]
+    series = [emotion_series(buckets, labels, cls, scope=scope_label) for cls in ALL_CLASSES]
+    series.append(emotion_series(buckets, labels, VOLUME, scope=scope_label))
+    write_series_csv(out / "series.csv", series)
+    occurrences = [sum((label.hits for label in group), Counter()) for group in groups]
+    write_occurrence_csv(out / "occurrences.csv", buckets, occurrences)
+    write_ngram_csv(out / "ngrams.csv", profile)
+
+
+def reference_analyze(store, lexicon, granularity, n_max, out) -> None:
+    """The derived files, post by post through tokenize, prune, the
+    cascade and accumulate, every scope bucketed from its own posts."""
+    table = lexicon.emoticon_table()
+    by_user: dict = {}
+    for post in store.iter_posts():
+        tokens = prune(tokenize(post.text, table))
+        by_user.setdefault(post.user_id, []).append((post.timestamp, tokens))
+    labeled = [(t, emoticon_label(t, lexicon)) for posts in by_user.values() for _, t in posts]
+    try:
+        model = train_nb(training_pairs(labeled), n_max=n_max)
+    except UntrainableError:
+        model = None
+    everyone = NGramProfile("all")
+    every_record = []
+    for user in sorted(by_user):
+        profile = NGramProfile(user)
+        records = []
+        for stamp, tokens in by_user[user]:
+            records.append((stamp, classify_post(tokens, lexicon, model)))
+            accumulate(profile, tokens, n_max)
+            accumulate(everyone, tokens, n_max)
+        reference_scope(out / user_scope(user), user, records, profile, granularity)
+        every_record += records
+    reference_scope(out / ALL_SCOPE, "all", every_record, everyone, granularity)
+    if model is not None:
+        (out / MODEL_SCOPE).mkdir()
+        (out / MODEL_SCOPE / "model.json").write_text(model.to_json(), encoding="utf-8")
+
+
+def derived_files(root, config_hash=None) -> dict[str, bytes]:
+    """scope/name -> bytes, of a store's derived files or a reference tree."""
+    files = {}
+    for scope in sorted(root.iterdir()):
+        directory = scope / config_hash if config_hash else scope
+        for path in sorted(directory.iterdir()):
+            files[f"{scope.name}/{path.name}"] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "corpus, granularity, n_max, trained",
+    [
+        ("adversarial", "month", 3, True),
+        ("adversarial", "week", 1, True),
+        ("adversarial", "quarter", 4, True),
+        ("one-class", "month", 3, False),
+    ],
+)
+def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, n_max, trained):
+    if corpus == "adversarial":
+        records = adversarial_records(77, ORACLE_PIECES, ORACLE_ONLY)
+    else:
+        # every emoticon asserts happy: one trainable class
+        emoticons = ORACLE_LEXICON.emoticon_to_class
+        happy = EmotionClass.HAPPY
+        pieces = [p for p in ORACLE_PIECES if emoticons.get(p, happy) is happy]
+        records = adversarial_records(78, pieces, ["", ":-)", "@bob"])
+    store = Store.open(tmp_path / "store", create=True)
+    store.append_batch(load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl"))
+    config = AnalysisConfig(granularity, n_max, ORACLE_LEXICON.digest())
+    summary = analyze_store(store, ORACLE_LEXICON, config)
+    assert summary.model_trained is trained
+
+    reference_analyze(store, ORACLE_LEXICON, granularity, n_max, tmp_path / "reference")
+    got = derived_files(store.derived_root, config.config_hash)
+    del got["@meta/analysis.json"]
+    want = derived_files(tmp_path / "reference")
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name

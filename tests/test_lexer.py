@@ -2,8 +2,9 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, strategies as st
 
-from facewall.lexer import EmoticonTable, Token, TokenKind, prune, tokenize
+from facewall.lexer import EmoticonTable, Token, TokenInterner, TokenKind, prune, tokenize
 from facewall.lexicon import default_lexicon
 
 TABLE = default_lexicon().emoticon_table()
@@ -194,3 +195,43 @@ def test_table_rejects_bad_entries():
 def test_token_span_must_be_nonempty():
     with pytest.raises(ValueError):
         Token(TokenKind.WORD, "x", 3, 3)
+
+
+# -- properties --------------------------------------------------------------------
+
+# Pieces that reach every scanner branch and the casefold and pruning
+# rules, mixed with arbitrary characters.
+PIECES = [" ", "  ", "\t", "\n", "\u3000", ":-)", ":(", "<3", "☹", "The", "AN", "a", "café",
+          "cafe\u0301", "ß", "SS", "Straße", "3", "1,000", "2.5", "@bob", "http://x.y/z",
+          "www.a.b", "!", "'", "-", "don't", "λ"]
+TEXTS = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=14).map("".join)
+
+
+@given(st.lists(TEXTS, max_size=6))
+def test_interned_posts_are_the_pruned_token_keys(texts):
+    interner = TokenInterner(TABLE)
+    id_of: dict = {}
+    for text in texts:
+        ids = interner.ids(text)
+        tokens = interner.tokens_of(ids)
+        keys = [(t.kind, t.surface) for t in tokens]
+        assert keys == [(t.kind, t.surface) for t in prune(tokenize(text, TABLE))]
+        assert all(interner.tokens[i] is token for i, token in zip(ids, tokens))
+        for token_id, key in zip(ids, keys):
+            assert id_of.setdefault(key, token_id) == token_id
+    # one id per distinct key, and the ids are dense
+    assert sorted(id_of.values()) == list(range(len(interner.tokens)))
+
+
+@given(TEXTS)
+def test_token_spans_partition_the_non_space_characters(text):
+    norm = unicodedata.normalize("NFC", text)
+    covered = []
+    cursor = 0
+    for token in tokenize(text, TABLE):
+        assert cursor <= token.start < token.end
+        assert norm[cursor : token.start].strip() == ""
+        covered.extend(range(token.start, token.end))
+        cursor = token.end
+    assert norm[cursor:].strip() == ""
+    assert covered == [i for i, char in enumerate(norm) if not char.isspace()]

@@ -1,3 +1,4 @@
+import csv
 import random
 from collections import Counter
 
@@ -10,7 +11,6 @@ from facewall.ngrams import (
     merge_profiles,
     ngrams_of_orders,
     parse_gram,
-    profile_rows,
     read_ngram_csv,
     render_gram,
     write_ngram_csv,
@@ -143,13 +143,13 @@ def test_profile_rows_sorted_and_csv_round_trip(tmp_path):
     profile = NGramProfile("u1")
     accumulate(profile, words("b", "a"), n_max=2)
     accumulate(profile, [emoticon(":-)")], n_max=2)
-    rows = list(profile_rows(profile))
-    assert rows == sorted(rows)
-    assert all(len(row) == 3 for row in rows)
-
     path = tmp_path / "ngrams.csv"
     write_ngram_csv(path, profile)
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "n,gram,count"
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["n", "gram", "count"]
+    rows = [(int(n), gram, int(count)) for n, gram, count in rows]
+    assert rows == sorted(rows)
+    assert len(rows) == len(profile.counts)
     back = read_ngram_csv(path)
     assert back.counts == profile.counts

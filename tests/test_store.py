@@ -2,14 +2,11 @@ import json
 from urllib.parse import unquote
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from facewall.ingest import load_corpus
 from facewall.store import Store, StoreError, user_scope
 from helpers import post_record, write_jsonl
-
-# Same examples on every run; no example database left in the tree.
-settings.register_profile("derandomized", derandomize=True, database=None)
 
 
 def corpus(tmp_path, n=3, name="c.jsonl"):
@@ -108,10 +105,32 @@ def test_user_scope_encoding_is_reversible_and_flat():
         assert unquote(scope) == uid
 
 
-@settings(settings.get_profile("derandomized"))
 @given(st.text())
 def test_any_user_scope_is_reversible_and_flat(uid):
     scope = user_scope(uid)
     assert unquote(scope) == uid
     assert "/" not in scope
     assert not scope.startswith(("@", "."))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [b"", b'{"text": "cut sh', b'{"user_id": "u9"}', b"x" * 70_000],
+    ids=["whole", "partial", "no-newline", "past-one-chunk"],
+)
+def test_cut_torn_tail_keeps_every_whole_line(tmp_path, tail):
+    store = Store.open(tmp_path / "store", create=True)
+    store.append_batch(load_corpus(corpus(tmp_path, 3), "jsonl"))
+    whole = store.posts_path.read_bytes()
+    store.posts_path.write_bytes(whole + tail)
+    assert store.cut_torn_tail() == len(tail)
+    assert store.posts_path.read_bytes() == whole
+    assert len(list(store.iter_posts())) == 3
+
+
+def test_cut_torn_tail_of_a_log_without_newline(tmp_path):
+    store = Store.open(tmp_path / "store", create=True)
+    store.posts_path.write_bytes(b'{"user_id": "u1", "te')
+    assert store.cut_torn_tail() == 21
+    assert store.posts_path.read_bytes() == b""
+    assert store.cut_torn_tail() == 0

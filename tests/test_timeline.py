@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from facewall.lexicon import ALL_CLASSES, EmotionClass
 from facewall.timeline import (
@@ -568,3 +569,54 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
     path.write_text(text[:-9], encoding="utf-8", newline="")
     with pytest.raises(ValueError):
         read_occurrence_csv(path)
+
+
+# -- properties of the series file -------------------------------------------------
+
+
+@st.composite
+def series_lists(draw):
+    """The six series of one scope with arbitrary counts, as analyze writes them."""
+    length = draw(st.integers(0, 12))
+    year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
+    buckets = month_buckets(length, year=year, month=month)
+    counts = st.lists(st.integers(0, 10**12), min_size=length, max_size=length)
+    totals = draw(counts)
+    return [
+        BucketSeries("u1", key, buckets, list(totals) if key == VOLUME else draw(counts), totals)
+        for key in SERIES_CLASS_KEYS
+    ]
+
+
+# the file is rewritten for every example, so sharing tmp_path is harmless
+reuses_tmp_path = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@reuses_tmp_path
+@given(series_lists())
+def test_series_csv_round_trips(tmp_path, series_list):
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series_list)
+    table = read_series_csv(path)
+    assert table.bucket_starts == [bucket.key for bucket in series_list[0].buckets]
+    assert table.counts == {series.class_key: series.counts for series in series_list}
+    assert table.totals == series_list[0].totals
+
+
+@reuses_tmp_path
+@given(series_lists(), st.data())
+def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, series_list, data):
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series_list)
+    body = path.read_bytes()
+    at = data.draw(st.integers(0, len(body)))
+    if data.draw(st.booleans()) or at == len(body):
+        damaged = body[:at]
+    else:
+        damaged = body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
+    path.write_bytes(damaged)
+    try:
+        table = read_series_csv(path)
+    except ValueError:
+        return
+    assert isinstance(table, SeriesTable)
