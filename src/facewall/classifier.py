@@ -162,7 +162,10 @@ def train_nb(
             raise ValueError("neutral is not a trainable class")
         content = [t for t in tokens if t.kind is not TokenKind.EMOTICON]
         doc_counts[cls] += 1
-        features.setdefault(cls, Counter()).update(iter_grams(content, n_max))
+        bag = features.get(cls)
+        if bag is None:  # a class's first document
+            bag = features[cls] = Counter()
+        bag.update(iter_grams(content, n_max))
     survivors = tuple(
         cls for cls in LEXICON_CLASSES if doc_counts.get(cls, 0) >= min_train_docs
     )

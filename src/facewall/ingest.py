@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime
-from functools import cached_property
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .rfc3339 import format_rfc3339, parse_rfc3339
+from .rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 
 FORMATS = ("jsonl", "csv")
 
@@ -33,34 +33,52 @@ class RecordRejected(ValueError):
 
 @dataclass(frozen=True)
 class RawPost:
+    """One validated post.
+
+    `_stamp_text` is internal to the readers in this package: the
+    timestamp's canonical text (what format_rfc3339 writes), passed by a
+    reader that already holds it so that it is not formatted again. It is
+    never checked against `timestamp`; other callers leave it out."""
+
     user_id: str
     timestamp: datetime
     text: str
     source: str | None = None
+    _stamp_text: InitVar[str | None] = None
+
+    _key = None  # the dedupe key, built on the first dedupe_key() call
+
+    def __post_init__(self, _stamp_text: str | None) -> None:
+        if _stamp_text is None:
+            _stamp_text = format_rfc3339(self.timestamp)
+        object.__setattr__(self, "_stamp", _stamp_text)
 
     def dedupe_key(self) -> tuple[str, str, str]:
-        return self._dedupe_key
-
-    # Computed once per post: ingest dedupes a post in the batch and again
-    # against the store, then writes its record with the same timestamp text.
-    @cached_property
-    def _dedupe_key(self) -> tuple[str, str, str]:
-        digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-        return (self.user_id, self._stamp_text, digest)
-
-    @cached_property
-    def _stamp_text(self) -> str:
-        return format_rfc3339(self.timestamp)
+        # Built once, when asked: ingest dedupes a post in the batch and
+        # again against the store; analyze reads posts without a key.
+        key = self._key
+        if key is None:
+            digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+            key = (self.user_id, self._stamp, digest)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def to_record(self) -> dict:
-        record = {
-            "user_id": self.user_id,
-            "timestamp": self._stamp_text,
-            "text": self.text,
-        }
+        record = {"user_id": self.user_id, "timestamp": self._stamp, "text": self.text}
         if self.source is not None:
             record["source"] = self.source
         return record
+
+    def to_line(self) -> str:
+        """The record as one post-log line: the bytes of
+        json.dumps(self.to_record(), sort_keys=True, ensure_ascii=False)
+        plus a newline, built directly."""
+        source = "" if self.source is None else f'"source": {_json_string(self.source)}, '
+        return (
+            "{" + source + '"text": ' + _json_string(self.text)
+            + ', "timestamp": ' + _json_string(self._stamp)
+            + ', "user_id": ' + _json_string(self.user_id) + "}\n"
+        )
 
 
 @dataclass
@@ -71,18 +89,25 @@ class CorpusBatch:
 
 
 def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
-    for name in REQUIRED_FIELDS:
-        if obj.get(name) is None:
-            raise RecordRejected(f"missing-field:{name}")
-    user_id, timestamp, text = (obj[name] for name in REQUIRED_FIELDS)
-    source = obj.get("source")
-    if not all(isinstance(v, str) for v in (user_id, timestamp, text)):
-        raise RecordRejected("malformed")
-    if source is not None and not isinstance(source, str):
+    get = obj.get
+    user_id, timestamp, text = get("user_id"), get("timestamp"), get("text")
+    if user_id is None:
+        raise RecordRejected("missing-field:user_id")
+    if timestamp is None:
+        raise RecordRejected("missing-field:timestamp")
+    if text is None:
+        raise RecordRejected("missing-field:text")
+    source = get("source")
+    if not (
+        isinstance(user_id, str)
+        and isinstance(timestamp, str)
+        and isinstance(text, str)
+        and (source is None or isinstance(source, str))
+    ):
         raise RecordRejected("malformed")
     try:
         # A JSON escape can carry a lone surrogate, which has no UTF-8 form.
-        "".join((user_id, timestamp, text, source or "")).encode("utf-8")
+        (user_id + timestamp + text + (source or "")).encode("utf-8")
     except UnicodeEncodeError:
         raise RecordRejected("malformed") from None
     user_id = user_id.strip()
@@ -92,7 +117,33 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
         stamp = parse_rfc3339(timestamp)
     except ValueError:
         raise RecordRejected("bad-timestamp") from None
-    return RawPost(user_id=user_id, timestamp=stamp, text=text, source=source)
+    return RawPost(user_id, stamp, text, source, canonical_text(timestamp, stamp))
+
+
+# The decoder's C scanner, without json.loads' per-call set-up.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def parse_json(line: str) -> object:
+    """json.loads(line). The scanner takes a line it consumes whole; any
+    other line goes to json.loads, which accepts or raises as usual."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
+def _post_from_line(line: str) -> RawPost:
+    try:
+        obj = parse_json(line)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
+        raise RecordRejected("malformed") from None
+    if not isinstance(obj, dict):
+        raise RecordRejected("malformed")
+    return _post_from_fields(obj)
 
 
 def parse_post_record(raw: str | Mapping[str, object], fmt: str) -> RawPost:
@@ -101,13 +152,7 @@ def parse_post_record(raw: str | Mapping[str, object], fmt: str) -> RawPost:
     if fmt == "jsonl":
         if not isinstance(raw, str):
             raise RecordRejected("malformed")
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError:
-            raise RecordRejected("malformed") from None
-        if not isinstance(obj, dict):
-            raise RecordRejected("malformed")
-        return _post_from_fields(obj)
+        return _post_from_line(raw)
     if fmt == "csv":
         if not isinstance(raw, Mapping):
             raise RecordRejected("malformed")
@@ -142,10 +187,13 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     batch = CorpusBatch()
     seen: set[tuple[str, str, str]] = set()
     with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
-        rows = _iter_jsonl(handle) if fmt == "jsonl" else _iter_csv(handle)
+        if fmt == "jsonl":
+            rows, parse = _iter_jsonl(handle), _post_from_line
+        else:
+            rows, parse = _iter_csv(handle), _post_from_fields
         for number, raw in rows:
             try:
-                post = parse_post_record(raw, fmt)
+                post = parse(raw)
             except RecordRejected as rejection:
                 batch.rejected.append((number, rejection.reason))
                 continue

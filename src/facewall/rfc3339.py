@@ -18,6 +18,11 @@ _TIMESTAMP_RE = re.compile(
     re.VERBOSE,
 )
 
+# The text format_rfc3339 writes for a whole-second instant. ASCII digits
+# only: the general pattern's \d takes any Unicode digit, fromisoformat
+# does not.
+_CANONICAL_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
 
 def parse_rfc3339(text: str) -> datetime:
     """Parse an RFC 3339 timestamp into a timezone-aware UTC datetime.
@@ -27,6 +32,9 @@ def parse_rfc3339(text: str) -> datetime:
     """
     if not isinstance(text, str):
         raise ValueError("timestamp must be a string")
+    if _CANONICAL_RE.fullmatch(text) is not None:
+        # already UTC: no offset arithmetic, no conversion
+        return datetime.fromisoformat(text[:19] + "+00:00")
     m = _TIMESTAMP_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
@@ -39,7 +47,10 @@ def parse_rfc3339(text: str) -> datetime:
         offset = timedelta(hours=int(hours), minutes=int(minutes))
         tz = timezone(offset if sign == "+" else -offset)
     stamp = datetime(year, month, day, hour, minute, second, micro, tzinfo=tz)
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError:  # an offset that moves the instant past year 1 or 9999
+        raise ValueError(f"instant out of range: {text!r}") from None
 
 
 def format_rfc3339(stamp: datetime) -> str:
@@ -51,3 +62,11 @@ def format_rfc3339(stamp: datetime) -> str:
     if stamp.tzinfo is None:
         raise ValueError("naive datetime cannot be serialized")
     return stamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def canonical_text(text: str, stamp: datetime) -> str:
+    """format_rfc3339(stamp) for stamp = parse_rfc3339(text): text itself
+    when it is already canonical."""
+    if _CANONICAL_RE.fullmatch(text) is not None:
+        return text
+    return format_rfc3339(stamp)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
-from .ingest import CorpusBatch, RawPost
-from .rfc3339 import parse_rfc3339
+from .ingest import CorpusBatch, RawPost, parse_json
+from .rfc3339 import canonical_text, parse_rfc3339
 
 SCHEMA_VERSION = 1
 
@@ -60,7 +60,6 @@ class Store:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._manifest: dict | None = None
-        self._keys: set[tuple[str, str, str]] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -154,14 +153,23 @@ class Store:
         try:
             with open(self.posts_path, "r", encoding="utf-8") as handle:
                 for line in handle:
-                    obj = json.loads(line)
+                    obj = parse_json(line.rstrip("\n"))
+                    stamp_text = obj["timestamp"]
+                    stamp = parse_rfc3339(stamp_text)
+                    user_id, text, source = obj["user_id"], obj["text"], obj.get("source")
+                    if not (
+                        isinstance(user_id, str)
+                        and isinstance(text, str)
+                        and (source is None or isinstance(source, str))
+                    ):
+                        raise ValueError("a field that is not a string")
+                    # A hand-written stamp in another form is keyed by its
+                    # canonical text, as ingest keys it.
                     yield RawPost(
-                        user_id=obj["user_id"],
-                        timestamp=parse_rfc3339(obj["timestamp"]),
-                        text=obj["text"],
-                        source=obj.get("source"),
+                        user_id, stamp, text, source, canonical_text(stamp_text, stamp)
                     )
-        except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: not an object
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            # TypeError: not an object; RecursionError: nested too deep
             if line and not line.endswith("\n"):
                 raise StoreError(
                     "store-io", f"corrupt post log: torn last line ({exc}); "
@@ -193,15 +201,23 @@ class Store:
             raise StoreError("store-io", str(exc)) from exc
         return size - keep
 
-    def _existing_keys(self) -> set[tuple[str, str, str]]:
-        if self._keys is None:
-            self._keys = {post.dedupe_key() for post in self.iter_posts()}
-        return self._keys
-
     def append_batch(self, batch: CorpusBatch) -> AppendReceipt:
         """Append new records in batch order; records already present (same
-        dedupe key) are skipped. Idempotent across re-ingests."""
-        keys = self._existing_keys()
+        dedupe key) are skipped. Idempotent across re-ingests.
+
+        The manifest's record_count becomes the records read from the log
+        plus those written, which also heals a count left short, e.g. by
+        an ingest that died after writing some records."""
+        # Local to the call, so it is dropped while the caller still holds
+        # the batch: the batch's key tuples are then freed with their posts,
+        # in allocation order, not in the set's hash order, which would
+        # leave the freed memory in scattered pieces the next command
+        # cannot return or fully reuse.
+        keys = set()
+        logged = 0
+        for post in self.iter_posts():
+            keys.add(post.dedupe_key())
+            logged += 1
         written = 0
         try:
             with open(self.posts_path, "a", encoding="utf-8") as handle:
@@ -209,16 +225,13 @@ class Store:
                     key = post.dedupe_key()
                     if key in keys:
                         continue
-                    handle.write(
-                        json.dumps(post.to_record(), sort_keys=True, ensure_ascii=False)
-                        + "\n"
-                    )
+                    handle.write(post.to_line())
                     keys.add(key)
                     written += 1
         except OSError as exc:
             raise StoreError("store-io", str(exc)) from exc
-        if written:
-            self.manifest["record_count"] = self.record_count + written
+        if self.record_count != logged + written:
+            self.manifest["record_count"] = logged + written
             self._save_manifest()
         return AppendReceipt(written=written, record_count=self.record_count)
 

@@ -186,6 +186,30 @@ def test_non_object_post_log_line_is_a_store_error(capsys, corpus, tmp_path):
     assert "store-io: corrupt post log" in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": None},
+        {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": ["a"]},
+        {"user_id": 5, "timestamp": "2010-01-16T12:00:00Z", "text": "hi"},
+        {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": "hi", "source": 1},
+    ],
+    ids=["text-null", "text-list", "user-number", "source-number"],
+)
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_non_string_post_log_field_is_a_store_error(capsys, corpus, tmp_path, record, command):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    with open(store / "posts.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+    args = ["--store", str(store)]
+    if command == "ingest":
+        args += ["--input", str(corpus), "--format", "jsonl"]
+    code, _, err = run(capsys, command, *args)
+    assert code == 3
+    assert "store-io: corrupt post log" in err
+
+
 def test_ingest_cuts_a_torn_post_log_tail(capsys, corpus, tmp_path):
     store = tmp_path / "store"
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
@@ -209,6 +233,32 @@ def test_ingest_cuts_a_torn_post_log_tail(capsys, corpus, tmp_path):
 
     code, out, _ = run(capsys, "analyze", "--store", str(store))
     assert code == 0 and out.startswith("users=2 posts=17 ")
+
+
+def test_ingest_counts_records_a_dying_ingest_left_in_the_log(capsys, tmp_path):
+    records = [
+        post_record(f"u{i}", f"2015-03-0{i + 1}T10:00:00Z", f"post {i} :-)") for i in range(6)
+    ]
+    first = write_jsonl(tmp_path / "first.jsonl", records[:3])
+    second = write_jsonl(tmp_path / "second.jsonl", records[3:])
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(first), "--format", "jsonl", "--store", str(store))
+    # an ingest of `second` that died mid-write: two whole records, part of a third
+    lines = second.read_bytes().splitlines(keepends=True)
+    log = store / "posts.jsonl"
+    log.write_bytes(log.read_bytes() + lines[0] + lines[1] + lines[2][:20])
+
+    code, out, _ = run(
+        capsys, "ingest", "--input", str(second), "--format", "jsonl", "--store", str(store)
+    )
+    assert code == 0 and out.strip() == "ingested=1 rejected=0 duplicates=2"
+    manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["record_count"] == len(log.read_bytes().splitlines()) == 6
+
+    code, out, _ = run(capsys, "analyze", "--store", str(store))
+    assert code == 0 and " posts=6 " in out
+    [meta] = (store / "derived" / "@meta").glob("*/analysis.json")
+    assert json.loads(meta.read_text(encoding="utf-8"))["record_count"] == 6
 
 
 def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):

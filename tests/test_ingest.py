@@ -1,9 +1,12 @@
+import csv
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
-from facewall.ingest import RecordRejected, load_corpus, parse_post_record
+from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus, parse_post_record
 from facewall.rfc3339 import format_rfc3339, parse_rfc3339
 from helpers import post_record, write_jsonl
 
@@ -44,8 +47,6 @@ def test_csv_row_normalizes_to_utc():
 def test_missing_field_rejections(missing):
     record = post_record("u1", "2015-03-02T10:00:00Z", "x")
     del record[missing]
-    import json
-
     with pytest.raises(RecordRejected) as err:
         parse_post_record(json.dumps(record), "jsonl")
     assert err.value.reason == f"missing-field:{missing}"
@@ -70,6 +71,13 @@ def test_blank_user_id_is_missing_field():
     with pytest.raises(RecordRejected) as err:
         parse_post_record('{"user_id":"  ","timestamp":"2015-03-02T10:00:00Z","text":"x"}', "jsonl")
     assert err.value.reason == "missing-field:user_id"
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-00:01"])
+def test_offset_past_the_calendar_is_a_bad_timestamp(stamp):
+    with pytest.raises(RecordRejected) as err:
+        parse_post_record(json.dumps(post_record("u1", stamp, "x")), "jsonl")
+    assert err.value.reason == "bad-timestamp"
 
 
 def test_empty_text_allowed_and_user_id_trimmed():
@@ -113,8 +121,6 @@ def test_load_corpus_records_rejection_location(tmp_path):
 def test_load_corpus_accounting_invariant(tmp_path):
     lines = []
     record = post_record("u1", "2015-03-02T10:00:00Z", "dup")
-    import json
-
     lines.append(json.dumps(record))
     lines.append(json.dumps(record))
     lines.append("garbage")
@@ -149,8 +155,6 @@ def test_load_csv_short_row_rejected(tmp_path):
 
 @pytest.mark.parametrize("field", ["user_id", "timestamp", "text", "source"])
 def test_lone_surrogate_is_malformed_and_the_batch_goes_on(tmp_path, field):
-    import json
-
     from facewall.store import Store
 
     good = post_record("u1", "2015-03-02T10:00:00Z", "fine", source="web")
@@ -200,3 +204,76 @@ def test_rfc3339_fractional_and_lowercase_forms():
     assert parse_rfc3339("2015-03-02 10:00:00-05:30") == datetime(
         2015, 3, 2, 15, 30, tzinfo=timezone.utc
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[" * 100_000,  # json.loads raises RecursionError
+        '{"user_id": "u", "text": "x", "n": ' + "1" * 5000 + "}",  # int digit limit
+    ],
+    ids=["nested-too-deep", "int-too-long"],
+)
+def test_undecodable_json_is_malformed_and_the_batch_goes_on(tmp_path, line):
+    good = json.dumps(post_record("u1", "2015-03-02T10:00:00Z", "fine"))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{good}\n{line}\n{good.replace('u1', 'u2')}\n", encoding="utf-8")
+    batch = load_corpus(path, "jsonl")
+    assert batch.rejected == [(2, "malformed")]
+    assert [post.user_id for post in batch.posts] == ["u1", "u2"]
+
+
+REASONS = {"malformed", "bad-timestamp"} | {f"missing-field:{name}" for name in REQUIRED_FIELDS}
+
+# Text a file can hold: no lone surrogates, no line breaks the reader splits on.
+line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | line_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(line_text, inner, max_size=3),
+    max_leaves=8,
+)
+stamps = st.sampled_from(
+    [
+        "2015-03-02T10:00:00Z",
+        "2015-03-02t10:00:00.5+05:30",
+        " 2015-03-02T10:00:00Z",
+        "2015-13-01T00:00:00Z",
+    ]
+)
+# Each field mostly of its type; a null is a missing field.
+record_fields = st.fixed_dictionaries(
+    {
+        "user_id": line_text | json_values,
+        "timestamp": stamps | json_values,
+        "text": line_text | json_values,
+    },
+    optional={"source": line_text | json_values},
+)
+
+
+@given(
+    st.one_of(
+        line_text,
+        record_fields.map(json.dumps),
+        record_fields.map(lambda record: json.dumps(record, ensure_ascii=False)),
+    )
+)
+def test_any_jsonl_line_loads_or_is_rejected_for_a_documented_reason(tmp_path_factory, line):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    batch = load_corpus(path, "jsonl")
+    assert len(batch.posts) + len(batch.rejected) == 1
+    assert all(number == 1 and reason in REASONS for number, reason in batch.rejected)
+
+
+csv_values = st.none() | stamps | st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@given(st.lists(csv_values, min_size=1, max_size=5))
+def test_any_csv_row_loads_or_is_rejected_for_a_documented_reason(tmp_path_factory, row):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([["user_id", "timestamp", "text", "source"], row])
+    batch = load_corpus(path, "csv")
+    assert len(batch.posts) + len(batch.rejected) == 1
+    assert all(reason in REASONS for _, reason in batch.rejected)

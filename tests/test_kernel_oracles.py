@@ -2,12 +2,14 @@
 kept here as references: the scanner with an explicit whitespace branch,
 the frozen-dataclass token, per-post feature bags merged into the profile
 and the class tables, Counter-based rule hits, per-item gram rendering in
-model.json and in ngrams.csv, and the whole of analyze built from the
-per-token API."""
+model.json and in ngrams.csv, the whole of analyze built from the
+per-token API, and ingest with each record parsed, keyed and written on its
+own."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -17,6 +19,7 @@ from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from facewall.classifier import (
     METHOD_EMOTICON,
@@ -27,7 +30,7 @@ from facewall.classifier import (
     train_nb,
     training_pairs,
 )
-from facewall.ingest import load_corpus
+from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus
 from facewall.lexer import Token, TokenKind, prune, tokenize
 from facewall.lexicon import ALL_CLASSES, EmotionClass, default_lexicon, lexicon_from_dict
 from facewall.ngrams import (
@@ -39,6 +42,7 @@ from facewall.ngrams import (
     write_ngram_csv,
 )
 from facewall.pipeline import AnalysisConfig, analyze_store
+from facewall.rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store, user_scope
 from facewall.timeline import (
     VOLUME,
@@ -421,3 +425,252 @@ def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, 
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+# -- the record path: ingest and the post-log read ------------------------------------
+
+REFERENCE_TIMESTAMP_RE = re.compile(
+    r"""^(\d{4})-(\d{2})-(\d{2})
+        [Tt\ ]
+        (\d{2}):(\d{2}):(\d{2})
+        (?:\.(\d+))?
+        (?:([Zz])|([+-])(\d{2}):(\d{2}))$""",
+    re.VERBOSE,
+)
+
+
+def reference_parse_rfc3339(text: str) -> datetime:
+    """Every stamp through the general pattern, then converted to UTC. It
+    raises OverflowError where the conversion leaves years 1-9999."""
+    if not isinstance(text, str):
+        raise ValueError("timestamp must be a string")
+    m = REFERENCE_TIMESTAMP_RE.match(text.strip())
+    if m is None:
+        raise ValueError(text)
+    *fields, frac, zulu, sign, hours, minutes = m.groups()
+    year, month, day, hour, minute, second = map(int, fields)
+    micro = int(frac[:6].ljust(6, "0")) if frac else 0
+    if zulu:
+        tz = timezone.utc
+    else:
+        offset = timedelta(hours=int(hours), minutes=int(minutes))
+        tz = timezone(offset if sign == "+" else -offset)
+    stamp = datetime(year, month, day, hour, minute, second, micro, tzinfo=tz)
+    return stamp.astimezone(timezone.utc)
+
+
+def reference_fields(obj) -> tuple[str, datetime, str, str | None]:
+    """A record's validated fields, or RecordRejected in the documented
+    precedence: missing fields in field order, malformed, blank user id,
+    bad timestamp."""
+    for name in REQUIRED_FIELDS:
+        if obj.get(name) is None:
+            raise RecordRejected(f"missing-field:{name}")
+    user_id, timestamp, text = (obj[name] for name in REQUIRED_FIELDS)
+    source = obj.get("source")
+    if not all(isinstance(v, str) for v in (user_id, timestamp, text)):
+        raise RecordRejected("malformed")
+    if source is not None and not isinstance(source, str):
+        raise RecordRejected("malformed")
+    try:
+        "".join((user_id, timestamp, text, source or "")).encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordRejected("malformed") from None
+    user_id = user_id.strip()
+    if not user_id:
+        raise RecordRejected("missing-field:user_id")
+    try:
+        stamp = reference_parse_rfc3339(timestamp)
+    except (ValueError, OverflowError):
+        raise RecordRejected("bad-timestamp") from None
+    return user_id, stamp, text, source
+
+
+def reference_record(user_id, stamp, text, source) -> tuple[tuple[str, str, str], str]:
+    """The dedupe key, formatted stamp and all, and the log line."""
+    stamp_text = format_rfc3339(stamp)
+    key = (user_id, stamp_text, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    record = {"user_id": user_id, "timestamp": stamp_text, "text": text}
+    if source is not None:
+        record["source"] = source
+    return key, json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def reference_ingest(log: str, corpus: str, fmt: str) -> tuple[str, list, int]:
+    """The log after ingesting the corpus into a store holding `log`, the
+    rejections and the duplicates, each record parsed, keyed and written
+    on its own. A line json.loads cannot decode for any reason, and an
+    instant past the calendar, are rejections here as in ingest."""
+    keys = set()
+    for line in io.StringIO(log):
+        obj = json.loads(line)
+        stamp = reference_parse_rfc3339(obj["timestamp"])
+        keys.add(reference_record(obj["user_id"], stamp, obj["text"], obj.get("source"))[0])
+    if fmt == "jsonl":
+        rows = enumerate((line.rstrip("\n") for line in io.StringIO(corpus)), start=1)
+    else:
+        reader = csv.DictReader(io.StringIO(corpus, newline=""))
+        rows = ((reader.line_num, row) for row in reader)
+    written, rejected, duplicates = [], [], 0
+    for number, raw in rows:
+        try:
+            if fmt == "jsonl":
+                try:
+                    raw = json.loads(raw)
+                except (ValueError, RecursionError):
+                    raise RecordRejected("malformed") from None
+                if not isinstance(raw, dict):
+                    raise RecordRejected("malformed")
+            raw.pop(None, None)
+            key, line = reference_record(*reference_fields(raw))
+        except RecordRejected as rejection:
+            rejected.append((number, rejection.reason))
+            continue
+        if key in keys:
+            duplicates += 1
+            continue
+        keys.add(key)
+        written.append(line)
+    return log + "".join(written), rejected, duplicates
+
+
+RECORD_PATH_STAMPS = [
+    "2015-03-02T10:00:00Z",
+    # the same instant as the first, written other ways
+    "2015-03-02T15:30:00+05:30", "2015-03-02T10:00:00-00:00", "2015-03-02T10:00:00.000000Z",
+    "2015-03-02t10:00:00z", "2015-03-02 10:00:00Z", " 2015-03-02T10:00:00Z\t",
+    "２０１５-03-02T10:00:00Z", "2015-03-02T10:00:0٠Z",
+    # other instants
+    "2015-03-02T10:00:00.5Z", "2015-03-02T10:00:00.123456789+01:00", "2016-02-29T23:59:59Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "0999-05-06T07:08:09-23:59",
+    # not instants
+    "2015-13-01T00:00:00Z", "2015-02-29T00:00:00Z", "2015-03-02T10:00:60Z",
+    "2015-03-02T24:00:00Z", "2015-03-02T10:00:00", "2015-03-02T10:00:00+24:00",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-00:01", "2015-3-02T10:00:00Z", "",
+]
+
+
+def record_path_corpus(seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    texts = ["hi", "hi", "", "x\u2028y", 'q"\\', "\U0001f600 \x00", "line\r\nbreak", "a,b"]
+    records = []
+    for stamp in RECORD_PATH_STAMPS * 3:
+        record = post_record(rng.choice(["u1", " u1 ", "u/2"]), stamp, rng.choice(texts))
+        if rng.random() < 0.5:
+            record["source"] = rng.choice(["web", "", "ü"])
+        records.append(record)
+    rng.shuffle(records)
+    return records + [
+        {"timestamp": "2015-03-02T10:00:00Z", "text": "no user"},
+        post_record("u1", None, "null stamp"),
+        post_record("u1", "2015-03-02T10:00:00Z", None),
+        post_record("  ", "2015-03-02T10:00:00Z", "blank user"),
+        post_record(7, "2015-03-02T10:00:00Z", "int user"),
+        post_record("u1", 20150302, "int stamp"),
+        post_record("u1", "2015-03-02T10:00:00Z", ["list text"]),
+        post_record("u1", "2015-03-02T10:00:00Z", "int source", source=3),
+        post_record(7, None, "missing beats malformed"),
+        post_record("  ", "bad", "blank user beats bad stamp"),
+    ]
+
+
+def record_path_lines(seed: int) -> list[str]:
+    lines = [json.dumps(record, ensure_ascii=seed % 2 == 0) for record in record_path_corpus(seed)]
+    good = json.dumps(post_record("u3", "2015-03-02T10:00:00Z", "raw"))
+    return lines + [
+        good,
+        "  " + good + " ",
+        good.replace('"raw"', '"\\ud800"'),
+        good.replace('"u3"', '"\\udfff"'),
+        good.replace("raw", "new") + "\r",
+        "[1]", "null", "", "not json", '"u1"', "[" * 50_000, "\ufeff" + good,
+        good.replace("}", ', "n": ' + "1" * 5000 + "}"),
+    ]
+
+
+def record_path_csv(seed: int) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["user_id", "timestamp", "text", "source", "extra"])
+    for record in record_path_corpus(seed):
+        row = [record.get(name) for name in ("user_id", "timestamp", "text", "source")]
+        row = [value if value is None or isinstance(value, str) else str(value) for value in row]
+        writer.writerow(row + ["x"])
+    writer.writerow(["u1", "2015-03-02T10:00:00Z"])  # short row
+    return out.getvalue()
+
+
+def ingest_both_ways(tmp_path, log: str, corpus: str, fmt: str) -> None:
+    """Ingest through load_corpus and Store.append_batch into a store
+    holding `log`, and compare with reference_ingest."""
+    root = tmp_path / f"store-{len(list(tmp_path.iterdir()))}"
+    store = Store.open(root, create=True)
+    store.posts_path.write_text(log, encoding="utf-8")
+    path = root.with_suffix("." + fmt)
+    path.write_text(corpus, encoding="utf-8")
+    batch = load_corpus(path, fmt)
+    receipt = store.append_batch(batch)
+    want_log, want_rejected, want_duplicates = reference_ingest(log, corpus, fmt)
+    assert store.posts_path.read_text(encoding="utf-8") == want_log
+    assert batch.rejected == want_rejected
+    assert batch.duplicates_dropped + len(batch.posts) - receipt.written == want_duplicates
+    assert receipt.record_count == want_log.count("\n")
+
+
+@pytest.mark.parametrize("seed", [91, 92])
+def test_ingest_matches_the_per_record_reference(tmp_path, seed):
+    lines = record_path_lines(seed)
+    corpus = "\n".join(lines) + "\n"
+    ingest_both_ways(tmp_path, "", corpus, "jsonl")
+    # a re-ingest of the whole corpus into a store holding part of it
+    part = reference_ingest("", "\n".join(lines[::2]) + "\n", "jsonl")[0]
+    ingest_both_ways(tmp_path, part, corpus, "jsonl")
+    ingest_both_ways(tmp_path, "", record_path_csv(seed), "csv")
+    ingest_both_ways(tmp_path, part, record_path_csv(seed), "csv")
+
+
+def test_a_hand_written_log_stamp_is_keyed_by_its_canonical_text(tmp_path):
+    # the same instant as the corpus's records, in forms ingest never writes
+    log = "".join(
+        json.dumps(post_record("u1", stamp, "hi"), sort_keys=True) + "\n"
+        for stamp in ["2015-03-02T10:00:00+00:00", "2015-03-02T11:00:00.000+01:00"]
+    ) + json.dumps(post_record("u2", "2015-03-02 10:00:00z", "hi")) + "\n"
+    corpus = "".join(
+        json.dumps(post_record(user, "2015-03-02T10:00:00Z", "hi")) + "\n"
+        for user in ["u1", "u2", "u3"]
+    )
+    ingest_both_ways(tmp_path, log, corpus, "jsonl")
+    assert reference_ingest(log, corpus, "jsonl")[2] == 2
+
+
+stamp_pieces = st.sampled_from(["2015", "0001", "9999", "２０１５", "٢٠١٥", "201"])
+two_digits = st.sampled_from(
+    ["00", "01", "02", "12", "13", "23", "24", "28", "29", "31", "59", "60", "٠٩", "1"]
+)
+
+
+@st.composite
+def stamp_like(draw) -> str:
+    text = (
+        draw(stamp_pieces) + "-" + draw(two_digits) + "-" + draw(two_digits)
+        + draw(st.sampled_from(["T", "t", " ", "_"]))
+        + draw(two_digits) + ":" + draw(two_digits) + ":" + draw(two_digits)
+        + draw(st.sampled_from(["", ".5", ".000000", ".123456789", ".", ".٥"]))
+        + draw(st.sampled_from(["Z", "z", "", "+05:30", "-00:00", "+23:59", "-24:00", "+0530"]))
+    )
+    pad = draw(st.sampled_from(["", " ", "\n", "\t ", "\u3000"]))
+    return draw(st.sampled_from([text, pad + text, text + pad]))
+
+
+@given(st.one_of(stamp_like(), st.text(), st.sampled_from(RECORD_PATH_STAMPS)))
+@example("0001-01-01T00:00:00+01:00")  # OverflowError, not ValueError, before the fix
+def test_parse_rfc3339_is_the_regex_only_parse(text):
+    try:
+        want = reference_parse_rfc3339(text)
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+        return
+    got = parse_rfc3339(text)
+    assert got == want and got.tzinfo is timezone.utc
+    assert canonical_text(text, got) == format_rfc3339(want)

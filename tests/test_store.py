@@ -1,10 +1,11 @@
 import json
+from datetime import timezone
 from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, strategies as st
 
-from facewall.ingest import load_corpus
+from facewall.ingest import CorpusBatch, RawPost, load_corpus
 from facewall.store import Store, StoreError, user_scope
 from helpers import post_record, write_jsonl
 
@@ -134,3 +135,37 @@ def test_cut_torn_tail_of_a_log_without_newline(tmp_path):
     assert store.cut_torn_tail() == 21
     assert store.posts_path.read_bytes() == b""
     assert store.cut_torn_tail() == 0
+
+
+# Characters a line-oriented log must carry inside a record's strings.
+hostile_text = st.text(
+    st.sampled_from(["\u2028", "\u2029", "\r", "\n", "\x00", '"', "\\", "\U0001f600", "\x85", "a"])
+    | st.characters(blacklist_categories=("Cs",))
+)
+utc_instants = st.datetimes(timezones=st.just(timezone.utc))
+posts = st.builds(
+    RawPost,
+    user_id=hostile_text,
+    timestamp=utc_instants,
+    text=hostile_text,
+    source=st.none() | hostile_text,
+)
+
+
+@given(st.lists(posts, max_size=5))
+def test_appended_posts_read_back_equal(tmp_path_factory, batch_posts):
+    store = Store.open(tmp_path_factory.mktemp("store") / "store", create=True)
+    first = {}
+    for post in batch_posts:
+        first.setdefault(post.dedupe_key(), post)
+    unique = list(first.values())
+    receipt = store.append_batch(CorpusBatch(posts=batch_posts * 2))
+    assert receipt.written == receipt.record_count == len(unique)
+    read = list(store.iter_posts())
+    assert read == unique
+    assert [post.dedupe_key() for post in read] == [post.dedupe_key() for post in unique]
+
+
+@given(posts)
+def test_log_line_is_the_sorted_json_record(post):
+    assert post.to_line() == json.dumps(post.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
