@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from .lexer import Token, TokenKind
+from .lexer import Token, TokenKind, _Memo
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .ngrams import Gram, iter_grams, ngrams_of_orders, render_gram
+from .ngrams import Gram, interned_grams, ngrams_of_orders, render_gram
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
 METHOD_MODEL = "model"
 METHOD_NEUTRAL = "neutral"
+
+_NEUTRAL = frozenset({EmotionClass.NEUTRAL})
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_MIN_TRAIN_DOCS = 5
@@ -32,24 +36,42 @@ class UntrainableError(ValueError):
     """Fewer than two classes have enough emoticon-labeled posts."""
 
 
-@dataclass(frozen=True)
-class PostLabel:
-    labels: frozenset[EmotionClass]
-    method: str
-    scores: Mapping[EmotionClass, float] = field(default_factory=dict)
-    # Emoticon plus word hits per class: the post's lexicon occurrences.
-    hits: Counter[EmotionClass] = field(default_factory=Counter)
+class PostLabel(namedtuple("PostLabel", "labels method scores hits")):
+    """A post's classes (a frozenset), the cascade stage that decided
+    (method), that stage's per-class scores, and the post's emoticon plus
+    word hits per class (a Counter): its lexicon occurrences. An immutable
+    value, equal by its fields, and as a named tuple also equal to the
+    plain tuple of them; scores default to {} and hits to an empty
+    Counter."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        labels: frozenset[EmotionClass],
+        method: str,
+        scores: Mapping[EmotionClass, float] | None = None,
+        hits: Counter[EmotionClass] | None = None,
+    ) -> "PostLabel":
+        scores = {} if scores is None else scores
+        return _new_label(cls, (labels, method, scores, Counter() if hits is None else hits))
+
+
+# Builds a PostLabel of the four given fields, with no defaults filled in.
+_new_label = tuple.__new__
+# An empty Counter, without Counter.__init__ and its Mapping test.
+_new_counter = dict.__new__
 
 
 def _rule_hits(
     tokens: Iterable[Token], lexicon: EmotionLexicon
-) -> tuple[dict[EmotionClass, int], dict[EmotionClass, int]]:
-    """Emoticon and word hits per class in one pass, each dict in order of
-    first hit."""
+) -> tuple[Counter[EmotionClass], Counter[EmotionClass]]:
+    """Emoticon and word hits per class in one pass, each Counter in order
+    of first hit."""
     emoticons, words = lexicon.emoticon_to_class, lexicon.word_to_class
     word, emoticon = TokenKind.WORD, TokenKind.EMOTICON
-    e_hits: dict[EmotionClass, int] = {}
-    w_hits: dict[EmotionClass, int] = {}
+    e_hits: Counter[EmotionClass] = _new_counter(Counter)
+    w_hits: Counter[EmotionClass] = _new_counter(Counter)
     for token in tokens:
         kind = token.kind
         if kind is word:
@@ -75,13 +97,27 @@ def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter
     """Emoticon plus word lexicon occurrences per class, outside the
     cascade: always equal to the hits classify_post returns."""
     e_hits, w_hits = _rule_hits(tokens, lexicon)
-    hits = Counter(e_hits)
-    hits.update(w_hits)
+    return _add_into(e_hits, w_hits)
+
+
+def _add_into(
+    hits: Counter[EmotionClass], more: Mapping[EmotionClass, int]
+) -> Counter[EmotionClass]:
+    """Adds more's counts into hits, new classes after the old as
+    Counter.update adds them, and returns hits."""
+    for cls, n in more.items():
+        hits[cls] = hits.get(cls, 0) + n
     return hits
+
+
+_kind_surface = attrgetter("kind", "surface")
 
 
 @dataclass(frozen=True)
 class NBModel:
+    """A trained model. Its tables must not change once it scores a post:
+    it caches per-gram likelihoods and the tokens of its vocabulary."""
+
     classes: tuple[EmotionClass, ...]
     doc_counts: Mapping[EmotionClass, int]
     feature_counts: Mapping[EmotionClass, Mapping[Gram, int]]
@@ -100,18 +136,42 @@ class NBModel:
             (count + self.alpha) / (self.feature_mass[cls] + self.alpha * self.vocab_size)
         )
 
+    @cached_property
+    def _log_likelihood_rows(self) -> dict[Gram, tuple[float, ...]]:
+        """A gram's log_likelihood per class, in class order, computed once."""
+        return _Memo(lambda gram: tuple([self.log_likelihood(gram, cls) for cls in self.classes]))
+
+    @cached_property
+    def _gram_tokens(self) -> frozenset[tuple[TokenKind, str]]:
+        """The (kind, surface) of every element of every vocabulary gram: a
+        post holding none of them holds no vocabulary gram. For a trained
+        model these are its vocabulary unigrams."""
+        kinds = {kind.name: kind for kind in TokenKind}
+        return frozenset(
+            (kinds[name], surface)
+            for gram in self.vocabulary
+            for name, surface in gram
+            if name in kinds
+        )
+
+    def _may_score(self, tokens: Sequence[Token]) -> bool:
+        """False only when no gram of the post can be in the vocabulary."""
+        return not self._gram_tokens.isdisjoint(map(_kind_surface, tokens))
+
     def features_of(self, tokens: Sequence[Token]) -> Counter[Gram]:
         return ngrams_of_orders(tokens, self.n_max)
 
     def log_posteriors(self, features: Mapping[Gram, int]) -> dict[EmotionClass, float]:
         """Unnormalized log posterior per class; out-of-vocabulary grams are
         skipped."""
-        scores = {cls: math.log(self.doc_counts[cls]) for cls in self.classes}
+        classes, vocabulary = self.classes, self.vocabulary
+        rows = self._log_likelihood_rows
+        scores = {cls: math.log(self.doc_counts[cls]) for cls in classes}
         for gram, count in features.items():
-            if gram not in self.vocabulary:
+            if gram not in vocabulary:
                 continue
-            for cls in self.classes:
-                scores[cls] += count * self.log_likelihood(gram, cls)
+            for cls, log_likelihood in zip(classes, rows[gram]):
+                scores[cls] += count * log_likelihood
         return scores
 
     def to_dict(self) -> dict:
@@ -155,23 +215,35 @@ def train_nb(
         raise ValueError("bad-n")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    # Each distinct (kind, surface) gets an int id, in order of first sight;
+    # a document is the list of its content tokens' ids.
+    ids: dict[tuple[TokenKind, str], int] = {}
+    emoticon = TokenKind.EMOTICON
     doc_counts: Counter[EmotionClass] = Counter()
-    features: dict[EmotionClass, Counter[Gram]] = {}
+    class_docs: dict[EmotionClass, list[list[int]]] = {}
     for tokens, cls in docs:
         if cls is EmotionClass.NEUTRAL:
             raise ValueError("neutral is not a trainable class")
-        content = [t for t in tokens if t.kind is not TokenKind.EMOTICON]
         doc_counts[cls] += 1
-        bag = features.get(cls)
-        if bag is None:  # a class's first document
-            bag = features[cls] = Counter()
-        bag.update(iter_grams(content, n_max))
+        content = [
+            ids.setdefault(_kind_surface(t), len(ids)) for t in tokens if t.kind is not emoticon
+        ]
+        class_docs.setdefault(cls, []).append(content)
     survivors = tuple(
         cls for cls in LEXICON_CLASSES if doc_counts.get(cls, 0) >= min_train_docs
     )
     if len(survivors) < 2:
         raise UntrainableError("untrainable")
-    feature_counts = {cls: dict(features.get(cls, {})) for cls in survivors}
+    # A class's grams are counted as id tuples, document by document and
+    # each in feature-bag order, so its table has the keys in the order
+    # that counting each document's feature bag gives; each distinct id
+    # gram then becomes its Gram once.
+    elements = [(kind.name, surface) for kind, surface in ids]
+    gram_of = _Memo(lambda key: tuple([elements[i] for i in key]))
+    feature_counts = {}
+    for cls in survivors:
+        counts = Counter(interned_grams(class_docs.get(cls, []), n_max))
+        feature_counts[cls] = dict(zip(map(gram_of.__getitem__, counts), counts.values()))
     return NBModel(
         classes=survivors,
         doc_counts={cls: doc_counts[cls] for cls in survivors},
@@ -204,16 +276,16 @@ def classify_post(
     Neutral. Both rule counts come first: the label carries all the hits."""
     e_hits, w_hits = _rule_hits(tokens, lexicon)
     if e_hits:
-        scores = {c: float(n) for c, n in e_hits.items()}
-        hits = Counter(e_hits)
-        hits.update(w_hits)
-        return PostLabel(frozenset(e_hits), METHOD_EMOTICON, scores, hits)
+        labels, scores = frozenset(e_hits), {c: float(n) for c, n in e_hits.items()}
+        # the word hits join e_hits only once labels and scores are taken
+        return _new_label(PostLabel, (labels, METHOD_EMOTICON, scores, _add_into(e_hits, w_hits)))
     if w_hits:
         best = max(w_hits.values())
         winners = frozenset(cls for cls, n in w_hits.items() if n == best)
         scores = {c: float(n) for c, n in w_hits.items()}
-        return PostLabel(winners, METHOD_LEXICON, scores, Counter(w_hits))
-    if model is not None:
+        return _new_label(PostLabel, (winners, METHOD_LEXICON, scores, w_hits))
+    # no hits: e_hits is the label's empty Counter
+    if model is not None and model._may_score(tokens):
         features = model.features_of(tokens)
         if any(gram in model.vocabulary for gram in features):
             logs = model.log_posteriors(features)
@@ -221,9 +293,9 @@ def classify_post(
             top = max(logs.values())
             winners = [cls for cls in model.classes if logs[cls] == top]
             if len(winners) == 1:
-                return PostLabel(frozenset(winners), METHOD_MODEL, posterior)
-            return PostLabel(frozenset({EmotionClass.NEUTRAL}), METHOD_NEUTRAL, posterior)
-    return PostLabel(frozenset({EmotionClass.NEUTRAL}), METHOD_NEUTRAL, {})
+                return _new_label(PostLabel, (frozenset(winners), METHOD_MODEL, posterior, e_hits))
+            return _new_label(PostLabel, (_NEUTRAL, METHOD_NEUTRAL, posterior, e_hits))
+    return _new_label(PostLabel, (_NEUTRAL, METHOD_NEUTRAL, {}, e_hits))
 
 
 def expand_lexicon(

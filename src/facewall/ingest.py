@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
@@ -31,7 +31,7 @@ class RecordRejected(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RawPost:
     """One validated post.
 
@@ -44,14 +44,26 @@ class RawPost:
     timestamp: datetime
     text: str
     source: str | None = None
-    _stamp_text: InitVar[str | None] = None
+    # the timestamp's canonical text, and the dedupe key once built
+    _stamp: str = field(default="", init=False, repr=False, compare=False)
+    _key: tuple[str, str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
-    _key = None  # the dedupe key, built on the first dedupe_key() call
-
-    def __post_init__(self, _stamp_text: str | None) -> None:
-        if _stamp_text is None:
-            _stamp_text = format_rfc3339(self.timestamp)
-        object.__setattr__(self, "_stamp", _stamp_text)
+    def __init__(
+        self,
+        user_id: str,
+        timestamp: datetime,
+        text: str,
+        source: str | None = None,
+        _stamp_text: str | None = None,
+    ) -> None:
+        # Each slot is set through its descriptor, in about half the time
+        # of the generated frozen __init__'s object.__setattr__ calls.
+        _set_user_id(self, user_id)
+        _set_timestamp(self, timestamp)
+        _set_text(self, text)
+        _set_source(self, source)
+        _set_stamp(self, format_rfc3339(timestamp) if _stamp_text is None else _stamp_text)
+        _set_key(self, None)
 
     def dedupe_key(self) -> tuple[str, str, str]:
         # Built once, when asked: ingest dedupes a post in the batch and
@@ -60,7 +72,7 @@ class RawPost:
         if key is None:
             digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
             key = (self.user_id, self._stamp, digest)
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return key
 
     def to_record(self) -> dict:
@@ -79,6 +91,11 @@ class RawPost:
             + ', "timestamp": ' + _json_string(self._stamp)
             + ', "user_id": ' + _json_string(self.user_id) + "}\n"
         )
+
+
+_set_user_id, _set_timestamp, _set_text, _set_source, _set_stamp, _set_key = (
+    RawPost.__dict__[f.name].__set__ for f in fields(RawPost)
+)
 
 
 @dataclass

@@ -54,12 +54,12 @@ def iter_grams(tokens: Iterable[Token], n_max: int) -> Iterator[Gram]:
 
 def interned_grams(posts: Sequence[Sequence[int]], n_max: int) -> Iterator[tuple[int, ...]]:
     """The grams of orders 1..n_max of each post given as token ids (see
-    lexer.TokenInterner), a gram the tuple of its tokens' ids; in no
-    particular order, which a profile's export does not need."""
+    lexer.TokenInterner), a gram the tuple of its tokens' ids: post by
+    post, each post's in feature-bag order."""
     shifted = [posts] + [list(map(itemgetter(slice(k, None)), posts)) for k in range(1, n_max)]
-    return chain.from_iterable(
-        chain.from_iterable(map(zip, *shifted[:n])) for n in range(1, n_max + 1)
-    )
+    # per post, one window iterator of each order
+    per_post = zip(*[map(zip, *shifted[:n]) for n in range(1, n_max + 1)])
+    return chain.from_iterable(chain.from_iterable(per_post))
 
 
 def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
-from .lexer import TokenInterner
+from .lexer import TokenInterner, TokenKind
 # The per-token steps that TokenInterner takes at once; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
@@ -90,6 +90,8 @@ class AnalyzeSummary:
 # One classified post of a scope: its labels and its lexicon occurrences as
 # counts in LEXICON_CLASSES order.
 _Record = tuple[frozenset[EmotionClass], tuple[int, ...]]
+# the occurrence row of a post without lexicon hits
+_NO_HITS = (0,) * len(LEXICON_CLASSES)
 
 
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
@@ -113,10 +115,15 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         return AnalyzeSummary(users=0, posts=0, model_trained=False, config_hash=config_hash)
 
     tokens_of = interner.tokens_of
-    every_post = (ids for posts in by_user.values() for _, ids in posts)
+    # Only a post that holds an emoticon can be a training document.
+    emoticon = TokenKind.EMOTICON
+    emoticons = frozenset(i for i, token in enumerate(interner.tokens) if token.kind is emoticon)
+    with_emoticon = (
+        ids for posts in by_user.values() for _, ids in posts if not emoticons.isdisjoint(ids)
+    )
     pairs = (
         (tokens, classifier.emoticon_label(tokens, lexicon))
-        for tokens in map(tokens_of, every_post)
+        for tokens in map(tokens_of, with_emoticon)
     )
     model: NBModel | None
     try:
@@ -143,7 +150,9 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         records: list[tuple[datetime, _Record]] = []
         for stamp, ids in by_user.pop(user_id):
             label = classifier.classify_post(tokens_of(ids), lexicon, model)
-            record = (label.labels, tuple([label.hits.get(cls, 0) for cls in LEXICON_CLASSES]))
+            hits = label.hits
+            row = tuple([hits.get(cls, 0) for cls in LEXICON_CLASSES]) if hits else _NO_HITS
+            record = (label.labels, row)
             records.append((stamp, shared.setdefault(record, record)))
         buckets, groups = bucketize(records, config.granularity)
         _write_scope(

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from facewall.classifier import (
+    NBModel,
+    PostLabel,
     UntrainableError,
     classify_post,
     emoticon_label,
@@ -197,6 +200,43 @@ def test_out_of_vocabulary_post_gets_prior_posterior_and_neutral_label():
     label = classify_post([word("zebra")], LEX, model)
     assert label.labels == {NEUTRAL}
     assert label.method == "neutral"
+
+
+def test_a_vocabulary_bigram_without_its_unigrams_still_scores_the_post():
+    # No token of "great day" is a vocabulary unigram, yet its bigram is in
+    # the vocabulary, so the model must see it: a pre-test on the
+    # vocabulary's unigrams alone would leave the post unscored.
+    bigram = (("WORD", "great"), ("WORD", "day"))
+    other = (("WORD", "bad"),)
+    model = NBModel(
+        classes=(HAPPY, SAD),
+        doc_counts={HAPPY: 1, SAD: 1},
+        feature_counts={HAPPY: {bigram: 1}, SAD: {other: 1}},
+        feature_mass={HAPPY: 1, SAD: 1},
+        vocabulary=frozenset({bigram, other}),
+        n_max=2,
+    )
+    post = words("great", "day")
+    label = classify_post(post, LEX, model)
+    assert (label.labels, label.method) == ({HAPPY}, "model")
+    assert dict(label.scores) == nb_predict(model, post)
+    assert label.scores[HAPPY] == pytest.approx(2 / 3, abs=1e-12)
+    # a post with no vocabulary gram at all stays unscored
+    assert classify_post(words("great"), LEX, model).scores == {}
+
+
+def test_post_label_is_an_immutable_value():
+    label = PostLabel(frozenset({HAPPY}), "lexicon", {HAPPY: 1.0}, Counter({HAPPY: 1}))
+    twin = PostLabel(
+        labels=frozenset({HAPPY}), method="lexicon", scores={HAPPY: 1.0}, hits=Counter({HAPPY: 1})
+    )
+    assert label == twin and label != label._replace(method="emoticon")
+    # a named tuple: it also equals the plain tuple of its four fields
+    assert label == (frozenset({HAPPY}), "lexicon", {HAPPY: 1.0}, Counter({HAPPY: 1}))
+    with pytest.raises(AttributeError):
+        label.method = "model"
+    bare = PostLabel(frozenset({NEUTRAL}), "neutral")
+    assert bare.scores == {} and type(bare.hits) is Counter and not bare.hits
 
 
 def test_untrainable_cases():

@@ -1,12 +1,16 @@
+import copy
 import csv
+import hashlib
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
-from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus, parse_post_record
+from facewall.ingest import REQUIRED_FIELDS, RawPost, RecordRejected, load_corpus, parse_post_record
 from facewall.rfc3339 import format_rfc3339, parse_rfc3339
 from helpers import post_record, write_jsonl
 
@@ -19,6 +23,20 @@ def test_parse_jsonl_record():
     assert post.timestamp == datetime(2015, 3, 2, 10, tzinfo=timezone.utc)
     assert post.text == "happy :-)"
     assert post.source is None
+
+
+def test_raw_post_is_an_immutable_value():
+    stamp = datetime(2015, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+    post = RawPost("u1", stamp, "hi", "wall")
+    twin = RawPost(user_id="u1", timestamp=stamp, text="hi", source="wall")
+    assert post == twin and hash(post) == hash(twin) and post != RawPost("u1", stamp, "hi")
+    with pytest.raises(FrozenInstanceError):
+        post.text = "bye"
+    assert [f.name for f in fields(RawPost) if f.init] == ["user_id", "timestamp", "text", "source"]
+    digest = hashlib.sha256(b"bye").hexdigest()
+    assert replace(post, text="bye").dedupe_key() == ("u1", "2015-01-02T03:04:05Z", digest)
+    for clone in (copy.copy(post), pickle.loads(pickle.dumps(post))):
+        assert clone == post and clone.to_line() == post.to_line()
 
 
 def test_bad_timestamp_rejected():

@@ -1,7 +1,8 @@
 """The flat analyze kernels against the straightforward code they replaced,
 kept here as references: the scanner with an explicit whitespace branch,
 the frozen-dataclass token, per-post feature bags merged into the profile
-and the class tables, Counter-based rule hits, per-item gram rendering in
+and the class tables, Counter-based rule hits, the model stage on each
+post's whole feature bag, per-item gram rendering in
 model.json and in ngrams.csv, the whole of analyze built from the
 per-token API, and ingest with each record parsed, keyed and written on its
 own."""
@@ -12,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import unicodedata
@@ -24,6 +26,9 @@ from hypothesis import example, given, strategies as st
 from facewall.classifier import (
     METHOD_EMOTICON,
     METHOD_LEXICON,
+    METHOD_MODEL,
+    METHOD_NEUTRAL,
+    PostLabel,
     UntrainableError,
     classify_post,
     emoticon_label,
@@ -225,7 +230,7 @@ def test_train_nb_tables_match_the_per_document_bags():
 # -- the cascade's rule hits ----------------------------------------------------------
 
 
-def reference_rule_label(tokens):
+def reference_rule_label(tokens, lexicon=LEX):
     """The emoticon and keyword stages as Counters, as before the one-pass count."""
     def hits(kind, lookup):
         counted = Counter()
@@ -234,8 +239,8 @@ def reference_rule_label(tokens):
                 counted[lookup[token.surface]] += 1
         return counted
 
-    e_hits = hits(TokenKind.EMOTICON, LEX.emoticon_to_class)
-    w_hits = hits(TokenKind.WORD, LEX.word_to_class)
+    e_hits = hits(TokenKind.EMOTICON, lexicon.emoticon_to_class)
+    w_hits = hits(TokenKind.WORD, lexicon.word_to_class)
     if e_hits:
         scores = {c: float(n) for c, n in e_hits.items()}
         return frozenset(e_hits), METHOD_EMOTICON, scores, e_hits + w_hits
@@ -260,6 +265,83 @@ def test_rule_stages_match_the_counter_cascade():
         assert list(label.scores) == list(scores)
         assert isinstance(label.hits, Counter)
         assert label.hits == hits and list(label.hits) == list(hits)
+
+
+def reference_classify(tokens, lexicon, model) -> PostLabel:
+    """The cascade with the model stage on the post's whole feature bag and
+    each likelihood computed where it is added, as before the unigram
+    pre-test and the cached likelihood rows."""
+    rules = reference_rule_label(tokens, lexicon)
+    if rules is not None:
+        return PostLabel(*rules)
+    neutral = frozenset({EmotionClass.NEUTRAL})
+    bag = reference_bag(tokens, model.n_max) if model is not None else {}
+    if not any(gram in model.vocabulary for gram in bag):
+        return PostLabel(neutral, METHOD_NEUTRAL, {}, Counter())
+    logs = {cls: math.log(model.doc_counts[cls]) for cls in model.classes}
+    for gram, count in bag.items():
+        if gram in model.vocabulary:
+            for cls in model.classes:
+                logs[cls] += count * model.log_likelihood(gram, cls)
+    top = max(logs.values())
+    weights = {cls: math.exp(score - top) for cls, score in logs.items()}
+    total = sum(weights.values())
+    posterior = {cls: weights[cls] / total for cls in model.classes}
+    winners = frozenset(cls for cls in model.classes if logs[cls] == top)
+    if len(winners) == 1:
+        return PostLabel(winners, METHOD_MODEL, posterior, Counter())
+    return PostLabel(neutral, METHOD_NEUTRAL, posterior, Counter())
+
+
+def assert_same_label(got: PostLabel, want: PostLabel) -> None:
+    assert got == want
+    assert list(got.scores) == list(want.scores)
+    assert isinstance(got.hits, Counter) and list(got.hits) == list(want.hits)
+
+
+# emoticons and words of the default lexicon's classes (";-)" is in none),
+# and words and numbers outside it
+CASCADE_TOKENS = (
+    [(TokenKind.EMOTICON, e) for e in (":-)", ":(", "<3", ";-)")]
+    + [(TokenKind.WORD, w) for w in ("happy", "sad", "love", "sigh")]
+    + [(TokenKind.WORD, w) for w in ("sun", "rain", "day", "weather", "é", "3")]
+    + [(TokenKind.NUMBER, n) for n in ("3", "42")]
+)
+
+
+def as_tokens(picks) -> list[Token]:
+    """(kind, surface) pairs as tokens at spaced positions."""
+    return [
+        Token(kind, surface, at * 16, at * 16 + len(surface))
+        for at, (kind, surface) in enumerate(picks)
+    ]
+
+
+posts_of = st.lists(st.sampled_from(CASCADE_TOKENS), max_size=8).map(as_tokens)
+
+
+trainable_classes = st.sampled_from([EmotionClass.HAPPY, EmotionClass.SAD, EmotionClass.LOVE])
+
+
+@given(
+    st.lists(st.tuples(posts_of, trainable_classes), max_size=12),
+    st.lists(posts_of, min_size=1, max_size=6),
+    st.integers(1, 4),
+)
+# an exact tie, which is Neutral with a posterior, and a post out of vocabulary
+@example(
+    [(as_tokens([(TokenKind.WORD, "sun"), (TokenKind.WORD, "day")]), EmotionClass.HAPPY),
+     (as_tokens([(TokenKind.WORD, "rain"), (TokenKind.WORD, "day")]), EmotionClass.SAD)],
+    [as_tokens([(TokenKind.WORD, "day")]), as_tokens([(TokenKind.WORD, "weather")])],
+    2,
+)
+def test_classify_post_is_the_full_bag_cascade(docs, posts, n_max):
+    try:
+        model = train_nb(docs, n_max=n_max, min_train_docs=1)
+    except UntrainableError:
+        model = None
+    for tokens in posts:
+        assert_same_label(classify_post(tokens, LEX, model), reference_classify(tokens, LEX, model))
 
 
 # -- ngrams.csv rows -------------------------------------------------------------------
@@ -354,9 +436,10 @@ def reference_scope(out, scope_label, records, profile, granularity) -> None:
     write_ngram_csv(out / "ngrams.csv", profile)
 
 
-def reference_analyze(store, lexicon, granularity, n_max, out) -> None:
+def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     """The derived files, post by post through tokenize, prune, the
-    cascade and accumulate, every scope bucketed from its own posts."""
+    full-bag cascade and accumulate, every scope bucketed from its own
+    posts. Returns how many posts took each cascade route."""
     table = lexicon.emoticon_table()
     by_user: dict = {}
     for post in store.iter_posts():
@@ -369,11 +452,14 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> None:
         model = None
     everyone = NGramProfile("all")
     every_record = []
+    routes = Counter()
     for user in sorted(by_user):
         profile = NGramProfile(user)
         records = []
         for stamp, tokens in by_user[user]:
-            records.append((stamp, classify_post(tokens, lexicon, model)))
+            label = reference_classify(tokens, lexicon, model)
+            routes[cascade_route(label, tokens)] += 1
+            records.append((stamp, label))
             accumulate(profile, tokens, n_max)
             accumulate(everyone, tokens, n_max)
         reference_scope(out / user_scope(user), user, records, profile, granularity)
@@ -382,6 +468,32 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> None:
     if model is not None:
         (out / MODEL_SCOPE).mkdir()
         (out / MODEL_SCOPE / "model.json").write_text(model.to_json(), encoding="utf-8")
+    return routes
+
+
+def cascade_route(label: PostLabel, tokens) -> str:
+    """The method, with the two ways to Neutral in the model stage told apart."""
+    if label.method != METHOD_NEUTRAL:
+        return label.method
+    if label.scores:
+        return "tie"
+    return "out-of-vocabulary" if tokens else "no-tokens"
+
+
+def tie_records() -> list[dict]:
+    """Two equal classes that share a word: alone, "day" is an exact tie,
+    and so are "sun rain" and "rain sun"; "zebra" and "42" were never seen
+    in training."""
+    texts = ["sun day :-)"] * 5 + ["rain day :("] * 5 + [
+        "day", "Day!", "sun rain", "rain sun", "zebra", "zebra 42 @bob", "sun", "rain day",
+        "happy day", "", "@bob http://x.y",
+    ]
+    start = datetime(2015, 1, 3, tzinfo=timezone.utc)
+    return [
+        post_record(["u1", "u2"][i % 2], (start + timedelta(days=37 * i)).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"), text)
+        for i, text in enumerate(texts)
+    ]
 
 
 def derived_files(root, config_hash=None) -> dict[str, bytes]:
@@ -401,11 +513,15 @@ def derived_files(root, config_hash=None) -> dict[str, bytes]:
         ("adversarial", "week", 1, True),
         ("adversarial", "quarter", 4, True),
         ("one-class", "month", 3, False),
+        ("ties", "month", 3, True),
+        ("ties", "week", 1, True),
     ],
 )
 def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, n_max, trained):
     if corpus == "adversarial":
         records = adversarial_records(77, ORACLE_PIECES, ORACLE_ONLY)
+    elif corpus == "ties":
+        records = tie_records()
     else:
         # every emoticon asserts happy: one trainable class
         emoticons = ORACLE_LEXICON.emoticon_to_class
@@ -418,7 +534,10 @@ def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, 
     summary = analyze_store(store, ORACLE_LEXICON, config)
     assert summary.model_trained is trained
 
-    reference_analyze(store, ORACLE_LEXICON, granularity, n_max, tmp_path / "reference")
+    routes = reference_analyze(store, ORACLE_LEXICON, granularity, n_max, tmp_path / "reference")
+    if corpus == "ties":
+        assert routes["tie"] == 4 and routes["out-of-vocabulary"] == 2
+        assert routes[METHOD_MODEL] == 2 and routes["no-tokens"] == 2
     got = derived_files(store.derived_root, config.config_hash)
     del got["@meta/analysis.json"]
     want = derived_files(tmp_path / "reference")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from facewall.lexicon import ALL_CLASSES, EmotionClass
+from facewall.lexicon import ALL_CLASSES, LEXICON_CLASSES, EmotionClass
 from facewall.timeline import (
     SERIES_CLASS_KEYS,
     VOLUME,
@@ -29,6 +29,7 @@ from facewall.timeline import (
     read_series_csv,
     report_to_dict,
     shift_flags,
+    write_occurrence_csv,
     write_series_csv,
     zscore_flags,
 )
@@ -620,3 +621,40 @@ def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, series_list, 
     except ValueError:
         return
     assert isinstance(table, SeriesTable)
+
+
+@st.composite
+def occurrence_tables(draw):
+    """One scope's buckets and per-bucket lexicon occurrences, as analyze writes them."""
+    length = draw(st.integers(0, 12))
+    year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
+    buckets = month_buckets(length, year=year, month=month)
+    counts = st.integers(0, 10**12)
+    return buckets, [{cls: draw(counts) for cls in LEXICON_CLASSES} for _ in buckets]
+
+
+@reuses_tmp_path
+@given(occurrence_tables(), st.data())
+def test_damaged_occurrence_csv_parses_or_raises_value_error(tmp_path, table, data):
+    buckets, occurrences = table
+    path = tmp_path / "occurrences.csv"
+    write_occurrence_csv(path, buckets, occurrences)
+    assert read_occurrence_csv(path) == (
+        [bucket.key for bucket in buckets],
+        {cls.value: [row.get(cls, 0) for row in occurrences] for cls in ALL_CLASSES},
+    )
+    body = path.read_bytes()
+    at = data.draw(st.integers(0, len(body)))
+    if data.draw(st.booleans()) or at == len(body):
+        damaged = body[:at]
+    else:
+        damaged = body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
+    path.write_bytes(damaged)
+    try:
+        starts, counts = read_occurrence_csv(path)
+    except ValueError:
+        return
+    assert list(counts) == [cls.value for cls in ALL_CLASSES]
+    for column in counts.values():
+        assert len(column) == len(starts)
+        assert all(type(count) is int and count >= 0 for count in column)
