@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .timeline import BucketSeries
 
+DEFAULT_WIDTH = 960
+DEFAULT_HEIGHT = 320
+
 MARGIN_LEFT = 56.0
 MARGIN_RIGHT = 16.0
 MARGIN_TOP = 34.0
@@ -32,8 +35,8 @@ def _fmt(value: float) -> str:
 def render_series_chart(
     series: BucketSeries,
     title: str,
-    width: int = 960,
-    height: int = 320,
+    width: int = DEFAULT_WIDTH,
+    height: int = DEFAULT_HEIGHT,
     measure: str = "posts",
 ) -> str:
     plot_w = width - MARGIN_LEFT - MARGIN_RIGHT

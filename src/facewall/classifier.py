@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexer import Token, TokenKind, _Memo
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .ngrams import Gram, interned_grams, ngrams_of_orders, render_gram
+from .ngrams import DEFAULT_MAX_N, Gram, interned_grams, ngrams_of_orders, render_gram
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
@@ -124,7 +124,7 @@ class NBModel:
     feature_mass: Mapping[EmotionClass, int]
     vocabulary: frozenset[Gram]
     alpha: float = DEFAULT_ALPHA
-    n_max: int = 3
+    n_max: int = DEFAULT_MAX_N
 
     @property
     def vocab_size(self) -> int:
@@ -200,7 +200,7 @@ class NBModel:
 
 def train_nb(
     docs: Iterable[tuple[Sequence[Token], EmotionClass]],
-    n_max: int = 3,
+    n_max: int = DEFAULT_MAX_N,
     alpha: float = DEFAULT_ALPHA,
     min_train_docs: int = DEFAULT_MIN_TRAIN_DOCS,
 ) -> NBModel:
@@ -215,6 +215,8 @@ def train_nb(
         raise ValueError("bad-n")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if min_train_docs < 1:
+        raise ValueError("min_train_docs must be at least 1")
     # Each distinct (kind, surface) gets an int id, in order of first sight;
     # a document is the list of its content tokens' ids.
     ids: dict[tuple[TokenKind, str], int] = {}

@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .charts import render_series_chart
+from .charts import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_series_chart
 from .ingest import FORMATS, load_corpus
-from .lexicon import EmotionLexicon, LexiconError, default_lexicon, load_lexicon
+from .lexicon import LEXICON_CLASSES, EmotionLexicon, LexiconError, default_lexicon, load_lexicon
 from .pipeline import (
     AnalysisConfig,
     NGRAMS_CSV,
@@ -38,7 +38,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_STORE = 3
 
-CHART_CLASSES = ("happy", "sad", "love", "disappointment", VOLUME)
+CHART_CLASSES = tuple(cls.value for cls in LEXICON_CLASSES) + (VOLUME,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,10 +62,10 @@ def _size(text: str) -> tuple[int, int]:
 
 
 def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bucket", choices=GRANULARITIES, default="month",
-                     help="calendar bucket granularity (default month)")
-    sub.add_argument("--ngrams", type=int, default=3, metavar="N",
-                     help="highest n-gram order (default 3)")
+    sub.add_argument("--bucket", choices=GRANULARITIES, default=AnalysisConfig.granularity,
+                     help="calendar bucket granularity (default %(default)s)")
+    sub.add_argument("--ngrams", type=int, default=AnalysisConfig.n_max, metavar="N",
+                     help="highest n-gram order (default %(default)s)")
     sub.add_argument("--lexicon", metavar="FILE", default=None,
                      help="emotion lexicon JSON (default: built-in)")
 
@@ -88,25 +88,25 @@ def build_parser() -> _Parser:
     chart = commands.add_parser("chart", help="render a series as an SVG line chart")
     chart.add_argument("--store", required=True, metavar="DIR")
     chart.add_argument("--class", dest="cls", required=True, metavar="CLASS",
-                       help="happy|sad|love|disappointment|volume")
+                       help="|".join(CHART_CLASSES))
     chart.add_argument("--out", required=True, metavar="FILE.svg")
     scope = chart.add_mutually_exclusive_group(required=True)
     scope.add_argument("--user", metavar="ID")
     scope.add_argument("--all-users", action="store_true")
     chart.add_argument("--measure", default="posts", metavar="MEASURE",
                        help="posts (default) or occurrences")
-    chart.add_argument("--size", type=_size, default=(960, 320), metavar="WxH")
+    chart.add_argument("--size", type=_size, default=(DEFAULT_WIDTH, DEFAULT_HEIGHT), metavar="WxH")
     _add_analysis_flags(chart)
     chart.set_defaults(func=cmd_chart)
 
     detect = commands.add_parser("detect", help="flag anomalous emotion-profile shifts")
     detect.add_argument("--store", required=True, metavar="DIR")
     detect.add_argument("--out", required=True, metavar="FILE.json")
-    detect.add_argument("--window", type=int, default=6)
-    detect.add_argument("--z", type=float, default=2.0)
-    detect.add_argument("--jsd", type=float, default=0.25)
-    detect.add_argument("--min-hits", type=int, default=3)
-    detect.add_argument("--min-total", type=int, default=5)
+    detect.add_argument("--window", type=int, default=DetectorConfig.window)
+    detect.add_argument("--z", type=float, default=DetectorConfig.z_thresh)
+    detect.add_argument("--jsd", type=float, default=DetectorConfig.jsd_thresh)
+    detect.add_argument("--min-hits", type=int, default=DetectorConfig.min_hits)
+    detect.add_argument("--min-total", type=int, default=DetectorConfig.min_total)
     _add_analysis_flags(detect)
     detect.set_defaults(func=cmd_detect)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .lexer import Token, TokenKind
 
@@ -28,34 +28,18 @@ DEFAULT_MAX_N = 3
 
 _KIND_NAME = {kind: kind.name for kind in TokenKind}
 
-
-def _shifted(keys: list, n: int) -> list[list]:
-    """The keys, then copies shifted left by 1..n-1: zipping the first k of
-    them gives the in-order windows of length k."""
-    return [keys[i:] for i in range(n)]
+# A gram element: a token id (see lexer.TokenInterner) or a GramElement.
+E = TypeVar("E")
 
 
 def _token_keys(tokens: Iterable[Token]) -> list[GramElement]:
     return [(_KIND_NAME[t.kind], t.surface) for t in tokens]
 
 
-def _windows(keys: list, n_max: int) -> Iterator[tuple]:
-    """The windows of orders 1..n_max, order by order, each order in window
-    order: counted straight into a Counter, this sequence gives the keys
-    in the same order as the feature bag."""
-    shifted = _shifted(keys, n_max)
-    return chain.from_iterable(zip(*shifted[:n]) for n in range(1, n_max + 1))
-
-
-def iter_grams(tokens: Iterable[Token], n_max: int) -> Iterator[Gram]:
-    """The grams of orders 1..n_max, in feature-bag order."""
-    return _windows(_token_keys(tokens), n_max)
-
-
-def interned_grams(posts: Sequence[Sequence[int]], n_max: int) -> Iterator[tuple[int, ...]]:
-    """The grams of orders 1..n_max of each post given as token ids (see
-    lexer.TokenInterner), a gram the tuple of its tokens' ids: post by
-    post, each post's in feature-bag order."""
+def interned_grams(posts: Sequence[Sequence[E]], n_max: int) -> Iterator[tuple[E, ...]]:
+    """The grams of orders 1..n_max of each post, a gram the tuple of its
+    elements: post by post, each post's in feature-bag order (order by
+    order, each order in window order). The one place grams are formed."""
     shifted = [posts] + [list(map(itemgetter(slice(k, None)), posts)) for k in range(1, n_max)]
     # per post, one window iterator of each order
     per_post = zip(*[map(zip, *shifted[:n]) for n in range(1, n_max + 1)])
@@ -66,7 +50,7 @@ def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
     """All in-order windows of length n as a multiset; empty when len < n."""
     if n < 1:
         raise ValueError("bad-n")
-    return Counter(zip(*_shifted(_token_keys(tokens), n)))
+    return Counter([gram for gram in interned_grams([_token_keys(tokens)], n) if len(gram) == n])
 
 
 @dataclass
@@ -80,7 +64,7 @@ def accumulate(profile: NGramProfile, tokens: Sequence[Token], n_max: int = DEFA
     """Fold one pruned post into the profile (orders 1..n_max)."""
     if n_max < 1:
         raise ValueError("bad-n")
-    profile.counts.update(iter_grams(tokens, n_max))
+    profile.counts.update(interned_grams([_token_keys(tokens)], n_max))
     profile.post_count += 1
     return profile
 
@@ -120,16 +104,18 @@ class _Echo:
 
 
 class GramRanking:
-    """The export order of a set of grams, each rendered once and ranked
-    once by (n, text): a profile over any of them writes its ngrams.csv
-    rows in rank order. Grams that render alike (only when a surface holds
-    GRAM_SEP) share a rank, and their rows go by count, so the rows come
-    out as sorted (n, text, count) rows do."""
+    """The export order of a set of interned grams, the id grams of these
+    canonical tokens, each rendered once and ranked once by (n, text): a
+    profile over any of them writes its ngrams.csv rows in rank order.
+    Grams that render alike (only when a surface holds GRAM_SEP) share a
+    rank, and their rows go by count, so the rows come out as sorted
+    (n, text, count) rows do."""
 
-    def __init__(self, grams: Iterable, render: Callable[[Any], str]) -> None:
-        heads = {gram: (len(gram), render(gram)) for gram in grams}
+    def __init__(self, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> None:
+        elements = [render_gram((key,)) for key in _token_keys(tokens)]
+        heads = {gram: (len(gram), GRAM_SEP.join([elements[i] for i in gram])) for gram in grams}
         ranked: list[tuple[int, str]] = []
-        self._rank: dict = {}
+        self._rank: dict[tuple[int, ...], int] = {}
         for gram in sorted(heads, key=heads.__getitem__):
             head = heads[gram]
             if not ranked or ranked[-1] != head:
@@ -139,13 +125,7 @@ class GramRanking:
         writer = csv.writer(_Echo())
         self._csv_heads = [writer.writerow(head + ("",))[: -len(_EOL)] for head in ranked]
 
-    @classmethod
-    def of_tokens(cls, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> "GramRanking":
-        """Ranking of interned grams, the id grams of these canonical tokens."""
-        elements = [render_gram((key,)) for key in _token_keys(tokens)]
-        return cls(grams, lambda gram: GRAM_SEP.join([elements[i] for i in gram]))
-
-    def csv_rows(self, counts: Mapping) -> str:
+    def csv_rows(self, counts: Mapping[tuple[int, ...], int]) -> str:
         """The (n, rendered gram, count) rows of counts over ranked grams,
         sorted, as the CSV text csv.writer gives."""
         heads = self._csv_heads
@@ -153,13 +133,9 @@ class GramRanking:
         return "".join([f"{heads[rank]}{count}{_EOL}" for rank, count in ranked])
 
 
-def write_ngram_csv(
-    path: str | Path, profile: NGramProfile, ranking: GramRanking | None = None
-) -> None:
-    """Write the profile's rows in export order. A profile of interned
-    grams needs the ranking of its grams; Gram keys are ranked here."""
-    if ranking is None:
-        ranking = GramRanking(profile.counts, render_gram)
+def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRanking) -> None:
+    """Write the rows of a profile of interned grams in export order; the
+    ranking must rank all of its grams."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(["n", "gram", "count"])
         handle.write(ranking.csv_rows(profile.counts))
@@ -180,4 +156,4 @@ def read_ngram_csv(path: str | Path) -> NGramProfile:
 
 def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:
     """Union multiset over orders 1..n_max (the classifier's feature bag)."""
-    return Counter(iter_grams(tokens, n_max))
+    return Counter(interned_grams([_token_keys(tokens)], n_max))

@@ -58,7 +58,7 @@ CONFIG_SCHEMA = 1
 @dataclass(frozen=True)
 class AnalysisConfig:
     granularity: str = "month"
-    n_max: int = 3
+    n_max: int = ngrams.DEFAULT_MAX_N
     lexicon_digest: str = ""
 
     def semantic_fields(self) -> dict:
@@ -140,7 +140,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         profile.counts.update(ngrams.interned_grams(posts, config.n_max))
         everyone.counts.update(profile.counts)
         everyone.post_count += profile.post_count
-    ranking = ngrams.GramRanking.of_tokens(everyone.counts, interner.tokens)
+    ranking = ngrams.GramRanking(everyone.counts, interner.tokens)
 
     # (bucket start, the user's records in that bucket) over all users
     user_buckets: list[tuple[datetime, list[_Record]]] = []

@@ -198,9 +198,9 @@ def _sqrt_of_frac(n: int, m: int) -> float:
 
 def zscore_flags(
     series: BucketSeries,
-    window: int = 6,
-    z_thresh: float = 2.0,
-    min_hits: int = 3,
+    window: int = DetectorConfig.window,
+    z_thresh: float = DetectorConfig.z_thresh,
+    min_hits: int = DetectorConfig.min_hits,
 ) -> list[Flag]:
     """Flag buckets whose count departs from the trailing-window baseline.
 
@@ -227,21 +227,11 @@ def zscore_flags(
         mu = sx / window
         if spread:
             z = (count - mu) / _sqrt_of_frac(spread, dof)
-            if z >= z_thresh:
-                flags.append(
-                    Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh)
-                )
-        elif count > mu:
-            flags.append(
-                Flag(
-                    t,
-                    series.buckets[t].start,
-                    "zscore",
-                    series.class_key,
-                    math.inf,
-                    z_thresh,
-                )
-            )
+            flagged = z >= z_thresh
+        else:
+            z, flagged = math.inf, count > mu
+        if flagged:
+            flags.append(Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh))
     return flags
 
 
@@ -287,9 +277,9 @@ def shift_flags(
     class_counts: Mapping[str, Sequence[int]],
     totals: Sequence[int],
     buckets: Sequence[TimeBucket],
-    window: int = 6,
-    jsd_thresh: float = 0.25,
-    min_total: int = 5,
+    window: int = DetectorConfig.window,
+    jsd_thresh: float = DetectorConfig.jsd_thresh,
+    min_total: int = DetectorConfig.min_total,
 ) -> list[Flag]:
     """Flag buckets whose class mix diverges from the pooled trailing mix.
 

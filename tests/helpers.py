@@ -1,13 +1,16 @@
-"""Shared test builders: token lists without running the lexer, JSONL corpus
-files, and an independent brute-force naive-Bayes oracle."""
+"""Shared test builders: token lists without running the lexer, interned
+n-gram profiles, JSONL corpus files, and an independent brute-force
+naive-Bayes oracle."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from facewall.lexer import Token, TokenKind
+from facewall.ngrams import GramRanking, NGramProfile
 
 
 def word(surface: str, at: int = 0) -> Token:
@@ -25,6 +28,18 @@ def words(*surfaces: str) -> list[Token]:
 
 def emoticon(surface: str, at: int = 0) -> Token:
     return Token(TokenKind.EMOTICON, surface, at, at + len(surface))
+
+
+def interned_profile(profile: NGramProfile) -> tuple[NGramProfile, GramRanking]:
+    """The profile with each gram element an id of a canonical token, as
+    analyze counts it, and the ranking that writes its ngrams.csv."""
+    ids: dict[tuple[str, str], int] = {}
+    counts: Counter = Counter()
+    for gram, count in profile.counts.items():
+        counts[tuple([ids.setdefault(element, len(ids)) for element in gram])] = count
+    tokens = [Token(TokenKind[kind], surface, 0, len(surface)) for kind, surface in ids]
+    interned = NGramProfile(profile.owner, counts, profile.post_count)
+    return interned, GramRanking(counts, tokens)
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

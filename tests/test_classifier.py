@@ -251,6 +251,18 @@ def test_untrainable_cases():
     assert train_nb(docs, min_train_docs=4) is not None
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"n_max": 0}, {"alpha": 0.0}, {"alpha": -1.0}, {"min_train_docs": 0}, {"min_train_docs": -3}],
+)
+def test_train_nb_rejects_parameters_it_cannot_train_with(bad):
+    # A class kept with no documents would make log_posteriors take log(0).
+    docs = [(words("x"), HAPPY), (words("y"), SAD)]
+    with pytest.raises(ValueError) as raised:
+        train_nb(docs, **bad)
+    assert type(raised.value) is ValueError
+
+
 def test_training_pairs_excludes_multi_class_posts():
     labeled = [
         (words("a"), {HAPPY}),

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from facewall.cli import main
+from facewall.cli import build_parser, main
+from facewall.pipeline import AnalysisConfig
+from facewall.timeline import DetectorConfig
 from helpers import post_record, write_jsonl
 
 
@@ -21,6 +23,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["chart", "--class", "happy", "--out", "c.svg", "--all-users"],
+        ["detect", "--out", "r.json"],
+        ["export", "--what", "series", "--out", "s.csv"],
+    ],
+)
+def test_parser_defaults_are_the_config_defaults(argv):
+    args = build_parser().parse_args([*argv, "--store", "s"])
+    assert AnalysisConfig(granularity=args.bucket, n_max=args.ngrams) == AnalysisConfig()
+    if argv[0] == "detect":
+        detector = DetectorConfig(
+            window=args.window,
+            z_thresh=args.z,
+            jsd_thresh=args.jsd,
+            min_hits=args.min_hits,
+            min_total=args.min_total,
+        )
+        assert detector == DetectorConfig()
 
 
 def test_missing_store_is_usage_error(capsys, tmp_path):

@@ -56,7 +56,7 @@ from facewall.timeline import (
     write_occurrence_csv,
     write_series_csv,
 )
-from helpers import emoticon, post_record, word, write_jsonl
+from helpers import emoticon, interned_profile, post_record, word, write_jsonl
 
 LEX = default_lexicon()
 TABLE = LEX.emoticon_table()
@@ -379,7 +379,7 @@ def test_ngram_csv_is_the_sorted_rendered_rows(tmp_path):
         profile.counts[right] += rng.randrange(1, 4)
         for quoted in QUOTED_GRAMS:
             profile.counts[quoted] += rng.randrange(0, 3)
-        write_ngram_csv(path, profile)
+        write_ngram_csv(path, *interned_profile(profile))
         assert path.read_bytes() == reference_ngram_csv(profile)
 
 
@@ -433,13 +433,14 @@ def reference_scope(out, scope_label, records, profile, granularity) -> None:
     write_series_csv(out / "series.csv", series)
     occurrences = [sum((label.hits for label in group), Counter()) for group in groups]
     write_occurrence_csv(out / "occurrences.csv", buckets, occurrences)
-    write_ngram_csv(out / "ngrams.csv", profile)
+    (out / "ngrams.csv").write_bytes(reference_ngram_csv(profile))
 
 
 def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     """The derived files, post by post through tokenize, prune, the
-    full-bag cascade and accumulate, every scope bucketed from its own
-    posts. Returns how many posts took each cascade route."""
+    full-bag cascade and the sliced-window feature bags, every scope
+    bucketed from its own posts, every ngrams.csv row rendered and sorted.
+    Returns how many posts took each cascade route."""
     table = lexicon.emoticon_table()
     by_user: dict = {}
     for post in store.iter_posts():
@@ -460,8 +461,8 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
             label = reference_classify(tokens, lexicon, model)
             routes[cascade_route(label, tokens)] += 1
             records.append((stamp, label))
-            accumulate(profile, tokens, n_max)
-            accumulate(everyone, tokens, n_max)
+            reference_accumulate(profile, tokens, n_max)
+            reference_accumulate(everyone, tokens, n_max)
         reference_scope(out / user_scope(user), user, records, profile, granularity)
         every_record += records
     reference_scope(out / ALL_SCOPE, "all", every_record, everyone, granularity)

@@ -15,7 +15,7 @@ from facewall.ngrams import (
     render_gram,
     write_ngram_csv,
 )
-from helpers import emoticon, word, words
+from helpers import emoticon, interned_profile, word, words
 
 
 def gram(*surfaces):
@@ -144,7 +144,7 @@ def test_profile_rows_sorted_and_csv_round_trip(tmp_path):
     accumulate(profile, words("b", "a"), n_max=2)
     accumulate(profile, [emoticon(":-)")], n_max=2)
     path = tmp_path / "ngrams.csv"
-    write_ngram_csv(path, profile)
+    write_ngram_csv(path, *interned_profile(profile))
     with open(path, encoding="utf-8", newline="") as handle:
         header, *rows = csv.reader(handle)
     assert header == ["n", "gram", "count"]

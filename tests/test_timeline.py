@@ -241,7 +241,10 @@ def test_zscore_flags_match_the_stdev_reference_bitwise():
         window = rng.randint(2, 30)
         counts = random_counts(rng, rng.randint(0, 3 * window))
         series = make_series(counts)
-        z_thresh = rng.choice((0.25, 1.0, 2.0, 3.5))
+        # inf, nan and a negative threshold tell apart a fitted z (flagged
+        # at or above the threshold) from a flat baseline (flagged on any
+        # rise, whatever the threshold)
+        z_thresh = rng.choice((0.25, 1.0, 2.0, 3.5, math.inf, math.nan, -1.0))
         min_hits = rng.randint(0, 3)
         got = zscore_flags(series, window, z_thresh, min_hits)
         want = reference_zscore_flags(series, window, z_thresh, min_hits)
