@@ -14,12 +14,14 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .lexer import Token, TokenKind, _Memo
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .ngrams import DEFAULT_MAX_N, Gram, interned_grams, ngrams_of_orders, render_gram
+from .ngrams import (
+    DEFAULT_MAX_N, Gram, GramElement, _token_key, interned_grams, ngrams_of_orders, render_gram
+)
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
@@ -110,13 +112,11 @@ def _add_into(
     return hits
 
 
-_kind_surface = attrgetter("kind", "surface")
-
-
 @dataclass(frozen=True)
 class NBModel:
     """A trained model. Its tables must not change once it scores a post:
-    it caches per-gram likelihoods and the tokens of its vocabulary."""
+    it caches per-gram likelihoods and the elements of its vocabulary
+    grams."""
 
     classes: tuple[EmotionClass, ...]
     doc_counts: Mapping[EmotionClass, int]
@@ -142,21 +142,15 @@ class NBModel:
         return _Memo(lambda gram: tuple([self.log_likelihood(gram, cls) for cls in self.classes]))
 
     @cached_property
-    def _gram_tokens(self) -> frozenset[tuple[TokenKind, str]]:
-        """The (kind, surface) of every element of every vocabulary gram: a
-        post holding none of them holds no vocabulary gram. For a trained
-        model these are its vocabulary unigrams."""
-        kinds = {kind.name: kind for kind in TokenKind}
-        return frozenset(
-            (kinds[name], surface)
-            for gram in self.vocabulary
-            for name, surface in gram
-            if name in kinds
-        )
+    def _gram_elements(self) -> frozenset[GramElement]:
+        """Every element of every vocabulary gram: a post holding none of
+        them holds no vocabulary gram. For a trained model these are its
+        vocabulary unigrams."""
+        return frozenset(chain.from_iterable(self.vocabulary))
 
     def _may_score(self, tokens: Sequence[Token]) -> bool:
         """False only when no gram of the post can be in the vocabulary."""
-        return not self._gram_tokens.isdisjoint(map(_kind_surface, tokens))
+        return not self._gram_elements.isdisjoint(map(_token_key, tokens))
 
     def features_of(self, tokens: Sequence[Token]) -> Counter[Gram]:
         return ngrams_of_orders(tokens, self.n_max)
@@ -217,9 +211,9 @@ def train_nb(
         raise ValueError("alpha must be positive")
     if min_train_docs < 1:
         raise ValueError("min_train_docs must be at least 1")
-    # Each distinct (kind, surface) gets an int id, in order of first sight;
-    # a document is the list of its content tokens' ids.
-    ids: dict[tuple[TokenKind, str], int] = {}
+    # Each distinct token key gets an int id, in order of first sight; a
+    # document is the list of its content tokens' ids.
+    ids: dict[GramElement, int] = {}
     emoticon = TokenKind.EMOTICON
     doc_counts: Counter[EmotionClass] = Counter()
     class_docs: dict[EmotionClass, list[list[int]]] = {}
@@ -228,7 +222,7 @@ def train_nb(
             raise ValueError("neutral is not a trainable class")
         doc_counts[cls] += 1
         content = [
-            ids.setdefault(_kind_surface(t), len(ids)) for t in tokens if t.kind is not emoticon
+            ids.setdefault(_token_key(t), len(ids)) for t in tokens if t.kind is not emoticon
         ]
         class_docs.setdefault(cls, []).append(content)
     survivors = tuple(
@@ -240,7 +234,7 @@ def train_nb(
     # each in feature-bag order, so its table has the keys in the order
     # that counting each document's feature bag gives; each distinct id
     # gram then becomes its Gram once.
-    elements = [(kind.name, surface) for kind, surface in ids]
+    elements = list(ids)
     gram_of = _Memo(lambda key: tuple([elements[i] for i in key]))
     feature_counts = {}
     for cls in survivors:

@@ -24,10 +24,11 @@ REQUIRED_FIELDS = ("user_id", "timestamp", "text")
 
 
 class RecordRejected(ValueError):
-    """Carries the rejection reason for one unparseable record."""
+    """Carries the rejection reason for one unparseable record; its message
+    is the detail, if given, else the reason."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(detail or reason)
         self.reason = reason
 
 
@@ -105,28 +106,29 @@ class CorpusBatch:
     duplicates_dropped: int = 0
 
 
-def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
-    get = obj.get
-    user_id, timestamp, text = get("user_id"), get("timestamp"), get("text")
-    if user_id is None:
-        raise RecordRejected("missing-field:user_id")
-    if timestamp is None:
-        raise RecordRejected("missing-field:timestamp")
-    if text is None:
-        raise RecordRejected("missing-field:text")
-    source = get("source")
+def check_post_fields(user_id: object, timestamp: object, text: object, source: object) -> None:
+    """Raises RecordRejected("malformed") unless each field is a string
+    that UTF-8 can encode; source may also be None."""
     if not (
         isinstance(user_id, str)
         and isinstance(timestamp, str)
         and isinstance(text, str)
         and (source is None or isinstance(source, str))
     ):
-        raise RecordRejected("malformed")
+        raise RecordRejected("malformed", "a field that is not a string")
     try:
         # A JSON escape can carry a lone surrogate, which has no UTF-8 form.
         (user_id + timestamp + text + (source or "")).encode("utf-8")
     except UnicodeEncodeError:
-        raise RecordRejected("malformed") from None
+        raise RecordRejected("malformed", "a field that UTF-8 cannot encode") from None
+
+
+def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
+    user_id, timestamp, text = required = tuple(map(obj.get, REQUIRED_FIELDS))
+    if None in required:
+        raise RecordRejected("missing-field:" + REQUIRED_FIELDS[required.index(None)])
+    source = obj.get("source")
+    check_post_fields(user_id, timestamp, text, source)
     user_id = user_id.strip()
     if not user_id:
         raise RecordRejected("missing-field:user_id")

@@ -11,11 +11,11 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .lexer import Token, TokenKind
+from .lexer import Token
 
 # One gram element is (kind name, surface); a gram is a tuple of them.
 GramElement = tuple[str, str]
@@ -26,14 +26,12 @@ GRAM_SEP = "␟"
 
 DEFAULT_MAX_N = 3
 
-_KIND_NAME = {kind: kind.name for kind in TokenKind}
+# A token's key, its gram element (kind name, surface). The kind's name is
+# read as the member's _name_ attribute, in C, not through Enum's property.
+_token_key = attrgetter("kind._name_", "surface")
 
 # A gram element: a token id (see lexer.TokenInterner) or a GramElement.
 E = TypeVar("E")
-
-
-def _token_keys(tokens: Iterable[Token]) -> list[GramElement]:
-    return [(_KIND_NAME[t.kind], t.surface) for t in tokens]
 
 
 def interned_grams(posts: Sequence[Sequence[E]], n_max: int) -> Iterator[tuple[E, ...]]:
@@ -50,7 +48,7 @@ def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
     """All in-order windows of length n as a multiset; empty when len < n."""
     if n < 1:
         raise ValueError("bad-n")
-    return Counter([gram for gram in interned_grams([_token_keys(tokens)], n) if len(gram) == n])
+    return Counter([g for g in interned_grams([list(map(_token_key, tokens))], n) if len(g) == n])
 
 
 @dataclass
@@ -64,7 +62,7 @@ def accumulate(profile: NGramProfile, tokens: Sequence[Token], n_max: int = DEFA
     """Fold one pruned post into the profile (orders 1..n_max)."""
     if n_max < 1:
         raise ValueError("bad-n")
-    profile.counts.update(interned_grams([_token_keys(tokens)], n_max))
+    profile.counts.update(interned_grams([list(map(_token_key, tokens))], n_max))
     profile.post_count += 1
     return profile
 
@@ -112,7 +110,7 @@ class GramRanking:
     (n, text, count) rows do."""
 
     def __init__(self, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> None:
-        elements = [render_gram((key,)) for key in _token_keys(tokens)]
+        elements = [render_gram((key,)) for key in map(_token_key, tokens)]
         heads = {gram: (len(gram), GRAM_SEP.join([elements[i] for i in gram])) for gram in grams}
         ranked: list[tuple[int, str]] = []
         self._rank: dict[tuple[int, ...], int] = {}
@@ -156,4 +154,4 @@ def read_ngram_csv(path: str | Path) -> NGramProfile:
 
 def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:
     """Union multiset over orders 1..n_max (the classifier's feature bag)."""
-    return Counter(interned_grams([_token_keys(tokens)], n_max))
+    return Counter(interned_grams([list(map(_token_key, tokens))], n_max))

@@ -27,7 +27,7 @@ from .lexer import TokenInterner, TokenKind
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
 from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
-from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, user_scope
+from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, store_io, user_scope
 from .timeline import (
     VOLUME,
     BucketSeries,
@@ -103,6 +103,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     is held as its token ids, the cascade sees the shared canonical tokens,
     and grams are tuples of ids, rendered once for all scopes. `@all` is
     the fold of the users' n-gram profiles and of their bucketed records.
+    A write that fails raises a store-io StoreError.
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
@@ -164,11 +165,6 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     groups = [list(chain.from_iterable(group)) for group in nested]
     _write_scope(store, ALL_SCOPE, "all", buckets, groups, everyone, ranking, config_hash)
 
-    if model is not None:
-        model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
-        model_dir.mkdir(parents=True, exist_ok=True)
-        (model_dir / MODEL_JSON).write_text(model.to_json(), encoding="utf-8")
-
     meta = {
         "schema": CONFIG_SCHEMA,
         "config": config.semantic_fields(),
@@ -177,11 +173,17 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         "users": users,
         "model_trained": model is not None,
     }
-    meta_dir = store.derived_dir(META_SCOPE, config_hash)
-    meta_dir.mkdir(parents=True, exist_ok=True)
-    (meta_dir / META_JSON).write_text(
-        json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    with store_io():
+        if model is not None:
+            model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
+            model_dir.mkdir(parents=True, exist_ok=True)
+            (model_dir / MODEL_JSON).write_text(model.to_json(), encoding="utf-8")
+        meta_dir = store.derived_dir(META_SCOPE, config_hash)
+        meta_dir.mkdir(parents=True, exist_ok=True)
+        (meta_dir / META_JSON).write_text(
+            json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
+            encoding="utf-8",
+        )
     store.register_analysis(
         config_hash, {"record_count": store.record_count, "users": len(users)}
     )
@@ -203,21 +205,20 @@ def _write_scope(
     ranking: ngrams.GramRanking,
     config_hash: str,
 ) -> None:
-    out_dir = store.derived_dir(scope, config_hash)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     label_groups = [[labels for labels, _ in group] for group in groups]
     series_list = [
         emotion_series(buckets, label_groups, cls, scope=scope_label) for cls in ALL_CLASSES
     ]
     series_list.append(emotion_series(buckets, label_groups, VOLUME, scope=scope_label))
-    write_series_csv(out_dir / SERIES_CSV, series_list)
-
     occurrences = [
         dict(zip(LEXICON_CLASSES, map(sum, zip(*[row for _, row in group])))) for group in groups
     ]
-    write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
-    ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile, ranking)
+    out_dir = store.derived_dir(scope, config_hash)
+    with store_io():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_series_csv(out_dir / SERIES_CSV, series_list)
+        write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
+        ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile, ranking)
 
 
 # -- reading the cache ------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
-from .ingest import CorpusBatch, RawPost, parse_json
+from .ingest import CorpusBatch, RawPost, check_post_fields, parse_json
 from .rfc3339 import canonical_text, parse_rfc3339
 
 SCHEMA_VERSION = 1
@@ -41,6 +41,15 @@ class StoreError(Exception):
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
+
+
+@contextmanager
+def store_io():
+    """Raises an OSError of the block as a store-io StoreError."""
+    try:
+        yield
+    except OSError as exc:
+        raise StoreError("store-io", str(exc)) from exc
 
 
 def user_scope(user_id: str) -> str:
@@ -69,18 +78,16 @@ class Store:
         if not store.manifest_path.exists():
             if not create:
                 raise StoreError("store-io", f"no store at {store.root}")
-            try:
+            with store_io():
                 store.root.mkdir(parents=True, exist_ok=True)
                 store.posts_path.touch(exist_ok=True)
-                store._manifest = {
-                    "schema_version": SCHEMA_VERSION,
-                    "record_count": 0,
-                    "config_hash": None,
-                    "analyses": {},
-                }
-                store._save_manifest()
-            except OSError as exc:
-                raise StoreError("store-io", str(exc)) from exc
+            store._manifest = {
+                "schema_version": SCHEMA_VERSION,
+                "record_count": 0,
+                "config_hash": None,
+                "analyses": {},
+            }
+            store._save_manifest()
         store._load_manifest()
         return store
 
@@ -100,10 +107,8 @@ class Store:
     def lock(self):
         """Advisory exclusive lock; a held lock is a store error, not a wait."""
         lock_path = self.root / LOCK_FILE
-        try:
+        with store_io():
             handle = open(lock_path, "w")
-        except OSError as exc:
-            raise StoreError("store-io", str(exc)) from exc
         try:
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -149,33 +154,30 @@ class Store:
     # -- post log ----------------------------------------------------------
 
     def iter_posts(self):
-        line = ""
+        line, number = "", 0
         try:
             with open(self.posts_path, "r", encoding="utf-8") as handle:
-                for line in handle:
+                for number, line in enumerate(handle, 1):
                     obj = parse_json(line.rstrip("\n"))
-                    stamp_text = obj["timestamp"]
+                    user_id, stamp_text, text = obj["user_id"], obj["timestamp"], obj["text"]
+                    source = obj.get("source")
+                    check_post_fields(user_id, stamp_text, text, source)
                     stamp = parse_rfc3339(stamp_text)
-                    user_id, text, source = obj["user_id"], obj["text"], obj.get("source")
-                    if not (
-                        isinstance(user_id, str)
-                        and isinstance(text, str)
-                        and (source is None or isinstance(source, str))
-                    ):
-                        raise ValueError("a field that is not a string")
                     # A hand-written stamp in another form is keyed by its
                     # canonical text, as ingest keys it.
                     yield RawPost(
                         user_id, stamp, text, source, canonical_text(stamp_text, stamp)
                     )
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            # TypeError: not an object; RecursionError: nested too deep
+            # TypeError: not an object; ValueError: also a field check
+            # (RecordRejected); RecursionError: nested too deep
             if line and not line.endswith("\n"):
                 raise StoreError(
                     "store-io", f"corrupt post log: torn last line ({exc}); "
                     "`facewall ingest` cuts it"
                 ) from exc
-            raise StoreError("store-io", f"corrupt post log: {exc}") from exc
+            where = f"line {number}: " if number else ""
+            raise StoreError("store-io", f"corrupt post log: {where}{exc}") from exc
 
     def cut_torn_tail(self) -> int:
         """Cut the log back to its last newline and return the bytes cut.
@@ -183,22 +185,19 @@ class Store:
         Every record ends in a newline, so bytes after the last one are a
         write cut short, never a record. Call under lock().
         """
-        try:
-            with open(self.posts_path, "r+b") as handle:
-                size = end = handle.seek(0, os.SEEK_END)
-                keep = 0
-                while end:
-                    start = max(0, end - _TAIL_CHUNK)
-                    handle.seek(start)
-                    newline = handle.read(end - start).rfind(b"\n")
-                    if newline >= 0:
-                        keep = start + newline + 1
-                        break
-                    end = start
-                if keep < size:
-                    handle.truncate(keep)
-        except OSError as exc:
-            raise StoreError("store-io", str(exc)) from exc
+        with store_io(), open(self.posts_path, "r+b") as handle:
+            size = end = handle.seek(0, os.SEEK_END)
+            keep = 0
+            while end:
+                start = max(0, end - _TAIL_CHUNK)
+                handle.seek(start)
+                newline = handle.read(end - start).rfind(b"\n")
+                if newline >= 0:
+                    keep = start + newline + 1
+                    break
+                end = start
+            if keep < size:
+                handle.truncate(keep)
         return size - keep
 
     def append_batch(self, batch: CorpusBatch) -> AppendReceipt:
@@ -219,17 +218,14 @@ class Store:
             keys.add(post.dedupe_key())
             logged += 1
         written = 0
-        try:
-            with open(self.posts_path, "a", encoding="utf-8") as handle:
-                for post in batch.posts:
-                    key = post.dedupe_key()
-                    if key in keys:
-                        continue
-                    handle.write(post.to_line())
-                    keys.add(key)
-                    written += 1
-        except OSError as exc:
-            raise StoreError("store-io", str(exc)) from exc
+        with store_io(), open(self.posts_path, "a", encoding="utf-8") as handle:
+            for post in batch.posts:
+                key = post.dedupe_key()
+                if key in keys:
+                    continue
+                handle.write(post.to_line())
+                keys.add(key)
+                written += 1
         if self.record_count != logged + written:
             self.manifest["record_count"] = logged + written
             self._save_manifest()
@@ -248,5 +244,6 @@ class Store:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with store_io():
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)

@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate
 from operator import sub
@@ -331,14 +331,7 @@ def build_report(user_id: str, flags: Iterable[Flag], config: DetectorConfig) ->
 def report_to_dict(report: DeviationReport, granularity: str) -> dict:
     return {
         "user_id": report.user_id,
-        "config": {
-            "granularity": granularity,
-            "window": report.config.window,
-            "z_thresh": report.config.z_thresh,
-            "jsd_thresh": report.config.jsd_thresh,
-            "min_hits": report.config.min_hits,
-            "min_total": report.config.min_total,
-        },
+        "config": {"granularity": granularity, **asdict(report.config)},
         "flags": [
             {
                 "bucket_index": f.bucket_index,
@@ -364,17 +357,16 @@ def write_series_csv(path: str | Path, series_list: Sequence[BucketSeries]) -> N
         writer.writerow(SERIES_HEADER)
         if not ordered:
             return
-        n_buckets = len(ordered[0].buckets)
-        for i in range(n_buckets):
-            for series in ordered:
-                proportion = series.counts[i] / series.totals[i] if series.totals[i] else 0.0
+        proportions = [series.proportions for series in ordered]
+        for i in range(len(ordered[0].buckets)):
+            for series, shares in zip(ordered, proportions):
                 writer.writerow(
                     [
                         series.buckets[i].key,
                         series.class_key,
                         series.counts[i],
                         series.totals[i],
-                        f"{proportion:.6f}",
+                        f"{shares[i]:.6f}",
                     ]
                 )
 

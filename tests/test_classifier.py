@@ -208,21 +208,25 @@ def test_a_vocabulary_bigram_without_its_unigrams_still_scores_the_post():
     # vocabulary's unigrams alone would leave the post unscored.
     bigram = (("WORD", "great"), ("WORD", "day"))
     other = (("WORD", "bad"),)
+    # a gram of a kind no token has: no post holds it
+    unknown = (("EMOJI", "x"),)
     model = NBModel(
         classes=(HAPPY, SAD),
         doc_counts={HAPPY: 1, SAD: 1},
-        feature_counts={HAPPY: {bigram: 1}, SAD: {other: 1}},
-        feature_mass={HAPPY: 1, SAD: 1},
-        vocabulary=frozenset({bigram, other}),
+        feature_counts={HAPPY: {bigram: 1}, SAD: {other: 1, unknown: 1}},
+        feature_mass={HAPPY: 1, SAD: 2},
+        vocabulary=frozenset({bigram, other, unknown}),
         n_max=2,
     )
     post = words("great", "day")
     label = classify_post(post, LEX, model)
     assert (label.labels, label.method) == ({HAPPY}, "model")
     assert dict(label.scores) == nb_predict(model, post)
-    assert label.scores[HAPPY] == pytest.approx(2 / 3, abs=1e-12)
+    # (1/2) / (1/2 + 1/5): the bigram's smoothed likelihood per class
+    assert label.scores[HAPPY] == pytest.approx(5 / 7, abs=1e-12)
     # a post with no vocabulary gram at all stays unscored
     assert classify_post(words("great"), LEX, model).scores == {}
+    assert classify_post(words("x"), LEX, model).scores == {}
 
 
 def test_post_label_is_an_immutable_value():

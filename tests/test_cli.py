@@ -218,8 +218,16 @@ def test_non_object_post_log_line_is_a_store_error(capsys, corpus, tmp_path):
         {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": ["a"]},
         {"user_id": 5, "timestamp": "2010-01-16T12:00:00Z", "text": "hi"},
         {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": "hi", "source": 1},
+        # json.dumps writes a lone surrogate as a \ud800 escape: it parses
+        # to a str that has no UTF-8 form
+        {"user_id": "u\ud800", "timestamp": "2010-01-16T12:00:00Z", "text": "hi"},
+        {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": "h\ud800i"},
+        {"user_id": "u1", "timestamp": "2010-01-16T12:00:00Z", "text": "hi", "source": "\udfff"},
     ],
-    ids=["text-null", "text-list", "user-number", "source-number"],
+    ids=[
+        "text-null", "text-list", "user-number", "source-number",
+        "user-surrogate", "text-surrogate", "source-surrogate",
+    ],
 )
 @pytest.mark.parametrize("command", ["ingest", "analyze"])
 def test_non_string_post_log_field_is_a_store_error(capsys, corpus, tmp_path, record, command):
@@ -227,12 +235,43 @@ def test_non_string_post_log_field_is_a_store_error(capsys, corpus, tmp_path, re
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
     with open(store / "posts.jsonl", "a", encoding="utf-8") as handle:
         handle.write(json.dumps(record) + "\n")
+    line = len((store / "posts.jsonl").read_text(encoding="utf-8").splitlines())
     args = ["--store", str(store)]
     if command == "ingest":
         args += ["--input", str(corpus), "--format", "jsonl"]
     code, _, err = run(capsys, command, *args)
     assert code == 3
-    assert "store-io: corrupt post log" in err
+    strings = "".join(v for v in record.values() if isinstance(v, str))
+    surrogate = any("\ud800" <= c <= "\udfff" for c in strings)
+    fault = "a field that UTF-8 cannot encode" if surrogate else "a field that is not a string"
+    assert f"store-io: corrupt post log: line {line}: {fault}" in err
+
+
+def test_unwritable_derived_dir_is_a_store_error(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    (store / "derived").write_text("not a directory", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--store", str(store))
+    assert code == 3
+    assert "store-io: " in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_unwritable_manifest_is_a_store_error(capsys, corpus, tmp_path, command):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    # the manifest is written through its .tmp name, here a directory
+    (store / "manifest.json.tmp").mkdir()
+    if command == "ingest":
+        more = write_jsonl(
+            tmp_path / "more.jsonl", [post_record("u3", "2016-01-01T00:00:00Z", "new :)")]
+        )
+        args = ["--input", str(more), "--format", "jsonl"]
+    else:
+        args = []
+    code, _, err = run(capsys, command, "--store", str(store), *args)
+    assert code == 3
+    assert "store-io: " in err
 
 
 def test_ingest_cuts_a_torn_post_log_tail(capsys, corpus, tmp_path):

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -422,6 +423,11 @@ def test_report_dict_is_deterministic_and_ordered():
         report_to_dict(report, "month"), sort_keys=True
     )
     assert payload["flags"][0]["bucket_start"] == "2015-07-01"
+    # the config lists every detector field, plus the bucket granularity
+    assert set(payload["config"]) == {f.name for f in fields(DetectorConfig)} | {"granularity"}
+    assert payload["config"]["granularity"] == "month"
+    for field in fields(DetectorConfig):
+        assert payload["config"][field.name] == getattr(report.config, field.name)
 
 
 # -- CSV ---------------------------------------------------------------------------
