@@ -8,7 +8,6 @@ machine-readable summary lines to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .pipeline import (
     scope_for,
 )
 from .store import Store, StoreError
-from .timeline import GRANULARITIES, VOLUME, DetectorConfig, report_to_dict
+from .timeline import GRANULARITIES, VOLUME, DetectorConfig, report_to_dict, reports_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -267,8 +266,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     _, store, config = _open(args)
     reports, summary = detect_store(store, config, detector)
-    payload = [report_to_dict(report, summary.granularity) for report in reports]
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    text = reports_to_json([report_to_dict(report, summary.granularity) for report in reports])
     _write_output(args.out, text.encode("utf-8"))
     print(
         f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}"

@@ -15,8 +15,9 @@ import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, compress, repeat
+from json import JSONEncoder
+from operator import ge, mul, sub
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
@@ -207,29 +208,46 @@ def zscore_flags(
     Baseline is mean/sample-stdev of the W previous buckets, taken from
     prefix sums of the counts and of their squares, so each bucket costs
     O(1): sigma is the correctly rounded sqrt of the exact rational
-    (W*sxx - sx^2) / (W*(W-1)). A flat baseline (sigma = 0) with a strictly
-    higher count is flagged with value infinity: any departure from a
-    constant history is a departure at every z.
+    spread / (W*(W-1)), spread = W*sxx - sx^2. A flat baseline (sigma = 0)
+    with a strictly higher count is flagged with value infinity: any
+    departure from a constant history is a departure at every z.
+
+    For a finite positive z_thresh, buckets that cannot flag are ruled out
+    in integers, before any float work. With e = W*count - sx, the exact z
+    has z^2 = e^2*W*(W-1) / (W^2*spread), so a bucket is skipped when
+    e <= 0, or when e^2*W*(W-1) < z_thresh^2*W^2*spread*(1 - 2^-30), with
+    z_thresh as an exact ratio, and sx < e*2^20. Counts are non-negative,
+    so under that last condition the float z is within about 2^-32 of the
+    exact z, relatively, and stays below the threshold too.
     """
     if window < 2:
         raise ValueError("bad-window")
     flags: list[Flag] = []
     counts = series.counts
     sums = list(accumulate(counts, initial=0))
-    squares = list(accumulate((c * c for c in counts), initial=0))
+    squares = list(accumulate(map(mul, counts, counts), initial=0))
     dof = window * (window - 1)
+    bounded = 0 < z_thresh < math.inf
+    if bounded:
+        # skip when e*e*e_scale < spread_scale*spread
+        num, den = z_thresh.as_integer_ratio()
+        e_scale = dof * den * den << 30
+        spread_scale = (num * window) ** 2 * ((1 << 30) - 1)
     for t in range(window, len(counts)):
         count = counts[t]
         if count < min_hits:
             continue
         sx = sums[t] - sums[t - window]
         spread = window * (squares[t] - squares[t - window]) - sx * sx
-        mu = sx / window
         if spread:
-            z = (count - mu) / _sqrt_of_frac(spread, dof)
+            if bounded:
+                e = window * count - sx
+                if e <= 0 or (e * e * e_scale < spread_scale * spread and sx >> 20 < e):
+                    continue
+            z = (count - sx / window) / _sqrt_of_frac(spread, dof)
             flagged = z >= z_thresh
         else:
-            z, flagged = math.inf, count > mu
+            z, flagged = math.inf, count > sx / window
         if flagged:
             flags.append(Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh))
     return flags
@@ -286,28 +304,57 @@ def shift_flags(
     The distribution runs over all five classes including Neutral; buckets
     with fewer than min_total posts are never flagged, and buckets whose
     entire trailing window is empty have no baseline to compare against.
+
+    Base-2 JSD is at most the total variation distance, which for current
+    counts x with mass P and pooled counts y with mass Q is
+    sum_k |x_k*Q - y_k*P| / (2*P*Q). For a finite positive jsd_thresh, a
+    bucket whose distance is below jsd_thresh - 2^-32 (tested in integers,
+    the threshold as an exact ratio) cannot flag: the float rounding in
+    _jsd adds a few units of 2^-53, far less than the 2^-32 margin. Only
+    the other buckets run _jsd.
     """
     if window < 2:
         raise ValueError("bad-window")
     columns = [class_counts[c.value] for c in ALL_CLASSES]
     if any(column and min(column) < 0 for column in columns):
         raise ValueError("negative probability mass")
-    # per bucket: the class counts, and the running class sums before it
-    rows = list(zip(*columns))
-    prefix = list(zip(*(accumulate(column, initial=0) for column in columns)))
+    if len(totals) <= window:
+        return []
+    # per bucket from t = window on: the class counts and their mass, and
+    # the pooled class counts of the window before it and their mass
+    current = [column[window:] for column in columns]
+    pooled = [_trailing(column, window) for column in columns]
+    rows, pooled_rows = list(zip(*current)), list(zip(*pooled))
+    masses, pooled_masses = list(map(sum, rows)), list(map(sum, pooled_rows))
+    candidates = range(window, len(totals))
+    if 0 < jsd_thresh < math.inf:
+        # the threshold less a 2^-32 margin, as the exact ratio num/den
+        n, d = jsd_thresh.as_integer_ratio()
+        num, den = (n << 32) - d, d << 32
+        # |x*Q - y*P| per class, summed per bucket
+        gaps = [
+            map(abs, map(sub, map(mul, x, pooled_masses), map(mul, y, masses)))
+            for x, y in zip(current, pooled)
+        ]
+        distances = map(mul, map(sum, zip(*gaps)), repeat(den))
+        scales = map(mul, map(mul, masses, pooled_masses), repeat(2 * num))
+        candidates = compress(candidates, map(ge, distances, scales))
     flags: list[Flag] = []
-    for t in range(window, len(totals)):
-        if totals[t] < min_total:
+    for t in candidates:
+        i = t - window
+        mass, pooled_mass = masses[i], pooled_masses[i]
+        if totals[t] < min_total or mass == 0 or pooled_mass == 0:
             continue
-        current = rows[t]
-        pooled = list(map(sub, prefix[t], prefix[t - window]))
-        mass, pooled_mass = sum(current), sum(pooled)
-        if mass == 0 or pooled_mass == 0:
-            continue
-        value = _jsd(current, pooled, mass, pooled_mass)
+        value = _jsd(rows[i], pooled_rows[i], mass, pooled_mass)
         if value >= jsd_thresh:
             flags.append(Flag(t, buckets[t].start, "jsd", None, value, jsd_thresh))
     return flags
+
+
+def _trailing(column: Sequence[int], window: int) -> list[int]:
+    """Sums of column over the window before each index from window on."""
+    first = sum(column[:window])
+    return list(accumulate(map(sub, column[window:-1], column[: -window - 1]), initial=first))
 
 
 @dataclass(frozen=True)
@@ -345,6 +392,48 @@ def report_to_dict(report: DeviationReport, granularity: str) -> dict:
             for f in report.flags
         ],
     }
+
+
+def reports_to_json(entries: Sequence[Mapping]) -> str:
+    """report.json's text for report_to_dict's entries: the bytes of
+    json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n".
+
+    An entry's values are scalars, non-empty flat dicts, or lists of them.
+    The C encoder writes each scalar, each flat dict and each list in one
+    call, with its member separator already indented; only the frame of
+    brackets around them is built here. A JSON string holds no raw
+    newline, so "},\n<pad>{" in an encoded list is a boundary between two
+    of its dicts.
+    """
+    if not entries:
+        return "[]\n"
+    blocks = []
+    for entry in entries:
+        members = [
+            f"{_SCALARS.encode(key)}: {_entry_value(value)}" for key, value in sorted(entry.items())
+        ]
+        blocks.append("{\n    " + ",\n    ".join(members) + "\n  }")
+    return "[\n  " + ",\n  ".join(blocks) + "\n]\n"
+
+
+_SCALARS = JSONEncoder(ensure_ascii=False)
+# each member of a dict on its own line, as deep as indent=2 puts the
+# members of a dict in an entry, and of a dict in a list in an entry
+_ENTRY_DICT = JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",\n      ", ": "))
+_LISTED_DICT = JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",\n        ", ": "))
+
+
+def _entry_value(value) -> str:
+    """An entry's value as json.dumps(..., indent=2) writes it two levels in."""
+    if isinstance(value, dict):
+        return "{\n      " + _ENTRY_DICT.encode(value)[1:-1] + "\n    }"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = _LISTED_DICT.encode(value)[2:-2]
+        inner = inner.replace("},\n        {", "\n      },\n      {\n        ")
+        return "[\n      {\n        " + inner + "\n      }\n    ]"
+    return _SCALARS.encode(value)
 
 
 def write_series_csv(path: str | Path, series_list: Sequence[BucketSeries]) -> None:

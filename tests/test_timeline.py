@@ -5,18 +5,22 @@ import random
 import statistics
 import sys
 from dataclasses import fields
+from itertools import accumulate
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from facewall import timeline
 from facewall.lexicon import ALL_CLASSES, LEXICON_CLASSES, EmotionClass
 from facewall.timeline import (
+    GRANULARITIES,
     SERIES_CLASS_KEYS,
     VOLUME,
     BucketSeries,
     DetectorConfig,
+    DeviationReport,
     Flag,
     SeriesTable,
     TimeBucket,
@@ -29,6 +33,7 @@ from facewall.timeline import (
     read_occurrence_csv,
     read_series_csv,
     report_to_dict,
+    reports_to_json,
     shift_flags,
     write_occurrence_csv,
     write_series_csv,
@@ -191,6 +196,31 @@ def reference_zscore_flags(series, window, z_thresh, min_hits):
     return flags
 
 
+def rolling_zscore_flags(series, window, z_thresh, min_hits):
+    """The prefix-sum loop before zscore_flags ruled buckets out: every
+    bucket with a spread takes _sqrt_of_frac. Exact on every Python."""
+    flags = []
+    counts = series.counts
+    sums = list(accumulate(counts, initial=0))
+    squares = list(accumulate((c * c for c in counts), initial=0))
+    dof = window * (window - 1)
+    for t in range(window, len(counts)):
+        count = counts[t]
+        if count < min_hits:
+            continue
+        sx = sums[t] - sums[t - window]
+        spread = window * (squares[t] - squares[t - window]) - sx * sx
+        mu = sx / window
+        if spread:
+            z = (count - mu) / timeline._sqrt_of_frac(spread, dof)
+            flagged = z >= z_thresh
+        else:
+            z, flagged = math.inf, count > mu
+        if flagged:
+            flags.append(Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh))
+    return flags
+
+
 def reference_shift_flags(class_counts, totals, buckets, window, jsd_thresh, min_total):
     """The slice-sum pooling that shift_flags replaced."""
     keys = [c.value for c in ALL_CLASSES]
@@ -232,6 +262,13 @@ def random_counts(rng, length):
     return counts[:length]
 
 
+# inf, nan and a negative threshold tell apart a fitted z (flagged at or above
+# the threshold) from a flat baseline (flagged on any rise, whatever the
+# threshold); 6 and 8 rule out nearly every bucket before its square root
+Z_THRESHOLDS = (0.25, 1.0, 2.0, 3.5, 6.0, 8.0, math.inf, math.nan, -1.0)
+JSD_THRESHOLDS = (0.01, 0.1, 0.25, 0.5, 0.7, 1.0, 0.0, -1.0, math.nan)
+
+
 @pytest.mark.skipif(
     sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11 on"
 )
@@ -242,10 +279,7 @@ def test_zscore_flags_match_the_stdev_reference_bitwise():
         window = rng.randint(2, 30)
         counts = random_counts(rng, rng.randint(0, 3 * window))
         series = make_series(counts)
-        # inf, nan and a negative threshold tell apart a fitted z (flagged
-        # at or above the threshold) from a flat baseline (flagged on any
-        # rise, whatever the threshold)
-        z_thresh = rng.choice((0.25, 1.0, 2.0, 3.5, math.inf, math.nan, -1.0))
+        z_thresh = rng.choice(Z_THRESHOLDS)
         min_hits = rng.randint(0, 3)
         got = zscore_flags(series, window, z_thresh, min_hits)
         want = reference_zscore_flags(series, window, z_thresh, min_hits)
@@ -272,7 +306,7 @@ def test_shift_flags_match_the_slice_sum_reference_bitwise():
                 column[gap:end] = [0] * (end - gap)
         totals = [sum(column[t] for column in counts.values()) for t in range(length)]
         buckets = month_buckets(length)
-        jsd_thresh = rng.choice((0.01, 0.1, 0.25))
+        jsd_thresh = rng.choice(JSD_THRESHOLDS)
         min_total = rng.randint(0, 5)
         got = shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
         want = reference_shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
@@ -284,6 +318,114 @@ def test_shift_flags_match_the_slice_sum_reference_bitwise():
         )
         seen["short"] += length <= window
     assert all(seen.values()), seen
+
+
+def test_zscore_flags_match_the_rolling_reference_bitwise():
+    rng = random.Random(4343)
+    seen = {"finite": 0, "flat": 0, "short": 0, "offset": 0}
+    for _ in range(400):
+        window = rng.randint(2, 30)
+        # a large offset puts small departures on a huge baseline, where the
+        # float mean is least exact
+        offset = rng.choice((0, 0, 10**7, 2**40))
+        counts = [offset + c for c in random_counts(rng, rng.randint(0, 3 * window))]
+        series = make_series(counts)
+        z_thresh = rng.choice(Z_THRESHOLDS)
+        min_hits = rng.randint(0, 3)
+        got = zscore_flags(series, window, z_thresh, min_hits)
+        want = rolling_zscore_flags(series, window, z_thresh, min_hits)
+        assert bitwise(got) == bitwise(want), (window, counts, z_thresh)
+        seen["finite"] += sum(math.isfinite(f.value) for f in got)
+        seen["flat"] += sum(f.value == math.inf for f in got)
+        seen["short"] += len(counts) <= window
+        seen["offset"] += bool(offset and got)
+    assert all(seen.values()), seen
+
+
+def counted(monkeypatch, name):
+    """Replace timeline.<name> with a wrapper that counts its calls."""
+    calls = [0]
+    kernel = getattr(timeline, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(timeline, name, counting)
+    return calls
+
+
+def test_zscore_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
+    sqrt_calls = counted(monkeypatch, "_sqrt_of_frac")
+    rng = random.Random(77)
+    for z_thresh in (6.0, -1.0, 0.0, math.nan):
+        fitted = sqrt_calls[0] = 0
+        for _ in range(100):
+            window = rng.randint(2, 12)
+            counts = random_counts(rng, rng.randint(0, 4 * window))
+            series = make_series(counts)
+            # the buckets whose baseline has a spread: each needs a sigma
+            fitted += sum(
+                counts[t] >= 1 and len(set(counts[t - window : t])) > 1
+                for t in range(window, len(counts))
+            )
+            got = zscore_flags(series, window, z_thresh, 1)
+            calls = sqrt_calls[0]
+            want = rolling_zscore_flags(series, window, z_thresh, 1)
+            sqrt_calls[0] = calls
+            assert bitwise(got) == bitwise(want)
+        if z_thresh > 0:
+            assert sqrt_calls[0] < fitted / 2, (sqrt_calls, fitted)
+        else:
+            assert sqrt_calls[0] == fitted, (z_thresh, sqrt_calls, fitted)
+
+
+def test_shift_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
+    jsd_calls = counted(monkeypatch, "_jsd")
+    rng = random.Random(78)
+    keys = [c.value for c in ALL_CLASSES]
+    for jsd_thresh in (0.5, -1.0, 0.0, math.nan):
+        tested = jsd_calls[0] = 0
+        flagged = 0
+        for _ in range(100):
+            window = rng.randint(2, 12)
+            length = rng.randint(0, 4 * window)
+            counts = {key: random_counts(rng, length) for key in keys}
+            totals = [sum(column[t] for column in counts.values()) for t in range(length)]
+            # the buckets with a mass and a pooled mass: each has a JSD
+            tested += sum(
+                totals[t] > 0 and any(totals[t - window : t]) for t in range(window, length)
+            )
+            buckets = month_buckets(length)
+            got = shift_flags(counts, totals, buckets, window, jsd_thresh, 0)
+            calls = jsd_calls[0]
+            want = reference_shift_flags(counts, totals, buckets, window, jsd_thresh, 0)
+            jsd_calls[0] = calls
+            assert bitwise(got) == bitwise(want)
+            flagged += len(got)
+        if jsd_thresh > 0:
+            assert flagged and jsd_calls[0] < tested / 2, (jsd_calls, tested)
+        else:
+            assert jsd_calls[0] == tested, (jsd_thresh, jsd_calls, tested)
+
+
+def test_zscore_flags_a_bucket_at_exactly_the_threshold():
+    # base [0, 1, 2]: mean 1, sample sigma 1, so a count of 3 is z = 2.0
+    flags = zscore_flags(make_series([0, 1, 2, 3]), window=3, z_thresh=2.0, min_hits=0)
+    assert [(f.bucket_index, f.value) for f in flags] == [(3, 2.0)]
+    assert zscore_flags(make_series([0, 1, 2, 3]), 3, math.nextafter(2.0, 3.0), 0) == []
+
+
+def test_shift_flags_a_bucket_at_exactly_the_total_variation_bound():
+    # current (1,1,0,0,0) against pooled (1,0,1,0,0): the two halves that
+    # differ have disjoint support, so JSD = TV = 0.5 exactly
+    rows = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 1, 0, 0, 0]]
+    counts, totals = class_counts(rows), [1, 1, 2]
+    assert jsd(rows[2], [1, 0, 1, 0, 0]) == 0.5
+    flags = shift_flags(counts, totals, month_buckets(3), window=2, jsd_thresh=0.5, min_total=0)
+    assert [(f.bucket_index, f.value) for f in flags] == [(2, 0.5)]
+    above = math.nextafter(0.5, 1.0)
+    assert shift_flags(counts, totals, month_buckets(3), 2, above, 0) == []
 
 
 def test_sqrt_of_frac_is_correctly_rounded():
@@ -428,6 +570,65 @@ def test_report_dict_is_deterministic_and_ordered():
     assert payload["config"]["granularity"] == "month"
     for field in fields(DetectorConfig):
         assert payload["config"][field.name] == getattr(report.config, field.name)
+
+
+EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1)
+report_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+user_ids = st.one_of(
+    st.sampled_from(
+        ['a "quoted" id', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Zoë 🙂 \u2028"]
+    ),
+    st.text(),
+)
+flags_st = st.builds(
+    Flag,
+    bucket_index=st.integers(0, 10**6),
+    bucket_start=st.datetimes(timezones=st.just(UTC)),
+    signal=st.sampled_from(("zscore", "jsd")),
+    class_key=st.one_of(st.none(), st.sampled_from([c.value for c in ALL_CLASSES]), st.text()),
+    value=report_floats,
+    # severity divides by the threshold
+    threshold=report_floats.filter(bool),
+)
+reports_st = st.builds(
+    DeviationReport,
+    user_id=user_ids,
+    config=st.builds(
+        DetectorConfig,
+        window=st.integers(2, 60),
+        z_thresh=report_floats,
+        jsd_thresh=report_floats,
+        min_hits=st.integers(0, 10),
+        min_total=st.integers(0, 10),
+    ),
+    flags=st.lists(flags_st, max_size=4).map(tuple),
+)
+
+
+@given(st.lists(reports_st, max_size=4), st.sampled_from(GRANULARITIES))
+def test_reports_to_json_is_json_dumps_with_indent(reports, granularity):
+    entries = [report_to_dict(report, granularity) for report in reports]
+    want = json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    assert reports_to_json(entries) == want
+
+
+def test_reports_to_json_edge_cases():
+    assert reports_to_json([]) == "[]\n"
+    config = DetectorConfig(z_thresh=math.inf, jsd_thresh=5e-324)
+    quiet = DeviationReport('"\\\x01é🙂', config, ())
+    start = ts(2015, 1)
+    loud = DeviationReport(
+        "u",
+        config,
+        tuple(
+            Flag(i, start, "jsd", key, value, 1e308)
+            for i, (key, value) in enumerate([(None, -0.0), ("happy", math.inf), ("x\ny", 5e-324)])
+        ),
+    )
+    entries = [report_to_dict(report, "week") for report in (quiet, loud)]
+    text = reports_to_json(entries)
+    assert text == json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    assert '"flags": [],' in text and "Infinity" in text and "-0.0" in text and "null" in text
 
 
 # -- CSV ---------------------------------------------------------------------------
