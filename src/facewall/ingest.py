@@ -15,12 +15,16 @@ from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import Iterator, Mapping
+from urllib.parse import quote
 
 from .rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 
 FORMATS = ("jsonl", "csv")
 
 REQUIRED_FIELDS = ("user_id", "timestamp", "text")
+
+# The longest file name, in bytes, that common file systems take (NAME_MAX).
+MAX_SCOPE_BYTES = 255
 
 
 class RecordRejected(ValueError):
@@ -123,6 +127,13 @@ def check_post_fields(user_id: object, timestamp: object, text: object, source: 
         raise RecordRejected("malformed", "a field that UTF-8 cannot encode") from None
 
 
+def user_scope(user_id: str) -> str:
+    """Filesystem-safe directory name for a user id (reversible). A leading
+    dot is escaped too, so "." and ".." never name a directory step."""
+    scope = quote(user_id, safe="")
+    return "%2E" + scope[1:] if scope.startswith(".") else scope
+
+
 def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
     user_id, timestamp, text = required = tuple(map(obj.get, REQUIRED_FIELDS))
     if None in required:
@@ -132,6 +143,10 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
     user_id = user_id.strip()
     if not user_id:
         raise RecordRejected("missing-field:user_id")
+    # The store names a directory user_scope(user_id). quote writes at most
+    # 12 bytes for a character, so a short id always fits.
+    if len(user_id) > MAX_SCOPE_BYTES // 12 and len(user_scope(user_id)) > MAX_SCOPE_BYTES:
+        raise RecordRejected("malformed", "a user id too long for a directory name")
     try:
         stamp = parse_rfc3339(timestamp)
     except ValueError:
@@ -184,13 +199,31 @@ def _iter_jsonl(handle) -> Iterator[tuple[int, str | Mapping[str, object]]]:
         yield number, line.rstrip("\n")
 
 
-def _iter_csv(handle) -> Iterator[tuple[int, Mapping[str, object]]]:
-    # Header row required (line 1); extra columns are ignored, a row shorter
-    # than the header yields None for the missing fields.
-    reader = csv.DictReader(handle)
-    for row in reader:
-        row.pop(None, None)
-        yield reader.line_num, row
+def _iter_csv(handle) -> Iterator[tuple[int, Mapping[str, object] | None]]:
+    """(number of the last line read, row) per CSV record. Header row
+    required (line 1); extra columns are ignored, a row shorter than the
+    header yields None for the missing fields. A row the csv module cannot
+    read (a field over csv.field_size_limit(), NUL before 3.11) is None, and
+    the reader goes on at the next line; reader.line_num can lag after such
+    an error, so the lines are counted here."""
+    read = [0]
+    reader = csv.DictReader(line for read[0], line in enumerate(handle, 1))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            row = None
+        else:
+            row.pop(None, None)
+        yield read[0], row
+
+
+def _post_from_row(row: Mapping[str, object] | None) -> RawPost:
+    if row is None:  # a row the csv module could not read
+        raise RecordRejected("malformed")
+    return _post_from_fields(row)
 
 
 def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
@@ -198,18 +231,18 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     dropping in-file duplicates (first occurrence kept).
 
     Unreadable files raise OSError, and files that are not UTF-8 raise
-    UnicodeDecodeError; a file with zero parseable records is a valid, empty
-    batch.
+    UnicodeDecodeError; a leading byte-order mark is dropped. A file with
+    zero parseable records is a valid, empty batch.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")
     batch = CorpusBatch()
     seen: set[tuple[str, str, str]] = set()
-    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         if fmt == "jsonl":
             rows, parse = _iter_jsonl(handle), _post_from_line
         else:
-            rows, parse = _iter_csv(handle), _post_from_fields
+            rows, parse = _iter_csv(handle), _post_from_row
         for number, raw in rows:
             try:
                 post = parse(raw)

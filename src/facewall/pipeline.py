@@ -30,7 +30,6 @@ from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
 from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, store_io, user_scope
 from .timeline import (
     VOLUME,
-    BucketSeries,
     DetectorConfig,
     DeviationReport,
     SeriesTable,
@@ -184,9 +183,6 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
             json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
-    store.register_analysis(
-        config_hash, {"record_count": store.record_count, "users": len(users)}
-    )
     return AnalyzeSummary(
         users=len(users),
         posts=everyone.post_count,
@@ -355,22 +351,13 @@ def detect_user(
 ) -> DeviationReport:
     """Run both detectors over one user's cached series."""
     flags = []
-    buckets = table.buckets(granularity)
     for cls in LEXICON_CLASSES:
-        series = BucketSeries(
-            user_id, cls.value, buckets, table.counts[cls.value], table.totals
-        )
-        flags.extend(
-            zscore_flags(series, detector.window, detector.z_thresh, detector.min_hits)
-        )
+        series = table.to_series(cls.value, user_id, granularity)
+        flags.extend(zscore_flags(series, detector.window, detector.z_thresh, detector.min_hits))
     flags.extend(
         shift_flags(
-            {c.value: table.counts[c.value] for c in ALL_CLASSES},
-            table.totals,
-            buckets,
-            detector.window,
-            detector.jsd_thresh,
-            detector.min_total,
+            table.counts, table.totals, table.buckets(granularity),
+            detector.window, detector.jsd_thresh, detector.min_total,
         )
     )
     return build_report(user_id, flags, detector)

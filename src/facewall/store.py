@@ -3,8 +3,10 @@ the derived-artifact cache keyed by (scope, analysis config hash).
 
 Appends never rewrite existing log bytes, so re-ingesting the same corpus
 leaves the store byte-identical; ingest only cuts a torn last line, the
-remains of a write cut short, which was never a record. One writer at a time is enforced with an
-advisory flock on <root>/.lock.
+remains of a write cut short, which was never a record. Ingest is the one
+command that writes the log and the manifest (schema version and record
+count); analyze writes only under derived/. One writer at a time is
+enforced with an advisory flock on <root>/.lock.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import quote
 
-from .ingest import CorpusBatch, RawPost, check_post_fields, parse_json
+# user_scope is ingest's, which rejects an id whose scope is too long.
+from .ingest import CorpusBatch, RawPost, check_post_fields, parse_json, user_scope  # noqa: F401
 from .rfc3339 import canonical_text, parse_rfc3339
 
 SCHEMA_VERSION = 1
@@ -52,13 +54,6 @@ def store_io():
         raise StoreError("store-io", str(exc)) from exc
 
 
-def user_scope(user_id: str) -> str:
-    """Filesystem-safe directory name for a user id (reversible). A leading
-    dot is escaped too, so "." and ".." never name a directory step."""
-    scope = quote(user_id, safe="")
-    return "%2E" + scope[1:] if scope.startswith(".") else scope
-
-
 @dataclass(frozen=True)
 class AppendReceipt:
     written: int
@@ -81,12 +76,7 @@ class Store:
             with store_io():
                 store.root.mkdir(parents=True, exist_ok=True)
                 store.posts_path.touch(exist_ok=True)
-            store._manifest = {
-                "schema_version": SCHEMA_VERSION,
-                "record_count": 0,
-                "config_hash": None,
-                "analyses": {},
-            }
+            store._manifest = {"schema_version": SCHEMA_VERSION, "record_count": 0}
             store._save_manifest()
         store._load_manifest()
         return store
@@ -132,10 +122,8 @@ class Store:
                 "schema-mismatch",
                 f"store schema {manifest.get('schema_version')!r}, expected {SCHEMA_VERSION}",
             )
-        if not isinstance(manifest.get("record_count"), int) or not isinstance(
-            manifest.get("analyses", {}), dict
-        ):
-            raise StoreError("store-io", "unreadable manifest: bad record_count or analyses")
+        if not isinstance(manifest.get("record_count"), int):
+            raise StoreError("store-io", "unreadable manifest: bad record_count")
         self._manifest = manifest
 
     def _save_manifest(self) -> None:
@@ -235,11 +223,6 @@ class Store:
 
     def derived_dir(self, scope: str, config_hash: str) -> Path:
         return self.derived_root / scope / config_hash
-
-    def register_analysis(self, config_hash: str, info: dict) -> None:
-        self.manifest.setdefault("analyses", {})[config_hash] = info
-        self.manifest["config_hash"] = config_hash
-        self._save_manifest()
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -70,7 +70,6 @@ def next_bucket_start(start: datetime, granularity: str) -> datetime:
 @dataclass(frozen=True)
 class TimeBucket:
     start: datetime
-    index: int
     granularity: str
 
     @property
@@ -93,7 +92,7 @@ def bucketize(
     cursor = first
     while True:
         index_of[cursor] = len(buckets)
-        buckets.append(TimeBucket(cursor, len(buckets), granularity))
+        buckets.append(TimeBucket(cursor, granularity))
         if cursor == last:
             break
         cursor = next_bucket_start(cursor, granularity)
@@ -164,13 +163,20 @@ class DetectorConfig:
     min_total: int = 5
 
     def validate(self) -> None:
-        if self.window < 2:
-            raise ValueError("bad-window")
-        for thresh in (self.z_thresh, self.jsd_thresh):
-            if not (math.isfinite(thresh) and thresh > 0):
-                raise ValueError("thresholds must be positive and finite")
-        if self.min_hits < 0 or self.min_total < 0:
-            raise ValueError("minimum counts must be non-negative")
+        _check_detector(
+            self.window, (self.z_thresh, self.jsd_thresh), (self.min_hits, self.min_total)
+        )
+
+
+def _check_detector(window: int, thresholds: Iterable[float], *counts: Sequence[int]) -> None:
+    """The detectors' one input check: ValueError unless the window is at
+    least 2, each threshold finite and positive, and no count negative."""
+    if window < 2:
+        raise ValueError("bad-window")
+    if not all(math.isfinite(thresh) and thresh > 0 for thresh in thresholds):
+        raise ValueError("thresholds must be positive and finite")
+    if any(min(column, default=0) < 0 for column in counts):
+        raise ValueError("counts must be non-negative")
 
 
 # Bits of the integer square root in _sqrt_of_frac: more than twice the float
@@ -212,27 +218,25 @@ def zscore_flags(
     with a strictly higher count is flagged with value infinity: any
     departure from a constant history is a departure at every z.
 
-    For a finite positive z_thresh, buckets that cannot flag are ruled out
-    in integers, before any float work. With e = W*count - sx, the exact z
-    has z^2 = e^2*W*(W-1) / (W^2*spread), so a bucket is skipped when
-    e <= 0, or when e^2*W*(W-1) < z_thresh^2*W^2*spread*(1 - 2^-30), with
-    z_thresh as an exact ratio, and sx < e*2^20. Counts are non-negative,
-    so under that last condition the float z is within about 2^-32 of the
-    exact z, relatively, and stays below the threshold too.
+    Buckets that cannot flag are ruled out in integers, before any float
+    work. With e = W*count - sx, the exact z has
+    z^2 = e^2*W*(W-1) / (W^2*spread), so a bucket is skipped when e <= 0,
+    or when e^2*W*(W-1) < z_thresh^2*W^2*spread*(1 - 2^-30), with z_thresh
+    as an exact ratio, and sx < e*2^20. Counts are non-negative (the inputs
+    DetectorConfig rejects and a negative count raise ValueError), so under
+    that last condition the float z is within about 2^-32 of the exact z,
+    relatively, and stays below the threshold too.
     """
-    if window < 2:
-        raise ValueError("bad-window")
-    flags: list[Flag] = []
     counts = series.counts
+    _check_detector(window, (z_thresh,), (min_hits,), counts)
+    flags: list[Flag] = []
     sums = list(accumulate(counts, initial=0))
     squares = list(accumulate(map(mul, counts, counts), initial=0))
     dof = window * (window - 1)
-    bounded = 0 < z_thresh < math.inf
-    if bounded:
-        # skip when e*e*e_scale < spread_scale*spread
-        num, den = z_thresh.as_integer_ratio()
-        e_scale = dof * den * den << 30
-        spread_scale = (num * window) ** 2 * ((1 << 30) - 1)
+    # skip when e*e*e_scale < spread_scale*spread
+    num, den = z_thresh.as_integer_ratio()
+    e_scale = dof * den * den << 30
+    spread_scale = (num * window) ** 2 * ((1 << 30) - 1)
     for t in range(window, len(counts)):
         count = counts[t]
         if count < min_hits:
@@ -240,10 +244,9 @@ def zscore_flags(
         sx = sums[t] - sums[t - window]
         spread = window * (squares[t] - squares[t - window]) - sx * sx
         if spread:
-            if bounded:
-                e = window * count - sx
-                if e <= 0 or (e * e * e_scale < spread_scale * spread and sx >> 20 < e):
-                    continue
+            e = window * count - sx
+            if e <= 0 or (e * e * e_scale < spread_scale * spread and sx >> 20 < e):
+                continue
             z = (count - sx / window) / _sqrt_of_frac(spread, dof)
             flagged = z >= z_thresh
         else:
@@ -307,17 +310,14 @@ def shift_flags(
 
     Base-2 JSD is at most the total variation distance, which for current
     counts x with mass P and pooled counts y with mass Q is
-    sum_k |x_k*Q - y_k*P| / (2*P*Q). For a finite positive jsd_thresh, a
-    bucket whose distance is below jsd_thresh - 2^-32 (tested in integers,
-    the threshold as an exact ratio) cannot flag: the float rounding in
-    _jsd adds a few units of 2^-53, far less than the 2^-32 margin. Only
-    the other buckets run _jsd.
+    sum_k |x_k*Q - y_k*P| / (2*P*Q). A bucket whose distance is below
+    jsd_thresh - 2^-32 (tested in integers, the threshold as an exact
+    ratio) cannot flag: the float rounding in _jsd adds a few units of
+    2^-53, far less than the 2^-32 margin. Only the other buckets run _jsd.
+    The inputs DetectorConfig rejects and a negative count raise ValueError.
     """
-    if window < 2:
-        raise ValueError("bad-window")
     columns = [class_counts[c.value] for c in ALL_CLASSES]
-    if any(column and min(column) < 0 for column in columns):
-        raise ValueError("negative probability mass")
+    _check_detector(window, (jsd_thresh,), (min_total,), *columns)
     if len(totals) <= window:
         return []
     # per bucket from t = window on: the class counts and their mass, and
@@ -326,21 +326,18 @@ def shift_flags(
     pooled = [_trailing(column, window) for column in columns]
     rows, pooled_rows = list(zip(*current)), list(zip(*pooled))
     masses, pooled_masses = list(map(sum, rows)), list(map(sum, pooled_rows))
-    candidates = range(window, len(totals))
-    if 0 < jsd_thresh < math.inf:
-        # the threshold less a 2^-32 margin, as the exact ratio num/den
-        n, d = jsd_thresh.as_integer_ratio()
-        num, den = (n << 32) - d, d << 32
-        # |x*Q - y*P| per class, summed per bucket
-        gaps = [
-            map(abs, map(sub, map(mul, x, pooled_masses), map(mul, y, masses)))
-            for x, y in zip(current, pooled)
-        ]
-        distances = map(mul, map(sum, zip(*gaps)), repeat(den))
-        scales = map(mul, map(mul, masses, pooled_masses), repeat(2 * num))
-        candidates = compress(candidates, map(ge, distances, scales))
+    # the threshold less a 2^-32 margin, as the exact ratio num/den
+    n, d = jsd_thresh.as_integer_ratio()
+    num, den = (n << 32) - d, d << 32
+    # |x*Q - y*P| per class, summed per bucket
+    gaps = [
+        map(abs, map(sub, map(mul, x, pooled_masses), map(mul, y, masses)))
+        for x, y in zip(current, pooled)
+    ]
+    distances = map(mul, map(sum, zip(*gaps)), repeat(den))
+    scales = map(mul, map(mul, masses, pooled_masses), repeat(2 * num))
     flags: list[Flag] = []
-    for t in candidates:
+    for t in compress(range(window, len(totals)), map(ge, distances, scales)):
         i = t - window
         mass, pooled_mass = masses[i], pooled_masses[i]
         if totals[t] < min_total or mass == 0 or pooled_mass == 0:
@@ -477,23 +474,19 @@ class SeriesTable:
 
 
 class _TableBuckets(Sequence):
-    """A SeriesTable's buckets, each built on first use: the detectors read
-    a bucket's start only for the buckets they flag."""
+    """A SeriesTable's buckets, each built when read: the detectors read a
+    bucket's start only for the buckets they flag."""
 
     def __init__(self, starts: list[str], granularity: str) -> None:
         self._starts = starts
         self._granularity = granularity
-        self._built: dict[int, TimeBucket] = {}
 
     def __len__(self) -> int:
         return len(self._starts)
 
     def __getitem__(self, index: int) -> TimeBucket:
-        bucket = self._built.get(index)
-        if bucket is None:
-            start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
-            bucket = self._built[index] = TimeBucket(start, index, self._granularity)
-        return bucket
+        start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
+        return TimeBucket(start, self._granularity)
 
 
 def read_series_csv(path: str | Path) -> SeriesTable:

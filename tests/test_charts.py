@@ -8,8 +8,8 @@ from facewall.timeline import BucketSeries, TimeBucket, next_bucket_start
 def month_series(counts, totals=None):
     start = datetime(2015, 1, 1, tzinfo=timezone.utc)
     buckets = []
-    for i in range(len(counts)):
-        buckets.append(TimeBucket(start, i, "month"))
+    for _ in counts:
+        buckets.append(TimeBucket(start, "month"))
         start = next_bucket_start(start, "month")
     return BucketSeries("u1", "happy", buckets, counts, totals or [max(c, 1) for c in counts])
 

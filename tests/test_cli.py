@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -81,6 +82,43 @@ def test_ingest_unreadable_input(capsys, tmp_path):
     assert code == 2
     assert "cannot read input" in err
     assert not (tmp_path / "store").exists()
+
+
+def test_ingest_rejects_a_csv_row_the_csv_module_cannot_read(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    with open(corpus, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [
+                ["user_id", "timestamp", "text"],
+                ["u1", "2015-03-02T10:00:00Z", "fine :)"],
+                ["u2", "2015-03-02T11:00:00Z", "x" * (csv.field_size_limit() + 1)],
+                ["u3", "2015-03-02T12:00:00Z", "fine :("],
+            ]
+        )
+    store = str(tmp_path / "store")
+    code, out, err = run(capsys, "ingest", "--input", str(corpus), "--format", "csv", "--store", store)
+    assert code == 0
+    assert out.strip() == "ingested=2 rejected=1 duplicates=0"
+    assert f"{corpus}:3: rejected (malformed)" in err
+
+
+def test_a_user_id_too_long_for_a_directory_name_is_rejected_at_ingest(capsys, corpus, tmp_path):
+    long_id = "\u5b57" * 30  # percent-encodes to a 270-byte directory name
+    more = write_jsonl(
+        tmp_path / "more.jsonl",
+        [
+            post_record("u3", "2015-03-02T10:00:00Z", "fine :)"),
+            post_record(long_id, "2015-03-02T11:00:00Z", "hello :)"),
+        ],
+    )
+    store = str(tmp_path / "store")
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    code, out, err = run(capsys, "ingest", "--input", str(more), "--format", "jsonl", "--store", store)
+    assert code == 0
+    assert out.strip() == "ingested=1 rejected=1 duplicates=0"
+    assert f"{more}:2: rejected (malformed)" in err
+    code, out, _ = run(capsys, "analyze", "--store", store)
+    assert code == 0 and out.startswith("users=3 posts=18 ")
 
 
 def test_ingest_non_utf8_input(capsys, tmp_path):
@@ -256,22 +294,52 @@ def test_unwritable_derived_dir_is_a_store_error(capsys, corpus, tmp_path):
     assert "store-io: " in err
 
 
-@pytest.mark.parametrize("command", ["ingest", "analyze"])
+# ingest is the one command that writes the manifest
+@pytest.mark.parametrize("command", ["ingest"])
 def test_unwritable_manifest_is_a_store_error(capsys, corpus, tmp_path, command):
     store = tmp_path / "store"
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
     # the manifest is written through its .tmp name, here a directory
     (store / "manifest.json.tmp").mkdir()
-    if command == "ingest":
-        more = write_jsonl(
-            tmp_path / "more.jsonl", [post_record("u3", "2016-01-01T00:00:00Z", "new :)")]
-        )
-        args = ["--input", str(more), "--format", "jsonl"]
-    else:
-        args = []
-    code, _, err = run(capsys, command, "--store", str(store), *args)
+    more = write_jsonl(
+        tmp_path / "more.jsonl", [post_record("u3", "2016-01-01T00:00:00Z", "new :)")]
+    )
+    code, _, err = run(
+        capsys, command, "--store", str(store), "--input", str(more), "--format", "jsonl"
+    )
     assert code == 3
     assert "store-io: " in err
+
+
+def test_analyze_leaves_the_manifest_and_the_post_log_byte_identical(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    before = {path.name: path.read_bytes() for path in store.iterdir() if path.is_file()}
+    for bucket in ("month", "week"):
+        code, _, _ = run(capsys, "analyze", "--store", str(store), "--bucket", bucket)
+        assert code == 0
+    after = {path.name: path.read_bytes() for path in store.iterdir() if path.is_file()}
+    assert after == before
+    assert json.loads(after["manifest.json"]) == {"record_count": 17, "schema_version": 1}
+
+
+def test_a_manifest_with_the_retired_analysis_registry_still_loads(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    manifest = store / "manifest.json"
+    old = {
+        "analyses": {"0123456789ab": {"record_count": 17, "users": 2}},
+        "config_hash": "0123456789ab",
+        "record_count": 17,
+        "schema_version": 1,
+    }
+    manifest.write_text(json.dumps(old), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--store", str(store))
+    assert code == 0 and out.startswith("users=2 posts=17 ")
+    more = write_jsonl(tmp_path / "more.jsonl", [post_record("u3", "2016-01-01T00:00:00Z", "hi")])
+    code, _, _ = run(capsys, "ingest", "--input", str(more), "--format", "jsonl", "--store", str(store))
+    assert code == 0
+    assert json.loads(manifest.read_text(encoding="utf-8")) == {**old, "record_count": 18}
 
 
 def test_ingest_cuts_a_torn_post_log_tail(capsys, corpus, tmp_path):
@@ -342,9 +410,8 @@ def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):
         b"[]\n",
         b'\xff{"schema_version": 1}\n',
         b'{"schema_version": 1, "analyses": {}}\n',
-        b'{"schema_version": 1, "record_count": 17, "analyses": []}\n',
     ],
-    ids=["array", "non-utf8", "no-record-count", "analyses-array"],
+    ids=["array", "non-utf8", "no-record-count"],
 )
 def test_damaged_manifest_is_a_store_error(capsys, corpus, tmp_path, damage):
     store = tmp_path / "store"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timedelta, timezone
 
@@ -188,6 +189,89 @@ def test_lone_surrogate_is_malformed_and_the_batch_goes_on(tmp_path, field):
     store = Store.open(tmp_path / "store", create=True)
     assert store.append_batch(batch).written == 2
     assert [post.user_id for post in store.iter_posts()] == ["u1", "u3"]
+
+
+def csv_corpus(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([["user_id", "timestamp", "text"], *rows])
+    return path
+
+
+def test_csv_field_over_the_csv_limit_is_malformed_and_the_batch_goes_on(tmp_path):
+    huge = "x" * (csv.field_size_limit() + 1)
+    rows = [
+        ["u1", "2015-03-02T10:00:00Z", "fine"],
+        ["u2", "2015-03-02T11:00:00Z", huge],
+        ["u3", "2015-03-02T12:00:00Z", "multi\nline"],
+        ["u4", "2015-03-02T13:00:00Z", "x" * 70_000 + "\n" + "x" * 70_000],
+        ["u5", "2015-03-02T14:00:00Z", "fine"],
+    ]
+    limit = csv.field_size_limit()
+    batch = load_corpus(csv_corpus(tmp_path / "corpus.csv", rows), "csv")
+    # the reader fails on the line that takes a field past the limit: line 3
+    # for u2, and for u4 (lines 6-7) the second line of its quoted field
+    assert batch.rejected == [(3, "malformed"), (7, "malformed")]
+    assert [post.user_id for post in batch.posts] == ["u1", "u3", "u5"]
+    assert csv.field_size_limit() == limit
+    # the same text is a valid JSONL record
+    records = [post_record(*row) for row in rows]
+    assert len(load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl").posts) == 5
+
+
+def test_csv_row_with_a_nul_byte_loads_or_is_malformed_and_the_batch_goes_on(tmp_path):
+    rows = [
+        ["u1", "2015-03-02T10:00:00Z", "fine"],
+        ["u2", "2015-03-02T11:00:00Z", "a\x00b"],
+        ["u3", "2015-03-02T12:00:00Z", "fine"],
+    ]
+    batch = load_corpus(csv_corpus(tmp_path / "corpus.csv", rows), "csv")
+    if sys.version_info < (3, 11):  # the csv reader rejects NUL before 3.11
+        assert batch.rejected == [(3, "malformed")]
+        assert [post.user_id for post in batch.posts] == ["u1", "u3"]
+    else:
+        assert batch.rejected == []
+        assert [post.text for post in batch.posts] == ["fine", "a\x00b", "fine"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_byte_order_mark_is_not_part_of_the_first_record(tmp_path, fmt):
+    rows = [["u1", "2015-03-02T10:00:00Z", "fine"], ["u2", "2015-03-02T11:00:00Z", "fine"]]
+    if fmt == "csv":
+        path = csv_corpus(tmp_path / "corpus.csv", rows)
+    else:
+        path = write_jsonl(tmp_path / "corpus.jsonl", [post_record(*row) for row in rows])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    batch = load_corpus(path, fmt)
+    assert batch.rejected == []
+    assert [post.user_id for post in batch.posts] == ["u1", "u2"]
+
+
+@pytest.mark.parametrize(
+    "user_id, fits",
+    [
+        ("a" * 255, True),
+        ("a" * 256, False),
+        ("\u00e9" * 42, True),  # two UTF-8 bytes, six scope bytes each: 252
+        ("\u00e9" * 43, False),
+        ("." + "a" * 252, True),  # the leading dot is written %2E
+        ("." + "a" * 253, False),
+        ("\u5b57" * 30, False),  # 270 scope bytes
+    ],
+    ids=["ascii-255", "ascii-256", "latin-252", "latin-258", "dot-255", "dot-256", "cjk-270"],
+)
+def test_a_user_id_whose_scope_is_too_long_for_a_file_name_is_malformed(tmp_path, user_id, fits):
+    from facewall.store import user_scope
+
+    records = [
+        post_record("u1", "2015-03-02T10:00:00Z", "fine"),
+        post_record(user_id, "2015-03-02T11:00:00Z", "long"),
+        post_record("u3", "2015-03-02T12:00:00Z", "fine"),
+    ]
+    batch = load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl")
+    assert len(batch.posts) == 2 + fits
+    assert batch.rejected == ([] if fits else [(2, "malformed")])
+    if fits:
+        (tmp_path / user_scope(user_id)).mkdir()  # the scope is a valid file name
 
 
 def test_load_corpus_missing_file_is_os_error(tmp_path):

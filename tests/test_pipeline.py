@@ -155,8 +155,8 @@ def test_detector_sensitivity_on_stationary_series():
 
         cursor = datetime(2013, 1, 1, tzinfo=timezone.utc)
         buckets = []
-        for i in range(len(counts)):
-            buckets.append(TimeBucket(cursor, i, "month"))
+        for _ in counts:
+            buckets.append(TimeBucket(cursor, "month"))
             cursor = next_bucket_start(cursor, "month")
         series = BucketSeries("u", "happy", buckets, counts, [50] * len(counts))
         flags = zscore_flags(series, window, z_thresh, min_hits)

@@ -55,8 +55,8 @@ def ts(year, month, day=1, hour=0):
 def month_buckets(n, year=2015, month=1):
     buckets = []
     start = ts(year, month)
-    for i in range(n):
-        buckets.append(TimeBucket(start, i, "month"))
+    for _ in range(n):
+        buckets.append(TimeBucket(start, "month"))
         start = next_bucket_start(start, "month")
     return buckets
 
@@ -87,7 +87,6 @@ def test_bucketize_zero_fills_gaps():
     buckets, groups = bucketize(posts, "month")
     assert [b.start for b in buckets] == [ts(2015, 1), ts(2015, 2), ts(2015, 3)]
     assert [len(g) for g in groups] == [2, 0, 1]
-    assert [b.index for b in buckets] == [0, 1, 2]
 
 
 def test_bucketize_single_and_empty():
@@ -162,6 +161,17 @@ def test_zscore_min_hits_guard():
 def test_zscore_bad_window():
     with pytest.raises(ValueError, match="bad-window"):
         zscore_flags(make_series([1, 2, 3]), window=1, z_thresh=2, min_hits=3)
+
+
+def test_zscore_flags_rejects_negative_counts():
+    # On negative counts the integer skip bound, whose proof assumes counts
+    # of at least 0, would rule out bucket 2 that the unskipped loop flags.
+    series = make_series([-(2**60 + 128), -(2**60 + 129), -(2**60 + 128)])
+    assert [f.bucket_index for f in rolling_zscore_flags(series, 2, 2.0, -(2**61))] == [2]
+    with pytest.raises(ValueError, match="non-negative"):
+        zscore_flags(series, window=2, z_thresh=2.0, min_hits=-(2**61))
+    with pytest.raises(ValueError, match="non-negative"):
+        zscore_flags(make_series([1, 2, 3, 4]), window=2, z_thresh=2.0, min_hits=-1)
 
 
 @pytest.mark.parametrize("field", ["z_thresh", "jsd_thresh"])
@@ -262,11 +272,14 @@ def random_counts(rng, length):
     return counts[:length]
 
 
-# inf, nan and a negative threshold tell apart a fitted z (flagged at or above
-# the threshold) from a flat baseline (flagged on any rise, whatever the
-# threshold); 6 and 8 rule out nearly every bucket before its square root
+# 6 and 8 rule out nearly every bucket before its square root; inf, nan,
+# 0 and -1 are thresholds the detectors reject with ValueError
 Z_THRESHOLDS = (0.25, 1.0, 2.0, 3.5, 6.0, 8.0, math.inf, math.nan, -1.0)
 JSD_THRESHOLDS = (0.01, 0.1, 0.25, 0.5, 0.7, 1.0, 0.0, -1.0, math.nan)
+
+
+def valid_threshold(thresh):
+    return math.isfinite(thresh) and thresh > 0
 
 
 @pytest.mark.skipif(
@@ -281,6 +294,10 @@ def test_zscore_flags_match_the_stdev_reference_bitwise():
         series = make_series(counts)
         z_thresh = rng.choice(Z_THRESHOLDS)
         min_hits = rng.randint(0, 3)
+        if not valid_threshold(z_thresh):
+            with pytest.raises(ValueError, match="thresholds"):
+                zscore_flags(series, window, z_thresh, min_hits)
+            continue
         got = zscore_flags(series, window, z_thresh, min_hits)
         want = reference_zscore_flags(series, window, z_thresh, min_hits)
         assert bitwise(got) == bitwise(want), (window, counts)
@@ -308,6 +325,10 @@ def test_shift_flags_match_the_slice_sum_reference_bitwise():
         buckets = month_buckets(length)
         jsd_thresh = rng.choice(JSD_THRESHOLDS)
         min_total = rng.randint(0, 5)
+        if not valid_threshold(jsd_thresh):
+            with pytest.raises(ValueError, match="thresholds"):
+                shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
+            continue
         got = shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
         want = reference_shift_flags(counts, totals, buckets, window, jsd_thresh, min_total)
         assert bitwise(got) == bitwise(want), (window, counts)
@@ -332,6 +353,10 @@ def test_zscore_flags_match_the_rolling_reference_bitwise():
         series = make_series(counts)
         z_thresh = rng.choice(Z_THRESHOLDS)
         min_hits = rng.randint(0, 3)
+        if not valid_threshold(z_thresh):
+            with pytest.raises(ValueError, match="thresholds"):
+                zscore_flags(series, window, z_thresh, min_hits)
+            continue
         got = zscore_flags(series, window, z_thresh, min_hits)
         want = rolling_zscore_flags(series, window, z_thresh, min_hits)
         assert bitwise(got) == bitwise(want), (window, counts, z_thresh)
@@ -369,6 +394,10 @@ def test_zscore_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
                 counts[t] >= 1 and len(set(counts[t - window : t])) > 1
                 for t in range(window, len(counts))
             )
+            if not valid_threshold(z_thresh):
+                with pytest.raises(ValueError, match="thresholds"):
+                    zscore_flags(series, window, z_thresh, 1)
+                continue
             got = zscore_flags(series, window, z_thresh, 1)
             calls = sqrt_calls[0]
             want = rolling_zscore_flags(series, window, z_thresh, 1)
@@ -377,7 +406,8 @@ def test_zscore_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
         if z_thresh > 0:
             assert sqrt_calls[0] < fitted / 2, (sqrt_calls, fitted)
         else:
-            assert sqrt_calls[0] == fitted, (z_thresh, sqrt_calls, fitted)
+            # a rejected threshold does no float work
+            assert sqrt_calls[0] == 0 < fitted, (z_thresh, sqrt_calls, fitted)
 
 
 def test_shift_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
@@ -397,6 +427,10 @@ def test_shift_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
                 totals[t] > 0 and any(totals[t - window : t]) for t in range(window, length)
             )
             buckets = month_buckets(length)
+            if not valid_threshold(jsd_thresh):
+                with pytest.raises(ValueError, match="thresholds"):
+                    shift_flags(counts, totals, buckets, window, jsd_thresh, 0)
+                continue
             got = shift_flags(counts, totals, buckets, window, jsd_thresh, 0)
             calls = jsd_calls[0]
             want = reference_shift_flags(counts, totals, buckets, window, jsd_thresh, 0)
@@ -406,7 +440,8 @@ def test_shift_pre_test_skips_only_at_a_positive_threshold(monkeypatch):
         if jsd_thresh > 0:
             assert flagged and jsd_calls[0] < tested / 2, (jsd_calls, tested)
         else:
-            assert jsd_calls[0] == tested, (jsd_thresh, jsd_calls, tested)
+            # a rejected threshold does no float work
+            assert jsd_calls[0] == 0 < tested, (jsd_thresh, jsd_calls, tested)
 
 
 def test_zscore_flags_a_bucket_at_exactly_the_threshold():
@@ -513,6 +548,9 @@ def test_shift_flags_rejects_negative_counts():
     counts["sad"][2] = -1
     with pytest.raises(ValueError):
         shift_flags(counts, [5] * 8, month_buckets(8), window=3, min_total=0)
+    counts["sad"][2] = 1
+    with pytest.raises(ValueError, match="non-negative"):
+        shift_flags(counts, [5] * 8, month_buckets(8), window=3, min_total=-1)
 
 
 def test_shift_flags_min_total_guard():
