@@ -134,6 +134,12 @@ def user_scope(user_id: str) -> str:
     return "%2E" + scope[1:] if scope.startswith(".") else scope
 
 
+def scope_too_long(user_id: str) -> bool:
+    """Whether user_scope(user_id) is too long for a directory name."""
+    # quote writes at most 12 bytes for a character, so a short id fits
+    return len(user_id) > MAX_SCOPE_BYTES // 12 and len(user_scope(user_id)) > MAX_SCOPE_BYTES
+
+
 def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
     user_id, timestamp, text = required = tuple(map(obj.get, REQUIRED_FIELDS))
     if None in required:
@@ -143,9 +149,8 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
     user_id = user_id.strip()
     if not user_id:
         raise RecordRejected("missing-field:user_id")
-    # The store names a directory user_scope(user_id). quote writes at most
-    # 12 bytes for a character, so a short id always fits.
-    if len(user_id) > MAX_SCOPE_BYTES // 12 and len(user_scope(user_id)) > MAX_SCOPE_BYTES:
+    # The store names a directory user_scope(user_id).
+    if scope_too_long(user_id):
         raise RecordRejected("malformed", "a user id too long for a directory name")
     try:
         stamp = parse_rfc3339(timestamp)

@@ -13,6 +13,7 @@ import re
 import unicodedata
 from collections import namedtuple
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -154,42 +155,53 @@ class TokenInterner:
     """Tokenize and prune with one shared Token and one dense int id per
     distinct (kind, surface), for a run over many posts.
 
-    Each distinct scanner match is looked at once: a memo keyed on its
-    group and raw text gives the id of its canonical token, or -1 for a
-    token prune drops. A post is then a tuple of ids, which holds no Token
-    of its own. A canonical token stands for all its occurrences, so its
-    span is that of its surface alone, (0, len(surface)).
+    Each distinct whitespace-separated word is scanned once: a memo keyed
+    on the word gives the ids of the tokens in it that prune keeps. A post
+    is then a tuple of ids, which holds no Token of its own. A canonical
+    token stands for all its occurrences, so its span is that of its
+    surface alone, (0, len(surface)).
+
+    Scanning word by word gives the tokens of the whole text because no
+    scanner branch looks behind or matches whitespace, so every match ends
+    before the next whitespace, and str.split() splits at exactly the
+    characters that the scanner's whitespace class matches (a test pins
+    this on each Python). An emoticon entry with whitespace inside, such as
+    ": )", breaks that: its match spans two words. For a table that holds
+    one, ids scans each whole text instead.
     """
 
     def __init__(self, table: EmoticonTable) -> None:
-        self._scan = table._scanner.findall
-        # findall gives one string per group, empty but for the group that
-        # matched: its position names the kind
-        self._kinds = table._group_kinds[1:]
+        self._scan = table._scanner.finditer
+        self._kinds = table._group_kinds
         self._ids: dict[tuple[TokenKind, str], int] = {}
-        self._memo = _Memo(self._intern)
+        self._memo = _Memo(self._scan_ids)
+        # whether every scanner match lies within one word
+        self._word_local = not any(char.isspace() for entry in table.entries for char in entry)
         # the canonical token of each id
         self.tokens: list[Token] = []
 
-    def _intern(self, groups: tuple[str, ...]) -> int:
-        at, raw = next((at, raw) for at, raw in enumerate(groups) if raw)
-        kind = self._kinds[at]
-        surface = _surface(kind, raw)
-        if not _kept(kind, surface):
-            return -1
-        token_id = self._ids.get((kind, surface))
-        if token_id is None:
-            token_id = self._ids[kind, surface] = len(self.tokens)
-            self.tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
-        return token_id
+    def _scan_ids(self, text: str) -> tuple[int, ...]:
+        """The ids of the tokens of text that prune keeps, interning each."""
+        kinds = self._kinds
+        ids = []
+        for m in self._scan(text):
+            kind = kinds[m.lastindex]
+            surface = _surface(kind, m.group())
+            if not _kept(kind, surface):
+                continue
+            token_id = self._ids.get((kind, surface))
+            if token_id is None:
+                token_id = self._ids[kind, surface] = len(self.tokens)
+                self.tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
+            ids.append(token_id)
+        return tuple(ids)
 
     def ids(self, text: str) -> tuple[int, ...]:
         """The ids of prune(tokenize(text, table)), token by token."""
         norm = unicodedata.normalize("NFC", text)
-        ids = tuple(map(self._memo.__getitem__, self._scan(norm)))
-        if -1 in ids:
-            ids = tuple([token_id for token_id in ids if token_id >= 0])
-        return ids
+        if self._word_local:
+            return tuple(chain.from_iterable(map(self._memo.__getitem__, norm.split())))
+        return self._scan_ids(norm)
 
     def tokens_of(self, ids: Iterable[int]) -> list[Token]:
         """The canonical tokens of a post's ids."""

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
+from .ingest import scope_too_long
 from .lexer import TokenInterner, TokenKind
 # The per-token steps that TokenInterner takes at once; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
@@ -84,6 +85,8 @@ class AnalyzeSummary:
     posts: int
     model_trained: bool
     config_hash: str
+    # logged user ids too long for a directory name, whose posts are left out
+    left_out: list[str]
 
 
 # One classified post of a scope: its labels and its lexicon occurrences as
@@ -102,17 +105,30 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     is held as its token ids, the cascade sees the shared canonical tokens,
     and grams are tuples of ids, rendered once for all scopes. `@all` is
     the fold of the users' n-gram profiles and of their bucketed records.
-    A write that fails raises a store-io StoreError.
+    A user id whose scope is too long for a directory name, which ingest
+    rejects but an older ingest logged, is left out of every derived file
+    and named in the summary. A write that fails raises a store-io
+    StoreError.
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
     # Each post is its time and its token ids: tuples of ints and times,
     # which the cyclic garbage collector soon stops walking.
     by_user: dict[str, list[tuple[datetime, tuple[int, ...]]]] = {}
+    left_out: set[str] = set()
     for post in store.iter_posts():
-        by_user.setdefault(post.user_id, []).append((post.timestamp, interner.ids(post.text)))
+        posts = by_user.get(post.user_id)
+        if posts is None:
+            if scope_too_long(post.user_id):
+                left_out.add(post.user_id)
+                continue
+            posts = by_user[post.user_id] = []
+        posts.append((post.timestamp, interner.ids(post.text)))
     if not by_user:
-        return AnalyzeSummary(users=0, posts=0, model_trained=False, config_hash=config_hash)
+        return AnalyzeSummary(
+            users=0, posts=0, model_trained=False, config_hash=config_hash,
+            left_out=sorted(left_out),
+        )
 
     tokens_of = interner.tokens_of
     # Only a post that holds an emoticon can be a training document.
@@ -188,6 +204,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         posts=everyone.post_count,
         model_trained=model is not None,
         config_hash=config_hash,
+        left_out=sorted(left_out),
     )
 
 

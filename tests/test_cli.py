@@ -121,6 +121,56 @@ def test_a_user_id_too_long_for_a_directory_name_is_rejected_at_ingest(capsys, c
     assert code == 0 and out.startswith("users=3 posts=18 ")
 
 
+def test_analyze_leaves_out_a_logged_user_id_too_long_for_a_directory_name(
+    capsys, corpus, tmp_path
+):
+    # Records ingest now rejects, in a log an earlier ingest wrote: analyze
+    # names their users and derives the files of the log without them.
+    long_ids = ["\u5b57" * 30, "." + "a" * 255]
+    stores = {name: str(tmp_path / name) for name in ("plain", "spoiled")}
+    for store in stores.values():
+        run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    with open(tmp_path / "spoiled" / "posts.jsonl", "a", encoding="utf-8") as log:
+        for i, long_id in enumerate(long_ids):
+            for stamp in ("2015-02-07T09:00:00Z", "2016-05-01T12:00:00Z"):
+                record = post_record(long_id, stamp, f"zebra {i} sunny great :-) :( <3")
+                log.write(json.dumps(record, ensure_ascii=False) + "\n")
+    # a re-ingest counts the logged records into the manifest
+    code, out, _ = run(
+        capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", stores["spoiled"]
+    )
+    assert code == 0 and out.strip() == "ingested=0 rejected=0 duplicates=17"
+
+    results = {name: run(capsys, "analyze", "--store", store) for name, store in stores.items()}
+    assert results["spoiled"][0] == 0
+    assert results["spoiled"][1] == results["plain"][1]
+    for long_id in long_ids:
+        assert f"left out user id too long for a directory name: {long_id!r}" in results[
+            "spoiled"][2]
+    assert "Traceback" not in results["spoiled"][2]
+
+    def derived(name):
+        root = tmp_path / name / "derived"
+        files = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        meta = next(key for key in files if key.endswith("/analysis.json"))
+        return files, meta, json.loads(files.pop(meta))
+
+    plain_files, plain_meta_name, plain_meta = derived("plain")
+    spoiled_files, spoiled_meta_name, spoiled_meta = derived("spoiled")
+    assert spoiled_files == plain_files and spoiled_meta_name == plain_meta_name
+    assert (plain_meta.pop("record_count"), spoiled_meta.pop("record_count")) == (17, 21)
+    assert spoiled_meta == plain_meta
+
+    reports = {
+        name: run(capsys, "detect", "--store", store, "--out", str(tmp_path / f"{name}.json"))
+        for name, store in stores.items()
+    }
+    assert reports["spoiled"][:2] == reports["plain"][:2] and reports["plain"][0] == 0
+
+
 def test_ingest_non_utf8_input(capsys, tmp_path):
     latin = tmp_path / "latin1.jsonl"
     latin.write_bytes(

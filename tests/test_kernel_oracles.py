@@ -387,13 +387,21 @@ def test_ngram_csv_is_the_sorted_rendered_rows(tmp_path):
 
 # Emoticons that are also a word ("xo"), hold a CSV quote (':"('), or render
 # alike in a gram (the GRAM_SEP pair); a keyword that case-folds from "ß".
-ORACLE_LEXICON = lexicon_from_dict(
+ORACLE_CLASSES = {
+    "happy": {"words": ["happy", "great", "xo"], "emoticons": [":-)", ":)"]},
+    "sad": {"words": ["sad", "gloomy", "Straße"], "emoticons": [":(", ':"(']},
+    "love": {"words": ["love"], "emoticons": ["<3", "xo", f"x{GRAM_SEP}EMOTICON:y"]},
+    "disappointment": {"words": ["sigh"], "emoticons": [f"y{GRAM_SEP}WORD:z", "x"]},
+}
+ORACLE_LEXICON = lexicon_from_dict({"classes": ORACLE_CLASSES})
+# Emoticons with whitespace inside, whose matches span two words, so the
+# interner scans each whole text.
+SPACED_EMOTICONS = {"happy": [": )"], "love": ["o\u3000o"]}
+SPACED_LEXICON = lexicon_from_dict(
     {
         "classes": {
-            "happy": {"words": ["happy", "great", "xo"], "emoticons": [":-)", ":)"]},
-            "sad": {"words": ["sad", "gloomy", "Straße"], "emoticons": [":(", ':"(']},
-            "love": {"words": ["love"], "emoticons": ["<3", "xo", f"x{GRAM_SEP}EMOTICON:y"]},
-            "disappointment": {"words": ["sigh"], "emoticons": [f"y{GRAM_SEP}WORD:z", "x"]},
+            name: {**entry, "emoticons": entry["emoticons"] + SPACED_EMOTICONS.get(name, [])}
+            for name, entry in ORACLE_CLASSES.items()
         }
     }
 )
@@ -405,6 +413,7 @@ ORACLE_PIECES = [
     f"y{GRAM_SEP}WORD:z", "x", "z",
 ]
 ORACLE_ONLY = [":-)", "<3", "xo", "http://a.b/c?d=1,2", "@bob", "@bob http://x.y", "The AN a", ""]
+SPACED_PIECES = ORACLE_PIECES + [": )", "o\u3000o", ":", ")", "o", "o\u3000o\u3000o"]
 
 
 def adversarial_records(seed: int, pieces: list[str], only: list[str]) -> list[dict]:
@@ -516,11 +525,15 @@ def derived_files(root, config_hash=None) -> dict[str, bytes]:
         ("one-class", "month", 3, False),
         ("ties", "month", 3, True),
         ("ties", "week", 1, True),
+        ("inner-space", "month", 3, True),
     ],
 )
 def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, n_max, trained):
+    lexicon = SPACED_LEXICON if corpus == "inner-space" else ORACLE_LEXICON
     if corpus == "adversarial":
         records = adversarial_records(77, ORACLE_PIECES, ORACLE_ONLY)
+    elif corpus == "inner-space":
+        records = adversarial_records(79, SPACED_PIECES, ORACLE_ONLY + [": )", "o\u3000o"])
     elif corpus == "ties":
         records = tie_records()
     else:
@@ -531,11 +544,11 @@ def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, 
         records = adversarial_records(78, pieces, ["", ":-)", "@bob"])
     store = Store.open(tmp_path / "store", create=True)
     store.append_batch(load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl"))
-    config = AnalysisConfig(granularity, n_max, ORACLE_LEXICON.digest())
-    summary = analyze_store(store, ORACLE_LEXICON, config)
+    config = AnalysisConfig(granularity, n_max, lexicon.digest())
+    summary = analyze_store(store, lexicon, config)
     assert summary.model_trained is trained
 
-    routes = reference_analyze(store, ORACLE_LEXICON, granularity, n_max, tmp_path / "reference")
+    routes = reference_analyze(store, lexicon, granularity, n_max, tmp_path / "reference")
     if corpus == "ties":
         assert routes["tie"] == 4 and routes["out-of-vocabulary"] == 2
         assert routes[METHOD_MODEL] == 2 and routes["no-tokens"] == 2

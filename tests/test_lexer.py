@@ -1,4 +1,5 @@
 import random
+import re
 import unicodedata
 
 import pytest
@@ -199,23 +200,48 @@ def test_token_span_must_be_nonempty():
 
 # -- properties --------------------------------------------------------------------
 
+# Every character str.isspace() accepts, in code point order.
+SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
 # Pieces that reach every scanner branch and the casefold and pruning
-# rules, mixed with arbitrary characters.
-PIECES = [" ", "  ", "\t", "\n", "\u3000", ":-)", ":(", "<3", "☹", "The", "AN", "a", "café",
-          "cafe\u0301", "ß", "SS", "Straße", "3", "1,000", "2.5", "@bob", "http://x.y/z",
-          "www.a.b", "!", "'", "-", "don't", "λ"]
+# rules, mixed with arbitrary characters; ": )" and "o\u3000o" are
+# emoticons of SPACED_TABLE.
+PIECES = [*SPACES, "  ", ":-)", ":(", ": )", ":", ")", "o\u3000o", "o", "<3", "☹", "The", "AN",
+          "a", "café", "cafe\u0301", "ß", "SS", "Straße", "3", "1,000", "2.5", "@bob",
+          "http://x.y/z", "www.a.b", "!", "'", "-", "don't", "λ"]
 TEXTS = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=14).map("".join)
 
+# Emoticons with whitespace inside: a match can span two words.
+SPACED_TABLE = EmoticonTable(TABLE.entries + (": )", "o\u3000o"))
 
-@given(st.lists(TEXTS, max_size=6))
-def test_interned_posts_are_the_pruned_token_keys(texts):
-    interner = TokenInterner(TABLE)
+
+def test_split_and_the_scanner_agree_on_whitespace_at_every_code_point():
+    # TokenInterner splits a text where str.split() finds whitespace, and
+    # the scanner steps over what \s matches. Each code point stands alone
+    # between two "a"s here, so each split falls at exactly one of them.
+    every = "".join(map(chr, range(0x110000)))
+    padded = "a" + "a".join(every) + "a"
+    split_at = []
+    at = -1
+    for word in padded.split()[:-1]:
+        at += len(word) + 1
+        split_at.append(padded[at])
+    by_split = "".join(split_at)
+    assert by_split == "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+    assert by_split == SPACES
+
+
+@pytest.mark.parametrize("table", [TABLE, SPACED_TABLE], ids=["default", "inner-space"])
+@given(texts=st.lists(TEXTS, max_size=6))
+def test_interned_posts_are_the_pruned_token_keys(table, texts):
+    interner = TokenInterner(table)
     id_of: dict = {}
     for text in texts:
         ids = interner.ids(text)
         tokens = interner.tokens_of(ids)
         keys = [(t.kind, t.surface) for t in tokens]
-        assert keys == [(t.kind, t.surface) for t in prune(tokenize(text, TABLE))]
+        assert keys == [(t.kind, t.surface) for t in prune(tokenize(text, table))]
         assert all(interner.tokens[i] is token for i, token in zip(ids, tokens))
         for token_id, key in zip(ids, keys):
             assert id_of.setdefault(key, token_id) == token_id
