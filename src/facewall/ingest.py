@@ -237,12 +237,15 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
 
     Unreadable files raise OSError, and files that are not UTF-8 raise
     UnicodeDecodeError; a leading byte-order mark is dropped. A file with
-    zero parseable records is a valid, empty batch.
+    zero parseable records is a valid, empty batch. The batch's posts with
+    equal user ids share one str, and so do those with equal sources.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")
     batch = CorpusBatch()
     seen: set[tuple[str, str, str]] = set()
+    # one str per distinct user id and source: each record repeats them
+    strings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         if fmt == "jsonl":
             rows, parse = _iter_jsonl(handle), _post_from_line
@@ -254,6 +257,9 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
             except RecordRejected as rejection:
                 batch.rejected.append((number, rejection.reason))
                 continue
+            _set_user_id(post, strings.setdefault(post.user_id, post.user_id))
+            if post.source is not None:
+                _set_source(post, strings.setdefault(post.source, post.source))
             key = post.dedupe_key()
             if key in seen:
                 batch.duplicates_dropped += 1

@@ -166,8 +166,9 @@ class TokenInterner:
     before the next whitespace, and str.split() splits at exactly the
     characters that the scanner's whitespace class matches (a test pins
     this on each Python). An emoticon entry with whitespace inside, such as
-    ": )", breaks that: its match spans two words. For a table that holds
-    one, ids scans each whole text instead.
+    ": )", breaks that: its match spans two words. It can match only where
+    the text holds it, so ids scans the whole text of a post that holds
+    such an entry, and splits any other post into words.
     """
 
     def __init__(self, table: EmoticonTable) -> None:
@@ -175,8 +176,8 @@ class TokenInterner:
         self._kinds = table._group_kinds
         self._ids: dict[tuple[TokenKind, str], int] = {}
         self._memo = _Memo(self._scan_ids)
-        # whether every scanner match lies within one word
-        self._word_local = not any(char.isspace() for entry in table.entries for char in entry)
+        # the emoticon entries whose matches span words
+        self._spaced = tuple(entry for entry in table.entries if any(map(str.isspace, entry)))
         # the canonical token of each id
         self.tokens: list[Token] = []
 
@@ -199,9 +200,9 @@ class TokenInterner:
     def ids(self, text: str) -> tuple[int, ...]:
         """The ids of prune(tokenize(text, table)), token by token."""
         norm = unicodedata.normalize("NFC", text)
-        if self._word_local:
-            return tuple(chain.from_iterable(map(self._memo.__getitem__, norm.split())))
-        return self._scan_ids(norm)
+        if self._spaced and any(entry in norm for entry in self._spaced):
+            return self._scan_ids(norm)
+        return tuple(chain.from_iterable(map(self._memo.__getitem__, norm.split())))
 
     def tokens_of(self, ids: Iterable[int]) -> list[Token]:
         """The canonical tokens of a post's ids."""

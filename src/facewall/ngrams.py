@@ -8,6 +8,7 @@ length L contributes exactly max(0, L-n+1) grams of order n.
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -54,6 +55,8 @@ def extract_ngrams(tokens: Sequence[Token], n: int) -> Counter[Gram]:
 @dataclass
 class NGramProfile:
     owner: str
+    # each gram's count; in a profile that analyze writes, the grams are
+    # the dense gram ids of a GramRanking
     counts: Counter[Gram] = field(default_factory=Counter)
     post_count: int = 0
 
@@ -102,38 +105,40 @@ class _Echo:
 
 
 class GramRanking:
-    """The export order of a set of interned grams, the id grams of these
-    canonical tokens, each rendered once and ranked once by (n, text): a
-    profile over any of them writes its ngrams.csv rows in rank order.
-    Grams that render alike (only when a surface holds GRAM_SEP) share a
-    rank, and their rows go by count, so the rows come out as sorted
-    (n, text, count) rows do."""
+    """The export order of the id grams of a run. A gram is a tuple of ids
+    of these canonical tokens, and its dense gram id is its index in the
+    grams given. Each gram is rendered once and ranked once by (n, text),
+    and rank_of[gid] is its rank: a profile whose counts are keyed by dense
+    gram id writes its ngrams.csv rows in rank order. Grams that render
+    alike (only when a surface holds GRAM_SEP) share a rank, and their rows
+    go by count, so the rows come out as sorted (n, text, count) rows do."""
 
     def __init__(self, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> None:
         elements = [render_gram((key,)) for key in map(_token_key, tokens)]
-        heads = {gram: (len(gram), GRAM_SEP.join([elements[i] for i in gram])) for gram in grams}
+        # each gram's (n, text), by dense gram id
+        heads = [(len(gram), GRAM_SEP.join([elements[i] for i in gram])) for gram in grams]
         ranked: list[tuple[int, str]] = []
-        self._rank: dict[tuple[int, ...], int] = {}
-        for gram in sorted(heads, key=heads.__getitem__):
-            head = heads[gram]
+        self.rank_of = array("I", [0]) * len(heads)
+        for gid in sorted(range(len(heads)), key=heads.__getitem__):
+            head = heads[gid]
             if not ranked or ranked[-1] != head:
                 ranked.append(head)
-            self._rank[gram] = len(ranked) - 1
+            self.rank_of[gid] = len(ranked) - 1
         # each rank's CSV row up to its count, quoted by the csv module
         writer = csv.writer(_Echo())
         self._csv_heads = [writer.writerow(head + ("",))[: -len(_EOL)] for head in ranked]
 
-    def csv_rows(self, counts: Mapping[tuple[int, ...], int]) -> str:
-        """The (n, rendered gram, count) rows of counts over ranked grams,
-        sorted, as the CSV text csv.writer gives."""
+    def csv_rows(self, counts: Mapping[int, int]) -> str:
+        """The (n, rendered gram, count) rows of counts keyed by dense gram
+        id, sorted, as the CSV text csv.writer gives."""
         heads = self._csv_heads
-        ranked = sorted(zip(map(self._rank.__getitem__, counts), counts.values()))
+        ranked = sorted(zip(map(self.rank_of.__getitem__, counts), counts.values()))
         return "".join([f"{heads[rank]}{count}{_EOL}" for rank, count in ranked])
 
 
 def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRanking) -> None:
-    """Write the rows of a profile of interned grams in export order; the
-    ranking must rank all of its grams."""
+    """Write the rows of a profile whose counts are keyed by the dense gram
+    ids of the ranking, in export order."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(["n", "gram", "count"])
         handle.write(ranking.csv_rows(profile.counts))

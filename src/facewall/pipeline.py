@@ -14,16 +14,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
 from .ingest import scope_too_long
-from .lexer import TokenInterner, TokenKind
+from .lexer import TokenInterner, TokenKind, _Memo
 # The per-token steps that TokenInterner takes at once; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
@@ -96,34 +97,69 @@ _Record = tuple[frozenset[EmotionClass], tuple[int, ...]]
 _NO_HITS = (0,) * len(LEXICON_CLASSES)
 
 
+class _Columns:
+    """One user's posts, filled as the log is read: the token ids of all of
+    them end to end, each post's length and time, and the id tuples of the
+    posts that hold an emoticon, which are the user's training candidates."""
+
+    __slots__ = ("ids", "lengths", "stamps", "candidates")
+
+    def __init__(self) -> None:
+        self.ids = array("I")
+        self.lengths = array("I")
+        self.stamps: list[datetime] = []
+        self.candidates: list[tuple[int, ...]] = []
+
+    def posts(self) -> list[tuple[int, ...]]:
+        """Each post's id tuple, in log order."""
+        ids = iter(self.ids)
+        return [tuple(islice(ids, n)) for n in self.lengths]
+
+
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
     """Classify all stored posts and write the derived cache.
 
     An empty store writes nothing (there is no bucket range to describe).
     The model trains when at least two classes have enough emoticon-labeled
-    posts; otherwise the cascade runs rule-only. Tokens are interned: a post
-    is held as its token ids, the cascade sees the shared canonical tokens,
-    and grams are tuples of ids, rendered once for all scopes. `@all` is
-    the fold of the users' n-gram profiles and of their bucketed records.
-    A user id whose scope is too long for a directory name, which ingest
-    rejects but an older ingest logged, is left out of every derived file
-    and named in the summary. A write that fails raises a store-io
-    StoreError.
+    posts; otherwise the cascade runs rule-only. Tokens are interned, and
+    the cascade sees the shared canonical tokens. Each distinct id gram of
+    the run gets a dense gram id, and a profile is two arrays, the dense
+    ids of its grams and their counts, ranked and rendered once for all
+    scopes. `@all` is the sum of the users' profiles and the fold of their
+    bucketed records. A user id whose scope is too long for a directory
+    name, which ingest rejects but an older ingest logged, is left out of
+    every derived file and named in the summary. A re-analyze first
+    retires the config's analysis.json, which it writes last. A write that
+    fails raises a store-io StoreError.
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
-    # Each post is its time and its token ids: tuples of ints and times,
-    # which the cyclic garbage collector soon stops walking.
-    by_user: dict[str, list[tuple[datetime, tuple[int, ...]]]] = {}
+    tokens = interner.tokens
+    emoticon = TokenKind.EMOTICON
+    # the ids of the emoticon tokens interned so far, of tokens[:interned]
+    emoticons: set[int] = set()
+    interned = 0
+    # A user's posts are columns, not an object per post; only a training
+    # candidate keeps its id tuple, until the model is trained.
+    by_user: dict[str, _Columns] = {}
     left_out: set[str] = set()
     for post in store.iter_posts():
-        posts = by_user.get(post.user_id)
-        if posts is None:
+        columns = by_user.get(post.user_id)
+        if columns is None:
             if scope_too_long(post.user_id):
                 left_out.add(post.user_id)
                 continue
-            posts = by_user[post.user_id] = []
-        posts.append((post.timestamp, interner.ids(post.text)))
+            columns = by_user[post.user_id] = _Columns()
+        ids = interner.ids(post.text)
+        if len(tokens) > interned:
+            emoticons.update(i for i in range(interned, len(tokens)) if tokens[i].kind is emoticon)
+            interned = len(tokens)
+        columns.ids.extend(ids)
+        columns.lengths.append(len(ids))
+        columns.stamps.append(post.timestamp)
+        # Only a post that holds an emoticon can be a training document.
+        if not emoticons.isdisjoint(ids):
+            columns.candidates.append(ids)
     if not by_user:
         return AnalyzeSummary(
             users=0, posts=0, model_trained=False, config_hash=config_hash,
@@ -131,12 +167,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         )
 
     tokens_of = interner.tokens_of
-    # Only a post that holds an emoticon can be a training document.
-    emoticon = TokenKind.EMOTICON
-    emoticons = frozenset(i for i, token in enumerate(interner.tokens) if token.kind is emoticon)
-    with_emoticon = (
-        ids for posts in by_user.values() for _, ids in posts if not emoticons.isdisjoint(ids)
-    )
+    # user by user in order of first post, each user's in log order
+    with_emoticon = chain.from_iterable(columns.candidates for columns in by_user.values())
     pairs = (
         (tokens, classifier.emoticon_label(tokens, lexicon))
         for tokens in map(tokens_of, with_emoticon)
@@ -146,39 +178,68 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         model = classifier.train_nb(classifier.training_pairs(pairs), n_max=config.n_max)
     except UntrainableError:
         model = None
+    trained = model is not None
+    for columns in by_user.values():
+        columns.candidates = []
+
+    meta_dir = store.derived_dir(META_SCOPE, config_hash)
+    with store_io():
+        # Until the new one is written, no analysis.json vouches for a mix
+        # of old and new derived files.
+        (meta_dir / META_JSON).unlink(missing_ok=True)
+        if model is not None:
+            model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
+            model_dir.mkdir(parents=True, exist_ok=True)
+            (model_dir / MODEL_JSON).write_text(model.to_json(), encoding="utf-8")
 
     users = sorted(by_user)
-    profiles = {}
-    everyone = ngrams.NGramProfile(owner="all")
-    for user_id in users:
-        posts = [ids for _, ids in by_user[user_id]]
-        profile = profiles[user_id] = ngrams.NGramProfile(owner=user_id, post_count=len(posts))
-        profile.counts.update(ngrams.interned_grams(posts, config.n_max))
-        everyone.counts.update(profile.counts)
-        everyone.post_count += profile.post_count
-    ranking = ngrams.GramRanking(everyone.counts, interner.tokens)
-
+    # the dense gram id of each id gram of the run, in order of first count
+    gram_ids: dict[tuple[int, ...], int] = _Memo(lambda _: len(gram_ids))
+    # per user: the dense ids of the user's grams, their counts, the posts
+    profiles: dict[str, tuple[array, array, int]] = {}
+    post_count = 0
+    # @all's count of each dense gram id
+    totals = array("Q")
     # (bucket start, the user's records in that bucket) over all users
     user_buckets: list[tuple[datetime, list[_Record]]] = []
     # one object per distinct record: there are few, and @all holds them all
     shared: dict[_Record, _Record] = {}
     for user_id in users:
+        columns = by_user.pop(user_id)
+        posts = columns.posts()
+        counts = Counter(ngrams.interned_grams(posts, config.n_max))
+        gids = array("I", map(gram_ids.__getitem__, counts))
+        profiles[user_id] = (gids, array("I", counts.values()), len(posts))
+        post_count += len(posts)
+        totals.extend(repeat(0, len(gram_ids) - len(totals)))
+        for gid, count in zip(gids, counts.values()):
+            totals[gid] += count
+        del counts
         records: list[tuple[datetime, _Record]] = []
-        for stamp, ids in by_user.pop(user_id):
+        for stamp, ids in zip(columns.stamps, posts):
             label = classifier.classify_post(tokens_of(ids), lexicon, model)
             hits = label.hits
             row = tuple([hits.get(cls, 0) for cls in LEXICON_CLASSES]) if hits else _NO_HITS
             record = (label.labels, row)
             records.append((stamp, shared.setdefault(record, record)))
         buckets, groups = bucketize(records, config.granularity)
-        _write_scope(
-            store, user_scope(user_id), user_id, buckets, groups,
-            profiles.pop(user_id), ranking, config_hash,
-        )
+        _write_series(store, user_scope(user_id), user_id, buckets, groups, config_hash)
         user_buckets.extend(zip([bucket.start for bucket in buckets], groups))
     buckets, nested = bucketize(user_buckets, config.granularity)
     groups = [list(chain.from_iterable(group)) for group in nested]
-    _write_scope(store, ALL_SCOPE, "all", buckets, groups, everyone, ranking, config_hash)
+    _write_series(store, ALL_SCOPE, "all", buckets, groups, config_hash)
+    # The ranking and the ngrams.csv writes are analyze's memory peak: the
+    # model and the records are done with by then.
+    del model, user_buckets, shared, buckets, nested, groups
+
+    ranking = ngrams.GramRanking(gram_ids, tokens)
+    del gram_ids
+    for user_id in users:
+        gids, counts, user_posts = profiles.pop(user_id)
+        profile = ngrams.NGramProfile(user_id, dict(zip(gids, counts)), user_posts)
+        _write_ngrams(store, user_scope(user_id), profile, ranking, config_hash)
+    everyone = ngrams.NGramProfile("all", dict(enumerate(totals)), post_count)
+    _write_ngrams(store, ALL_SCOPE, everyone, ranking, config_hash)
 
     meta = {
         "schema": CONFIG_SCHEMA,
@@ -186,14 +247,9 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         "config_hash": config_hash,
         "record_count": store.record_count,
         "users": users,
-        "model_trained": model is not None,
+        "model_trained": trained,
     }
     with store_io():
-        if model is not None:
-            model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
-            model_dir.mkdir(parents=True, exist_ok=True)
-            (model_dir / MODEL_JSON).write_text(model.to_json(), encoding="utf-8")
-        meta_dir = store.derived_dir(META_SCOPE, config_hash)
         meta_dir.mkdir(parents=True, exist_ok=True)
         (meta_dir / META_JSON).write_text(
             json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
@@ -201,23 +257,22 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         )
     return AnalyzeSummary(
         users=len(users),
-        posts=everyone.post_count,
-        model_trained=model is not None,
+        posts=post_count,
+        model_trained=trained,
         config_hash=config_hash,
         left_out=sorted(left_out),
     )
 
 
-def _write_scope(
+def _write_series(
     store: Store,
     scope: str,
     scope_label: str,
     buckets: list[TimeBucket],
     groups: list[list[_Record]],
-    profile: ngrams.NGramProfile,
-    ranking: ngrams.GramRanking,
     config_hash: str,
 ) -> None:
+    """A scope's series.csv and occurrences.csv, from its bucketed records."""
     label_groups = [[labels for labels, _ in group] for group in groups]
     series_list = [
         emotion_series(buckets, label_groups, cls, scope=scope_label) for cls in ALL_CLASSES
@@ -231,7 +286,18 @@ def _write_scope(
         out_dir.mkdir(parents=True, exist_ok=True)
         write_series_csv(out_dir / SERIES_CSV, series_list)
         write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
-        ngrams.write_ngram_csv(out_dir / NGRAMS_CSV, profile, ranking)
+
+
+def _write_ngrams(
+    store: Store,
+    scope: str,
+    profile: ngrams.NGramProfile,
+    ranking: ngrams.GramRanking,
+    config_hash: str,
+) -> None:
+    """A scope's ngrams.csv, once its series are written."""
+    with store_io():
+        ngrams.write_ngram_csv(store.derived_dir(scope, config_hash) / NGRAMS_CSV, profile, ranking)
 
 
 # -- reading the cache ------------------------------------------------------

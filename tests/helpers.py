@@ -31,15 +31,19 @@ def emoticon(surface: str, at: int = 0) -> Token:
 
 
 def interned_profile(profile: NGramProfile) -> tuple[NGramProfile, GramRanking]:
-    """The profile with each gram element an id of a canonical token, as
-    analyze counts it, and the ranking that writes its ngrams.csv."""
+    """The profile as analyze counts it, each gram known by a dense gram id
+    and made of ids of canonical tokens, and the ranking that writes its
+    ngrams.csv."""
     ids: dict[tuple[str, str], int] = {}
+    # the dense gram id of each id gram
+    grams: dict[tuple[int, ...], int] = {}
     counts: Counter = Counter()
     for gram, count in profile.counts.items():
-        counts[tuple([ids.setdefault(element, len(ids)) for element in gram])] = count
+        id_gram = tuple([ids.setdefault(element, len(ids)) for element in gram])
+        counts[grams.setdefault(id_gram, len(grams))] = count
     tokens = [Token(TokenKind[kind], surface, 0, len(surface)) for kind, surface in ids]
     interned = NGramProfile(profile.owner, counts, profile.post_count)
-    return interned, GramRanking(counts, tokens)
+    return interned, GramRanking(grams, tokens)
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -1,9 +1,12 @@
 import csv
+import errno
 import json
+import os
 
 import pytest
 
 from facewall.cli import build_parser, main
+from facewall.ngrams import GramRanking
 from facewall.pipeline import AnalysisConfig
 from facewall.timeline import DetectorConfig
 from helpers import post_record, write_jsonl
@@ -235,6 +238,35 @@ def test_analyze_trains_and_writes_cache(capsys, corpus, tmp_path):
     assert (hash_dir / "occurrences.csv").is_file()
     model_dir = next((derived / "@model").iterdir())
     assert (model_dir / "model.json").is_file()
+
+
+def test_a_reanalyze_cut_short_leaves_readers_at_not_analyzed(
+    capsys, corpus, tmp_path, monkeypatch
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    ngrams_csv = tmp_path / "u1.csv"
+    export = ["export", "--what", "ngrams", "--user", "u1", "--store", store]
+    assert run(capsys, *export, "--out", str(ngrams_csv))[0] == 0
+    before = ngrams_csv.read_bytes()
+
+    def full_disk(self, counts):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    # the disk fills once the first ngrams.csv is open
+    monkeypatch.setattr(GramRanking, "csv_rows", full_disk)
+    code, _, err = run(capsys, "analyze", "--store", store)
+    assert code == 3 and "store-io: " in err
+    monkeypatch.undo()
+    # the old analysis.json no longer vouches for the derived files
+    detect = ["detect", "--store", store, "--out", str(tmp_path / "report.json")]
+    for argv in (export + ["--out", str(ngrams_csv)], detect):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "not-analyzed" in err
+    assert ngrams_csv.read_bytes() == before
+
+    assert run(capsys, "analyze", "--store", store)[0] == 0
+    assert run(capsys, *export, "--out", str(ngrams_csv))[0] == 0
+    assert ngrams_csv.read_bytes() == before
 
 
 def test_analyze_untrainable_warns_and_succeeds(capsys, tmp_path):

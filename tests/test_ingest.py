@@ -164,6 +164,45 @@ def test_load_csv_with_extra_columns_and_quoting(tmp_path):
     assert batch.rejected == []
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_batch_keeps_one_string_per_user_id_and_per_source(tmp_path, fmt):
+    records = [
+        post_record(user, f"2015-03-0{day}T10:00:00Z", f"post {day}", source=source)
+        for day, (user, source) in enumerate(
+            [("u1", "wall"), (" u2", "wall"), ("u1", "mobile"), ("u2 ", "wall"), ("u1", "wall")], 1
+        )
+    ]
+    records.append(post_record("u3", "2015-03-09T10:00:00Z", "no source"))
+    path = tmp_path / f"corpus.{fmt}"
+    if fmt == "jsonl":
+        write_jsonl(path, records)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, ["user_id", "timestamp", "text", "source"])
+            writer.writeheader()
+            writer.writerows(records)
+    posts = load_corpus(path, fmt).posts
+    # the same fields as each record parsed on its own
+    alone = [parse_post_record(raw, fmt) for raw in _raw_records(path, fmt)]
+    assert posts == alone
+    assert [post.to_line() for post in posts] == [post.to_line() for post in alone]
+    for field, distinct in (("user_id", 3), ("source", 2)):
+        first: dict = {}
+        for post in posts:
+            value = getattr(post, field)
+            if value:
+                assert first.setdefault(value, value) is value
+        assert len(first) == distinct
+    assert posts[0].dedupe_key()[0] is posts[2].user_id
+
+
+def _raw_records(path, fmt) -> list:
+    with open(path, encoding="utf-8", newline="") as handle:
+        if fmt == "jsonl":
+            return [line.rstrip("\n") for line in handle]
+        return [row for row in csv.DictReader(handle)]
+
+
 def test_load_csv_short_row_rejected(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("user_id,timestamp,text\nu1,2015-03-02T10:00:00Z\n", encoding="utf-8")

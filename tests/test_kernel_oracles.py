@@ -433,6 +433,20 @@ def adversarial_records(seed: int, pieces: list[str], only: list[str]) -> list[d
     return records
 
 
+def with_edge_posts(records: list[dict], emoticon: str) -> list[dict]:
+    """The records after a first post that holds the emoticon, so its token
+    is interned by the post that must see it as an emoticon, and before
+    the posts of a user whose every post prunes to no tokens and of a user
+    with a single post."""
+    first = post_record("u1", "2015-01-02T00:00:00Z", f"sun {emoticon} rain")
+    mute = [
+        post_record("mute", f"2015-0{month}-05T00:00:00Z", text)
+        for month, text in enumerate(["@bob http://x.y", "The AN a", "! !", ""], 1)
+    ]
+    once = post_record("once", "2016-02-29T12:00:00Z", "gloomy sun :(")
+    return [first, *records, *mute, once]
+
+
 def reference_scope(out, scope_label, records, profile, granularity) -> None:
     out.mkdir(parents=True)
     buckets, groups = bucketize(records, granularity)
@@ -531,9 +545,11 @@ def derived_files(root, config_hash=None) -> dict[str, bytes]:
 def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, n_max, trained):
     lexicon = SPACED_LEXICON if corpus == "inner-space" else ORACLE_LEXICON
     if corpus == "adversarial":
-        records = adversarial_records(77, ORACLE_PIECES, ORACLE_ONLY)
+        records = with_edge_posts(adversarial_records(77, ORACLE_PIECES, ORACLE_ONLY), "<3")
     elif corpus == "inner-space":
-        records = adversarial_records(79, SPACED_PIECES, ORACLE_ONLY + [": )", "o\u3000o"])
+        records = with_edge_posts(
+            adversarial_records(79, SPACED_PIECES, ORACLE_ONLY + [": )", "o\u3000o"]), ": )"
+        )
     elif corpus == "ties":
         records = tie_records()
     else:
@@ -541,7 +557,7 @@ def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, 
         emoticons = ORACLE_LEXICON.emoticon_to_class
         happy = EmotionClass.HAPPY
         pieces = [p for p in ORACLE_PIECES if emoticons.get(p, happy) is happy]
-        records = adversarial_records(78, pieces, ["", ":-)", "@bob"])
+        records = with_edge_posts(adversarial_records(78, pieces, ["", ":-)", "@bob"]), ":)")
     store = Store.open(tmp_path / "store", create=True)
     store.append_batch(load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl"))
     config = AnalysisConfig(granularity, n_max, lexicon.digest())

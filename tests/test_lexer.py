@@ -249,6 +249,17 @@ def test_interned_posts_are_the_pruned_token_keys(table, texts):
     assert sorted(id_of.values()) == list(range(len(interner.tokens)))
 
 
+def test_only_a_post_that_holds_an_inner_space_entry_is_scanned_whole():
+    interner = TokenInterner(SPACED_TABLE)
+    # a post with ": )", then posts without it whose words the memo gives
+    texts = ["good : ) day :", "good : day )", ": ) :)", "day :) : )", "good )"]
+    for text in texts:
+        keys = [(t.kind, t.surface) for t in interner.tokens_of(interner.ids(text))]
+        assert keys == [(t.kind, t.surface) for t in prune(tokenize(text, SPACED_TABLE))]
+    # only the words of the posts without ": )" went through the memo
+    assert sorted(interner._memo) == [")", ":", "day", "good"]
+
+
 @given(TEXTS)
 def test_token_spans_partition_the_non_space_characters(text):
     norm = unicodedata.normalize("NFC", text)
