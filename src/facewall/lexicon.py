@@ -152,7 +152,7 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
         raise LexiconError(f"cannot read lexicon file: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an overlong integer; too deep
         raise LexiconError(f"lexicon file is not valid JSON: {exc}") from exc
     return lexicon_from_dict(obj)
 

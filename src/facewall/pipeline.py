@@ -31,6 +31,8 @@ from .lexer import prune, tokenize  # noqa: F401
 from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
 from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, store_io, user_scope
 from .timeline import (
+    OCCURRENCE_CLASS_KEYS,
+    SERIES_CLASS_KEYS,
     VOLUME,
     DetectorConfig,
     DeviationReport,
@@ -90,11 +92,11 @@ class AnalyzeSummary:
     left_out: list[str]
 
 
-# One classified post of a scope: its labels and its lexicon occurrences as
-# counts in LEXICON_CLASSES order.
+# One classified post of a user: its labels and its lexicon occurrences as
+# counts in ALL_CLASSES order.
 _Record = tuple[frozenset[EmotionClass], tuple[int, ...]]
 # the occurrence row of a post without lexicon hits
-_NO_HITS = (0,) * len(LEXICON_CLASSES)
+_NO_HITS = (0,) * len(ALL_CLASSES)
 
 
 class _Columns:
@@ -125,8 +127,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     the cascade sees the shared canonical tokens. Each distinct id gram of
     the run gets a dense gram id, and a profile is two arrays, the dense
     ids of its grams and their counts, ranked and rendered once for all
-    scopes. `@all` is the sum of the users' profiles and the fold of their
-    bucketed records. A user id whose scope is too long for a directory
+    scopes. `@all`'s profile and its series and occurrence columns are the
+    sums of its users'. A user id whose scope is too long for a directory
     name, which ingest rejects but an older ingest logged, is left out of
     every derived file and named in the summary. A re-analyze first
     retires the config's analysis.json, which it writes last. A write that
@@ -200,9 +202,10 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     post_count = 0
     # @all's count of each dense gram id
     totals = array("Q")
-    # (bucket start, the user's records in that bucket) over all users
-    user_buckets: list[tuple[datetime, list[_Record]]] = []
-    # one object per distinct record: there are few, and @all holds them all
+    # (bucket start, the user's row of columns in that bucket) over all users
+    user_rows: list[tuple[datetime, tuple[int, ...]]] = []
+    # one object per distinct record: there are few, and a user holds one
+    # reference per post
     shared: dict[_Record, _Record] = {}
     for user_id in users:
         columns = by_user.pop(user_id)
@@ -219,18 +222,22 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         for stamp, ids in zip(columns.stamps, posts):
             label = classifier.classify_post(tokens_of(ids), lexicon, model)
             hits = label.hits
-            row = tuple([hits.get(cls, 0) for cls in LEXICON_CLASSES]) if hits else _NO_HITS
+            row = tuple([hits.get(cls, 0) for cls in ALL_CLASSES]) if hits else _NO_HITS
             record = (label.labels, row)
             records.append((stamp, shared.setdefault(record, record)))
         buckets, groups = bucketize(records, config.granularity)
-        _write_series(store, user_scope(user_id), user_id, buckets, groups, config_hash)
-        user_buckets.extend(zip([bucket.start for bucket in buckets], groups))
-    buckets, nested = bucketize(user_buckets, config.granularity)
-    groups = [list(chain.from_iterable(group)) for group in nested]
-    _write_series(store, ALL_SCOPE, "all", buckets, groups, config_hash)
+        label_groups = [[labels for labels, _ in group] for group in groups]
+        sums = [emotion_series(buckets, label_groups, cls).counts for cls in ALL_CLASSES]
+        sums.append(list(map(len, groups)))
+        sums += _bucket_sums([[row for _, row in group] for group in groups])
+        _write_series(store, user_scope(user_id), buckets, sums, config_hash)
+        user_rows.extend(zip([bucket.start for bucket in buckets], zip(*sums)))
+    # one bucketize over the users' bucket starts lines their rows up
+    buckets, groups = bucketize(user_rows, config.granularity)
+    _write_series(store, ALL_SCOPE, buckets, _bucket_sums(groups), config_hash)
     # The ranking and the ngrams.csv writes are analyze's memory peak: the
     # model and the records are done with by then.
-    del model, user_buckets, shared, buckets, nested, groups
+    del model, records, label_groups, shared
 
     ranking = ngrams.GramRanking(gram_ids, tokens)
     del gram_ids
@@ -264,28 +271,28 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     )
 
 
+def _bucket_sums(groups: list[list[tuple[int, ...]]]) -> list[list[int]]:
+    """Column k holds, per bucket, the sum of field k of the bucket's rows.
+    The first bucket of a bucketize is never empty."""
+    zero = [0] * len(groups[0][0])
+    sums = [list(map(sum, zip(*rows))) or zero for rows in groups]
+    return [list(column) for column in zip(*sums)]
+
+
 def _write_series(
-    store: Store,
-    scope: str,
-    scope_label: str,
-    buckets: list[TimeBucket],
-    groups: list[list[_Record]],
-    config_hash: str,
+    store: Store, scope: str, buckets: list[TimeBucket], columns: list[list[int]], config_hash: str
 ) -> None:
-    """A scope's series.csv and occurrences.csv, from its bucketed records."""
-    label_groups = [[labels for labels, _ in group] for group in groups]
-    series_list = [
-        emotion_series(buckets, label_groups, cls, scope=scope_label) for cls in ALL_CLASSES
-    ]
-    series_list.append(emotion_series(buckets, label_groups, VOLUME, scope=scope_label))
-    occurrences = [
-        dict(zip(LEXICON_CLASSES, map(sum, zip(*[row for _, row in group])))) for group in groups
-    ]
+    """A scope's series.csv and occurrences.csv, from its columns: the series
+    counts in SERIES_CLASS_KEYS order, then the occurrences in
+    OCCURRENCE_CLASS_KEYS order."""
+    starts = [bucket.key for bucket in buckets]
+    series = dict(zip(SERIES_CLASS_KEYS, columns))
+    occurrences = dict(zip(OCCURRENCE_CLASS_KEYS, columns[len(SERIES_CLASS_KEYS) :]))
     out_dir = store.derived_dir(scope, config_hash)
     with store_io():
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_series_csv(out_dir / SERIES_CSV, series_list)
-        write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
+        write_series_csv(out_dir / SERIES_CSV, SeriesTable(starts, series, series[VOLUME]))
+        write_occurrence_csv(out_dir / OCCURRENCES_CSV, starts, occurrences)
 
 
 def _write_ngrams(
@@ -311,7 +318,7 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> dict:
         raise StoreError("not-analyzed", "run `facewall analyze` first")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError):  # not JSON or UTF-8; nested too deep
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON) from None
     if not _is_meta(meta):
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON)

@@ -113,7 +113,7 @@ class Store:
     def _load_manifest(self) -> None:
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # not JSON or UTF-8; too deep
             raise StoreError("store-io", f"unreadable manifest: {exc}") from exc
         if not isinstance(manifest, dict):
             raise StoreError("store-io", "unreadable manifest: not a JSON object")

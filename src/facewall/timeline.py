@@ -31,8 +31,9 @@ VOLUME = "volume"
 SERIES_HEADER = ["bucket_start", "class", "count", "total", "proportion"]
 OCCURRENCE_HEADER = ["bucket_start", "class", "count"]
 
-# Row order within one bucket of the series CSV.
-SERIES_CLASS_KEYS = tuple(c.value for c in ALL_CLASSES) + (VOLUME,)
+# Row order within one bucket of the series CSV and of the occurrence CSV.
+OCCURRENCE_CLASS_KEYS = tuple(c.value for c in ALL_CLASSES)
+SERIES_CLASS_KEYS = OCCURRENCE_CLASS_KEYS + (VOLUME,)
 
 T = TypeVar("T")
 
@@ -433,30 +434,6 @@ def _entry_value(value) -> str:
     return _SCALARS.encode(value)
 
 
-def write_series_csv(path: str | Path, series_list: Sequence[BucketSeries]) -> None:
-    """Bit-exact series export: one row per (bucket, class), proportions with
-    exactly six decimals (half-even, from the binary double)."""
-    by_key = {series.class_key: series for series in series_list}
-    ordered = [by_key[key] for key in SERIES_CLASS_KEYS if key in by_key]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SERIES_HEADER)
-        if not ordered:
-            return
-        proportions = [series.proportions for series in ordered]
-        for i in range(len(ordered[0].buckets)):
-            for series, shares in zip(ordered, proportions):
-                writer.writerow(
-                    [
-                        series.buckets[i].key,
-                        series.class_key,
-                        series.counts[i],
-                        series.totals[i],
-                        f"{shares[i]:.6f}",
-                    ]
-                )
-
-
 @dataclass
 class SeriesTable:
     """Parsed series.csv: bucket starts plus per-class count columns."""
@@ -489,6 +466,21 @@ class _TableBuckets(Sequence):
         return TimeBucket(start, self._granularity)
 
 
+def write_series_csv(path: str | Path, table: SeriesTable) -> None:
+    """Bit-exact series export of the table read_series_csv returns: one
+    row per (bucket, class) in SERIES_CLASS_KEYS order, proportions with
+    exactly six decimals (half-even, from the binary double)."""
+    columns = [table.counts[key] for key in SERIES_CLASS_KEYS]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SERIES_HEADER)
+        for i, (start, total) in enumerate(zip(table.bucket_starts, table.totals)):
+            for key, column in zip(SERIES_CLASS_KEYS, columns):
+                count = column[i]
+                share = count / total if total else 0.0
+                writer.writerow([start, key, count, total, f"{share:.6f}"])
+
+
 def read_series_csv(path: str | Path) -> SeriesTable:
     """Parse series.csv column by column; a file that deviates from the
     layout write_series_csv gives raises ValueError."""
@@ -502,24 +494,23 @@ def read_series_csv(path: str | Path) -> SeriesTable:
 
 
 def write_occurrence_csv(
-    path: str | Path,
-    buckets: Sequence[TimeBucket],
-    occurrences: Sequence[Mapping[EmotionClass, int]],
+    path: str | Path, bucket_starts: Sequence[str], counts: Mapping[str, Sequence[int]]
 ) -> None:
-    """One row per (bucket, class): the lexicon occurrences of the bucket's
-    posts, classes in ALL_CLASSES order."""
+    """occurrences.csv of the bucket starts and class columns that
+    read_occurrence_csv returns: one row per (bucket, class), classes in
+    OCCURRENCE_CLASS_KEYS order."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(OCCURRENCE_HEADER)
-        for bucket, counts in zip(buckets, occurrences):
-            for cls in ALL_CLASSES:
-                writer.writerow([bucket.key, cls.value, counts.get(cls, 0)])
+        for i, start in enumerate(bucket_starts):
+            for key in OCCURRENCE_CLASS_KEYS:
+                writer.writerow([start, key, counts[key][i]])
 
 
 def read_occurrence_csv(path: str | Path) -> tuple[list[str], dict[str, list[int]]]:
     """Bucket starts and per-class counts of occurrences.csv; a file that
     deviates from its layout raises ValueError."""
-    keys = [c.value for c in ALL_CLASSES]
+    keys = OCCURRENCE_CLASS_KEYS
     fields = _bucket_fields(path, OCCURRENCE_HEADER, keys)
     width = len(OCCURRENCE_HEADER)
     stride = width * len(keys)

@@ -84,6 +84,12 @@ def test_load_lexicon_file_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(LexiconError):
         load_lexicon(bad)
+    # nested past the parser's recursion limit, and an integer past
+    # int()'s digit limit
+    for text in ("[" * 100_000, '{"classes": {}, "n": ' + "9" * 5000 + "}"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(LexiconError):
+            load_lexicon(bad)
 
 
 def test_lexicon_digest_stable_across_orderings():

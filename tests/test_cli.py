@@ -308,6 +308,19 @@ def test_analyze_bad_lexicon(capsys, corpus, tmp_path):
     assert "bad lexicon" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "[" + "9" * 5000 + "]"], ids=["nested-too-deep", "huge-integer"]
+)
+def test_analyze_unparsable_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path, text):
+    store = str(tmp_path / "store")
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    bad = tmp_path / "lex.json"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--store", store, "--lexicon", str(bad))
+    assert code == 2
+    assert "bad lexicon" in err
+
+
 def test_analyze_non_utf8_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path):
     store = str(tmp_path / "store")
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
@@ -492,8 +505,9 @@ def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):
         b"[]\n",
         b'\xff{"schema_version": 1}\n',
         b'{"schema_version": 1, "analyses": {}}\n',
+        b"[" * 100_000,
     ],
-    ids=["array", "non-utf8", "no-record-count"],
+    ids=["array", "non-utf8", "no-record-count", "nested-too-deep"],
 )
 def test_damaged_manifest_is_a_store_error(capsys, corpus, tmp_path, damage):
     store = tmp_path / "store"
@@ -779,6 +793,7 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
             ["export", "--what", "series"],
         ),
         ("@meta/analysis.json", lambda lines: ["[]\n"], ["detect"]),
+        ("@meta/analysis.json", lambda lines: ["[" * 100_000], ["detect"]),
         (
             "@all/series.csv",
             lambda lines: lines[:-3] + [lines[-3][:9]],
@@ -808,6 +823,7 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "meta-cut-chart",
         "meta-cut-export",
         "meta-not-an-object",
+        "meta-nested-too-deep",
         "export-series-cut-mid-row",
         "export-series-cut-at-a-row-boundary",
         "export-ngrams-cut-mid-row",

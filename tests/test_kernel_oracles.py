@@ -50,7 +50,9 @@ from facewall.pipeline import AnalysisConfig, analyze_store
 from facewall.rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store, user_scope
 from facewall.timeline import (
+    SERIES_CLASS_KEYS,
     VOLUME,
+    SeriesTable,
     bucketize,
     emotion_series,
     write_occurrence_csv,
@@ -447,15 +449,18 @@ def with_edge_posts(records: list[dict], emoticon: str) -> list[dict]:
     return [first, *records, *mute, once]
 
 
-def reference_scope(out, scope_label, records, profile, granularity) -> None:
+def reference_scope(out, records, profile, granularity) -> None:
+    """A scope's derived files, its series and occurrences bucketed from
+    its own posts."""
     out.mkdir(parents=True)
     buckets, groups = bucketize(records, granularity)
+    starts = [bucket.key for bucket in buckets]
     labels = [[label.labels for label in group] for group in groups]
-    series = [emotion_series(buckets, labels, cls, scope=scope_label) for cls in ALL_CLASSES]
-    series.append(emotion_series(buckets, labels, VOLUME, scope=scope_label))
-    write_series_csv(out / "series.csv", series)
-    occurrences = [sum((label.hits for label in group), Counter()) for group in groups]
-    write_occurrence_csv(out / "occurrences.csv", buckets, occurrences)
+    counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
+    write_series_csv(out / "series.csv", SeriesTable(starts, counts, counts[VOLUME]))
+    hits = [sum((label.hits for label in group), Counter()) for group in groups]
+    occurrences = {cls.value: [bucket[cls] for bucket in hits] for cls in ALL_CLASSES}
+    write_occurrence_csv(out / "occurrences.csv", starts, occurrences)
     (out / "ngrams.csv").write_bytes(reference_ngram_csv(profile))
 
 
@@ -486,9 +491,9 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
             records.append((stamp, label))
             reference_accumulate(profile, tokens, n_max)
             reference_accumulate(everyone, tokens, n_max)
-        reference_scope(out / user_scope(user), user, records, profile, granularity)
+        reference_scope(out / user_scope(user), records, profile, granularity)
         every_record += records
-    reference_scope(out / ALL_SCOPE, "all", every_record, everyone, granularity)
+    reference_scope(out / ALL_SCOPE, every_record, everyone, granularity)
     if model is not None:
         (out / MODEL_SCOPE).mkdir()
         (out / MODEL_SCOPE / "model.json").write_text(model.to_json(), encoding="utf-8")

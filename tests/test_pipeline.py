@@ -49,16 +49,33 @@ def analyzed(tmp_path):
 
 def test_volume_conservation_per_user_and_aggregate(analyzed):
     store, config, summary, records = analyzed
-    per_user = {}
-    for record in records:
-        per_user[record["user_id"]] = per_user.get(record["user_id"], 0) + 1
+    per_user = Counter(record["user_id"] for record in records)
+    # per (file, column): bucket start -> the sum over the users
+    sums: dict[tuple[str, str], Counter] = {}
+
+    def add(name, starts, columns):
+        for key, column in columns.items():
+            sums.setdefault((name, key), Counter()).update(dict(zip(starts, column)))
 
     for user, expected in per_user.items():
         table = load_series_table(store, config, user_scope(user))
         assert sum(table.counts["volume"]) == expected
         assert table.totals == table.counts["volume"]
+        add("series", table.bucket_starts, {**table.counts, "total": table.totals})
+        add("occurrences", *load_occurrence_counts(store, config, user_scope(user)))
     all_table = load_series_table(store, config, ALL_SCOPE)
     assert sum(all_table.counts["volume"]) == len(records)
+
+    # every @all column is the bucket-wise sum of its users' columns
+    starts, occurrences = load_occurrence_counts(store, config, ALL_SCOPE)
+    assert starts == all_table.bucket_starts
+    columns = {("series", key): column for key, column in all_table.counts.items()}
+    columns["series", "total"] = all_table.totals
+    columns.update((("occurrences", key), column) for key, column in occurrences.items())
+    assert len(columns) == len(sums) == 12
+    for name, column in columns.items():
+        assert set(sums[name]) <= set(starts), name
+        assert column == [sums[name][start] for start in starts], name
 
 
 def test_series_counts_can_exceed_totals_only_via_multilabel(analyzed):

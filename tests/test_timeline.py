@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from facewall import timeline
-from facewall.lexicon import ALL_CLASSES, LEXICON_CLASSES, EmotionClass
+from facewall.lexicon import ALL_CLASSES, EmotionClass
 from facewall.timeline import (
     GRANULARITIES,
+    OCCURRENCE_CLASS_KEYS,
     SERIES_CLASS_KEYS,
     VOLUME,
     BucketSeries,
@@ -672,16 +673,22 @@ def test_reports_to_json_edge_cases():
 # -- CSV ---------------------------------------------------------------------------
 
 
+def labeled_table(buckets, labels):
+    """The series table of bucketed labels, as analyze builds a user's."""
+    counts = {cls.value: emotion_series(buckets, labels, cls).counts for cls in ALL_CLASSES}
+    counts[VOLUME] = emotion_series(buckets, labels, VOLUME).counts
+    return SeriesTable([bucket.key for bucket in buckets], counts, counts[VOLUME])
+
+
 def test_series_csv_round_trip_and_formatting(tmp_path):
     buckets = month_buckets(2)
     labels = [
         [frozenset({HAPPY}), frozenset({HAPPY, LOVE}), frozenset({NEUTRAL})],
         [frozenset({SAD})],
     ]
-    series_list = [emotion_series(buckets, labels, cls) for cls in EmotionClass]
-    series_list.append(emotion_series(buckets, labels, VOLUME))
+    written = labeled_table(buckets, labels)
     path = tmp_path / "series.csv"
-    write_series_csv(path, series_list)
+    write_series_csv(path, written)
 
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "bucket_start,class,count,total,proportion"
@@ -689,6 +696,7 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
     assert "2015-01-01,volume,3,3,1.000000" in lines
 
     table = read_series_csv(path)
+    assert table == written
     assert table.bucket_starts == ["2015-01-01", "2015-02-01"]
     assert table.counts["happy"] == [2, 0]
     assert table.counts["volume"] == [3, 1]
@@ -702,9 +710,8 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
 def test_proportion_half_even_formatting(tmp_path):
     buckets = month_buckets(1)
     labels = [[frozenset({HAPPY})] * 1 + [frozenset({NEUTRAL})] * 7]
-    series = emotion_series(buckets, labels, HAPPY)
     path = tmp_path / "series.csv"
-    write_series_csv(path, [series])
+    write_series_csv(path, labeled_table(buckets, labels))
     assert path.read_text(encoding="utf-8").splitlines()[1].endswith("0.125000")
 
 
@@ -725,17 +732,17 @@ def reference_read_series_csv(path):
     return SeriesTable(bucket_starts, counts, totals)
 
 
-def random_series_list(rng, length):
-    """The six series of one scope, as analyze writes them: counts up to
-    10**9, each bucket's total shared by every class."""
+def random_table(rng, length):
+    """The series table of one scope, as analyze writes it: counts up to
+    10**9, the volume column equal to the totals."""
     buckets = month_buckets(length, year=rng.randint(1990, 2030), month=rng.randint(1, 12))
     top = rng.choice((1, 10, 10**4, 10**9))
     totals = [rng.randint(0, top) for _ in range(length)]
-    series_list = []
-    for key in SERIES_CLASS_KEYS:
-        counts = list(totals) if key == VOLUME else [rng.randint(0, top) for _ in range(length)]
-        series_list.append(BucketSeries("u1", key, buckets, counts, totals))
-    return series_list
+    counts = {
+        key: list(totals) if key == VOLUME else [rng.randint(0, top) for _ in range(length)]
+        for key in SERIES_CLASS_KEYS
+    }
+    return SeriesTable([bucket.key for bucket in buckets], counts, totals)
 
 
 def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
@@ -743,15 +750,16 @@ def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
     path = tmp_path / "series.csv"
     lengths = [0, 1, 2] + [rng.randint(3, 400) for _ in range(60)]
     for length in lengths:
-        write_series_csv(path, random_series_list(rng, length))
+        table = random_table(rng, length)
+        write_series_csv(path, table)
         want = reference_read_series_csv(path)
-        assert read_series_csv(path) == want, length
+        assert read_series_csv(path) == want == table, length
         assert len(want.bucket_starts) == length
 
 
 def series_lines(tmp_path):
     path = tmp_path / "series.csv"
-    write_series_csv(path, random_series_list(random.Random(7), 3))
+    write_series_csv(path, random_table(random.Random(7), 3))
     return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
@@ -823,18 +831,25 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
 # -- properties of the series file -------------------------------------------------
 
 
-@st.composite
-def series_lists(draw):
-    """The six series of one scope with arbitrary counts, as analyze writes them."""
+def bucket_starts(draw):
+    """The starts of up to 12 consecutive month buckets."""
     length = draw(st.integers(0, 12))
     year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
-    buckets = month_buckets(length, year=year, month=month)
-    counts = st.lists(st.integers(0, 10**12), min_size=length, max_size=length)
-    totals = draw(counts)
-    return [
-        BucketSeries("u1", key, buckets, list(totals) if key == VOLUME else draw(counts), totals)
-        for key in SERIES_CLASS_KEYS
-    ]
+    return [bucket.key for bucket in month_buckets(length, year=year, month=month)]
+
+
+def count_columns(draw, keys, length):
+    column = st.lists(st.integers(0, 10**12), min_size=length, max_size=length)
+    return {key: draw(column) for key in keys}
+
+
+@st.composite
+def series_tables(draw):
+    """The series table of one scope with arbitrary counts, as analyze
+    writes it: the volume column equal to the totals."""
+    starts = bucket_starts(draw)
+    counts = count_columns(draw, SERIES_CLASS_KEYS, len(starts))
+    return SeriesTable(starts, counts, counts[VOLUME])
 
 
 # the file is rewritten for every example, so sharing tmp_path is harmless
@@ -842,21 +857,18 @@ reuses_tmp_path = settings(suppress_health_check=[HealthCheck.function_scoped_fi
 
 
 @reuses_tmp_path
-@given(series_lists())
-def test_series_csv_round_trips(tmp_path, series_list):
+@given(series_tables())
+def test_series_csv_round_trips(tmp_path, table):
     path = tmp_path / "series.csv"
-    write_series_csv(path, series_list)
-    table = read_series_csv(path)
-    assert table.bucket_starts == [bucket.key for bucket in series_list[0].buckets]
-    assert table.counts == {series.class_key: series.counts for series in series_list}
-    assert table.totals == series_list[0].totals
+    write_series_csv(path, table)
+    assert read_series_csv(path) == table
 
 
 @reuses_tmp_path
-@given(series_lists(), st.data())
-def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, series_list, data):
+@given(series_tables(), st.data())
+def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, written, data):
     path = tmp_path / "series.csv"
-    write_series_csv(path, series_list)
+    write_series_csv(path, written)
     body = path.read_bytes()
     at = data.draw(st.integers(0, len(body)))
     if data.draw(st.booleans()) or at == len(body):
@@ -873,24 +885,17 @@ def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, series_list, 
 
 @st.composite
 def occurrence_tables(draw):
-    """One scope's buckets and per-bucket lexicon occurrences, as analyze writes them."""
-    length = draw(st.integers(0, 12))
-    year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
-    buckets = month_buckets(length, year=year, month=month)
-    counts = st.integers(0, 10**12)
-    return buckets, [{cls: draw(counts) for cls in LEXICON_CLASSES} for _ in buckets]
+    """One scope's bucket starts and class columns of lexicon occurrences."""
+    starts = bucket_starts(draw)
+    return starts, count_columns(draw, OCCURRENCE_CLASS_KEYS, len(starts))
 
 
 @reuses_tmp_path
 @given(occurrence_tables(), st.data())
 def test_damaged_occurrence_csv_parses_or_raises_value_error(tmp_path, table, data):
-    buckets, occurrences = table
     path = tmp_path / "occurrences.csv"
-    write_occurrence_csv(path, buckets, occurrences)
-    assert read_occurrence_csv(path) == (
-        [bucket.key for bucket in buckets],
-        {cls.value: [row.get(cls, 0) for row in occurrences] for cls in ALL_CLASSES},
-    )
+    write_occurrence_csv(path, *table)
+    assert read_occurrence_csv(path) == table
     body = path.read_bytes()
     at = data.draw(st.integers(0, len(body)))
     if data.draw(st.booleans()) or at == len(body):
