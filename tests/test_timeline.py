@@ -675,8 +675,7 @@ def test_reports_to_json_edge_cases():
 
 def labeled_table(buckets, labels):
     """The series table of bucketed labels, as analyze builds a user's."""
-    counts = {cls.value: emotion_series(buckets, labels, cls).counts for cls in ALL_CLASSES}
-    counts[VOLUME] = emotion_series(buckets, labels, VOLUME).counts
+    counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
     return SeriesTable([bucket.key for bucket in buckets], counts, counts[VOLUME])
 
 
