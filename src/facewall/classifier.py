@@ -112,6 +112,12 @@ def _add_into(
     return hits
 
 
+def _smoothed_log(count: int, mass: int, alpha: float, vocab_size: int) -> float:
+    """log P(gram | class) with add-alpha smoothing, from the gram's count
+    in the class and the class's feature mass."""
+    return math.log((count + alpha) / (mass + alpha * vocab_size))
+
+
 @dataclass(frozen=True)
 class NBModel:
     """A trained model. Its tables must not change once it scores a post:
@@ -132,14 +138,21 @@ class NBModel:
 
     def log_likelihood(self, gram: Gram, cls: EmotionClass) -> float:
         count = self.feature_counts[cls].get(gram, 0)
-        return math.log(
-            (count + self.alpha) / (self.feature_mass[cls] + self.alpha * self.vocab_size)
-        )
+        return _smoothed_log(count, self.feature_mass[cls], self.alpha, self.vocab_size)
 
     @cached_property
     def _log_likelihood_rows(self) -> dict[Gram, tuple[float, ...]]:
-        """A gram's log_likelihood per class, in class order, computed once."""
-        return _Memo(lambda gram: tuple([self.log_likelihood(gram, cls) for cls in self.classes]))
+        """A gram's log_likelihood per class, in class order, computed once.
+        The memo holds the model's tables, not the model, so dropping the
+        last reference to the model frees it."""
+        tables = [(self.feature_counts[cls], self.feature_mass[cls]) for cls in self.classes]
+        alpha, vocab_size = self.alpha, self.vocab_size
+        return _Memo(
+            lambda gram: tuple([
+                _smoothed_log(counts.get(gram, 0), mass, alpha, vocab_size)
+                for counts, mass in tables
+            ])
+        )
 
     @cached_property
     def _gram_elements(self) -> frozenset[GramElement]:

@@ -14,7 +14,7 @@ import unicodedata
 from collections import namedtuple
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class TokenKind(Enum):
@@ -151,6 +151,30 @@ class _Memo(dict):
         return value
 
 
+def _id_scanner(table: EmoticonTable, tokens: list[Token]) -> Callable[[str], tuple[int, ...]]:
+    """A function giving the ids of the tokens of a text that prune keeps;
+    it interns each new (kind, surface) as the next id, with its canonical
+    token appended to tokens."""
+    scan, kinds = table._scanner.finditer, table._group_kinds
+    ids: dict[tuple[TokenKind, str], int] = {}
+
+    def scan_ids(text: str) -> tuple[int, ...]:
+        found = []
+        for m in scan(text):
+            kind = kinds[m.lastindex]
+            surface = _surface(kind, m.group())
+            if not _kept(kind, surface):
+                continue
+            token_id = ids.get((kind, surface))
+            if token_id is None:
+                token_id = ids[kind, surface] = len(tokens)
+                tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
+            found.append(token_id)
+        return tuple(found)
+
+    return scan_ids
+
+
 class TokenInterner:
     """Tokenize and prune with one shared Token and one dense int id per
     distinct (kind, surface), for a run over many posts.
@@ -172,30 +196,14 @@ class TokenInterner:
     """
 
     def __init__(self, table: EmoticonTable) -> None:
-        self._scan = table._scanner.finditer
-        self._kinds = table._group_kinds
-        self._ids: dict[tuple[TokenKind, str], int] = {}
+        # the canonical token of each id
+        self.tokens: list[Token] = []
+        # The scan and its word memo hold the interner's tables, not the
+        # interner, so dropping the last reference to it frees it.
+        self._scan_ids = _id_scanner(table, self.tokens)
         self._memo = _Memo(self._scan_ids)
         # the emoticon entries whose matches span words
         self._spaced = tuple(entry for entry in table.entries if any(map(str.isspace, entry)))
-        # the canonical token of each id
-        self.tokens: list[Token] = []
-
-    def _scan_ids(self, text: str) -> tuple[int, ...]:
-        """The ids of the tokens of text that prune keeps, interning each."""
-        kinds = self._kinds
-        ids = []
-        for m in self._scan(text):
-            kind = kinds[m.lastindex]
-            surface = _surface(kind, m.group())
-            if not _kept(kind, surface):
-                continue
-            token_id = self._ids.get((kind, surface))
-            if token_id is None:
-                token_id = self._ids[kind, surface] = len(self.tokens)
-                self.tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
-            ids.append(token_id)
-        return tuple(ids)
 
     def ids(self, text: str) -> tuple[int, ...]:
         """The ids of prune(tokenize(text, table)), token by token."""

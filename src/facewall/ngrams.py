@@ -39,6 +39,8 @@ def interned_grams(posts: Sequence[Sequence[E]], n_max: int) -> Iterator[tuple[E
     """The grams of orders 1..n_max of each post, a gram the tuple of its
     elements: post by post, each post's in feature-bag order (order by
     order, each order in window order). The one place grams are formed."""
+    # no post has a window of an order above the longest post's length
+    n_max = min(n_max, max(map(len, posts), default=0))
     shifted = [posts] + [list(map(itemgetter(slice(k, None)), posts)) for k in range(1, n_max)]
     # per post, one window iterator of each order
     per_post = zip(*[map(zip, *shifted[:n]) for n in range(1, n_max + 1)])
@@ -95,6 +97,8 @@ def parse_gram(text: str) -> Gram:
 
 # csv.writer's line end (the excel dialect)
 _EOL = "\r\n"
+# the most ngrams.csv rows GramRanking.csv_rows joins into one string
+CSV_CHUNK_ROWS = 4096
 
 
 class _Echo:
@@ -128,12 +132,15 @@ class GramRanking:
         writer = csv.writer(_Echo())
         self._csv_heads = [writer.writerow(head + ("",))[: -len(_EOL)] for head in ranked]
 
-    def csv_rows(self, counts: Mapping[int, int]) -> str:
+    def csv_rows(self, counts: Mapping[int, int]) -> Iterator[str]:
         """The (n, rendered gram, count) rows of counts keyed by dense gram
-        id, sorted, as the CSV text csv.writer gives."""
+        id, sorted, as the CSV text csv.writer gives, in chunks of at most
+        CSV_CHUNK_ROWS rows, so a large profile's text is never whole."""
         heads = self._csv_heads
         ranked = sorted(zip(map(self.rank_of.__getitem__, counts), counts.values()))
-        return "".join([f"{heads[rank]}{count}{_EOL}" for rank, count in ranked])
+        for start in range(0, len(ranked), CSV_CHUNK_ROWS):
+            chunk = ranked[start : start + CSV_CHUNK_ROWS]
+            yield "".join([f"{heads[rank]}{count}{_EOL}" for rank, count in chunk])
 
 
 def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRanking) -> None:
@@ -141,7 +148,7 @@ def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRankin
     ids of the ranking, in export order."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(["n", "gram", "count"])
-        handle.write(ranking.csv_rows(profile.counts))
+        handle.writelines(ranking.csv_rows(profile.counts))
 
 
 def read_ngram_csv(path: str | Path) -> NGramProfile:

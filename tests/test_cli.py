@@ -1,11 +1,18 @@
+import argparse
 import csv
 import errno
+import gc
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from facewall import cli
+from facewall.classifier import NBModel
 from facewall.cli import build_parser, main
+from facewall.lexicon import default_lexicon
+from facewall.lexer import TokenInterner
 from facewall.ngrams import GramRanking
 from facewall.pipeline import AnalysisConfig
 from facewall.timeline import DetectorConfig
@@ -216,6 +223,146 @@ def test_ingest_reports_rejections(capsys, tmp_path):
     assert code == 0
     assert out.strip() == "ingested=1 rejected=1 duplicates=0"
     assert "malformed" in err
+
+
+def test_ngram_orders_above_the_longest_post_add_no_rows(capsys, corpus, tmp_path):
+    store = str(tmp_path / "store")
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    interner = TokenInterner(default_lexicon().emoticon_table())
+    texts = [json.loads(line)["text"] for line in corpus.read_text().splitlines()]
+    longest = max(len(interner.ids(text)) for text in texts)
+    exported = {}
+    for n in (longest - 1, longest, 1000):
+        assert run(capsys, "analyze", "--store", store, "--ngrams", str(n))[0] == 0
+        out = tmp_path / f"ngrams-{n}.csv"
+        argv = ["export", "--store", store, "--what", "ngrams", "--out", str(out)]
+        assert run(capsys, *argv, "--ngrams", str(n))[0] == 0
+        exported[n] = out.read_bytes()
+    assert exported[1000] == exported[longest] != exported[longest - 1]
+    # the model still records the order asked for
+    model_dirs = (tmp_path / "store" / "derived" / "@model").iterdir()
+    orders = {json.loads((d / "model.json").read_text())["n_max"] for d in model_dirs}
+    assert orders == {longest - 1, longest, 1000}
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def gc_state():
+    """Puts the collector's state and debug flags back after the test."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    yield
+    gc.set_debug(debug)
+    _set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ingest", "--input", "{corpus}", "--format", "jsonl", "--store", "{store}"], 0),
+        (["ingest", "--input", "{missing}", "--format", "jsonl", "--store", "{store}"], 2),
+        (["detect", "--store", "{missing}", "--out", "{out}"], 3),
+        (["analyze", "--store", "{store}", "--ngrams", "0"], 1),
+        (["analyze"], 1),
+    ],
+    ids=["ok", "input-error", "store-error", "command-usage-error", "argparse-usage-error"],
+)
+def test_main_pauses_the_collector_for_a_command_and_restores_it(
+    capsys, corpus, tmp_path, monkeypatch, gc_state, enabled, argv, code
+):
+    seen = []
+    for name in ("cmd_ingest", "cmd_analyze", "cmd_detect"):
+        command = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda args, command=command: seen.append(gc.isenabled()) or command(args)
+        )
+    paths = {
+        "corpus": str(corpus),
+        "store": str(tmp_path / "store"),
+        "missing": str(tmp_path / "missing"),
+        "out": str(tmp_path / "r.json"),
+    }
+    _set_collector(enabled)
+    assert run(capsys, *[arg.format(**paths) for arg in argv])[0] == code
+    assert gc.isenabled() is enabled
+    # argparse's usage exit comes before any command body
+    assert seen == ([] if argv == ["analyze"] else [False])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_when_a_command_raises(monkeypatch, gc_state, enabled):
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    _set_collector(enabled)
+    with pytest.raises(RuntimeError, match="broken command"):
+        main(["analyze", "--store", "s"])
+    assert gc.isenabled() is enabled
+    assert seen == [False]
+
+
+def test_commands_leave_the_collector_no_cycles_of_facewall_objects(
+    capsys, corpus, tmp_path, monkeypatch, gc_state
+):
+    # The collector is paused for a command, so a cycle the command leaves
+    # lives until the command ends: no facewall object may be in one.
+    # argparse's parsers hold cycles of their own, which are allowed.
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write("not json\n")
+        handle.write("[1, 2]\n")
+        handle.write(json.dumps(post_record("u1", "2015-10-01T00:00:00Z", 3)) + "\n")
+        handle.write(json.dumps(post_record("u1", "2015-10-02T00:00:00Z", "t\ud800")) + "\n")
+        handle.write(json.dumps(post_record("u" * 300, "2015-10-03T00:00:00Z", "long id")) + "\n")
+        handle.write(json.dumps(post_record(" ", "2015-10-04T00:00:00Z", "blank id")) + "\n")
+        handle.write(json.dumps({"user_id": "u1", "text": "no time"}) + "\n")
+        handle.write(json.dumps(post_record("u1", "yesterday", "bad time")) + "\n")
+        # no emoticon and no lexicon word, but vocabulary grams: the model scores it
+        handle.write(json.dumps(post_record("u2", "2015-10-05T00:00:00Z", "day 3 report")) + "\n")
+    scored = []
+    log_posteriors = NBModel.log_posteriors
+    monkeypatch.setattr(
+        NBModel, "log_posteriors", lambda *args: scored.append(1) or log_posteriors(*args)
+    )
+    store = str(tmp_path / "store")
+    commands = [
+        ["ingest", "--input", str(corpus), "--format", "jsonl", "--store", store],
+        ["analyze", "--store", store],
+        ["detect", "--store", store, "--out", str(tmp_path / "r.json")],
+    ]
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    outs = []
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        outs.append((out, err))
+    gc.collect()
+    garbage = gc.garbage[before:]
+    del gc.garbage[before:]
+    leaked = Counter(
+        type(obj).__qualname__
+        for obj in garbage
+        if type(obj).__module__.split(".")[0] == "facewall"
+        and not isinstance(obj, argparse.ArgumentParser)
+    )
+    assert leaked == Counter()
+    ingest_err = outs[0][1]
+    for reason in ("malformed", "missing-field:user_id", "missing-field:timestamp", "bad-timestamp"):
+        assert f"rejected ({reason})" in ingest_err
+    assert "model=trained" in outs[1][0]
+    assert scored
 
 
 def analyzed_store(capsys, corpus, tmp_path):

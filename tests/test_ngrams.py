@@ -1,13 +1,16 @@
 import csv
+import io
 import random
 from collections import Counter
 
 import pytest
 
+from facewall import ngrams
 from facewall.ngrams import (
     NGramProfile,
     accumulate,
     extract_ngrams,
+    interned_grams,
     merge_profiles,
     ngrams_of_orders,
     parse_gram,
@@ -120,6 +123,24 @@ def test_feature_bag_is_the_sum_of_its_orders():
             assert list(bag) == list(summed)
 
 
+def test_interned_grams_forms_no_order_above_the_longest_post():
+    # An order above the longest post has no windows, so a huge n_max gives
+    # the grams of n_max = the longest post's length, and takes no more
+    # post slices than that would.
+    taken = []
+
+    class Post(list):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                taken.append(key)
+            return super().__getitem__(key)
+
+    lists = [[1, 2, 3], [4, 5, 6, 7, 8, 9], [], [1, 2]]
+    grams = interned_grams([Post(ids) for ids in lists], 300)
+    assert len(taken) <= len(lists) * 5
+    assert list(grams) == list(interned_grams(lists, 6))
+
+
 def test_accumulation_equals_merging_per_post_profiles():
     rng = random.Random(77)
     posts = [
@@ -153,3 +174,20 @@ def test_profile_rows_sorted_and_csv_round_trip(tmp_path):
     assert len(rows) == len(profile.counts)
     back = read_ngram_csv(path)
     assert back.counts == profile.counts
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 4096])
+def test_ngram_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_rows):
+    rng = random.Random(1919)
+    profile = NGramProfile("u1")
+    for _ in range(30):
+        accumulate(profile, words(*[rng.choice("abcd") for _ in range(rng.randrange(0, 6))]), 3)
+    monkeypatch.setattr(ngrams, "CSV_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "ngrams.csv"
+    write_ngram_csv(path, *interned_profile(profile))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["n", "gram", "count"])
+    writer.writerows(sorted((len(g), render_gram(g), n) for g, n in profile.counts.items()))
+    assert len(profile.counts) > 7
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
