@@ -101,21 +101,6 @@ def _compile_scanner(emoticons: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(branches))
 
 
-def _surface(kind: TokenKind, raw: str) -> str:
-    """A token's surface: words case-folded, every other kind as written."""
-    return raw.casefold() if kind is TokenKind.WORD else raw
-
-
-ARTICLES = frozenset({"a", "an", "the"})
-
-_PRUNED_KINDS = frozenset({TokenKind.URL, TokenKind.MENTION, TokenKind.PUNCT})
-
-
-def _kept(kind: TokenKind, surface: str) -> bool:
-    """Whether prune keeps a token: no URL, mention, punctuation or bare article."""
-    return kind not in _PRUNED_KINDS and not (kind is TokenKind.WORD and surface in ARTICLES)
-
-
 def tokenize(text: str, table: EmoticonTable) -> list[Token]:
     """Scan text left to right into typed tokens.
 
@@ -123,20 +108,33 @@ def tokenize(text: str, table: EmoticonTable) -> list[Token]:
     text lands in exactly one token span; spans index that normalized form.
     """
     norm = unicodedata.normalize("NFC", text)
-    kinds = table._group_kinds
+    kinds, word = table._group_kinds, TokenKind.WORD
     tokens: list[Token] = []
     append = tokens.append
     for m in table.scan(norm):
         kind = kinds[m.lastindex]
         start, end = m.span()
+        surface = norm[start:end]
+        if kind is word:
+            surface = surface.casefold()
         # every branch of the scanner matches at least one character
-        append(_new_token(Token, (kind, _surface(kind, norm[start:end]), start, end)))
+        append(_new_token(Token, (kind, surface, start, end)))
     return tokens
+
+
+ARTICLES = frozenset({"a", "an", "the"})
+
+_PRUNED_KINDS = frozenset({TokenKind.URL, TokenKind.MENTION, TokenKind.PUNCT})
 
 
 def prune(tokens: Iterable[Token]) -> list[Token]:
     """Drop URLs, mentions, punctuation, and bare articles; keep order."""
-    return [t for t in tokens if _kept(t.kind, t.surface)]
+    word = TokenKind.WORD
+    return [
+        t
+        for t in tokens
+        if t.kind not in _PRUNED_KINDS and not (t.kind is word and t.surface in ARTICLES)
+    ]
 
 
 class _Memo(dict):
@@ -152,25 +150,18 @@ class _Memo(dict):
 
 
 def _id_scanner(table: EmoticonTable, tokens: list[Token]) -> Callable[[str], tuple[int, ...]]:
-    """A function giving the ids of the tokens of a text that prune keeps;
-    it interns each new (kind, surface) as the next id, with its canonical
+    """A function giving the ids of prune(tokenize(text, table)); it
+    interns each new (kind, surface) as the next id, with its canonical
     token appended to tokens."""
-    scan, kinds = table._scanner.finditer, table._group_kinds
-    ids: dict[tuple[TokenKind, str], int] = {}
+
+    def intern(key: tuple[TokenKind, str]) -> int:
+        tokens.append(_new_token(Token, (*key, 0, len(key[1]))))
+        return len(tokens) - 1
+
+    ids = _Memo(intern)
 
     def scan_ids(text: str) -> tuple[int, ...]:
-        found = []
-        for m in scan(text):
-            kind = kinds[m.lastindex]
-            surface = _surface(kind, m.group())
-            if not _kept(kind, surface):
-                continue
-            token_id = ids.get((kind, surface))
-            if token_id is None:
-                token_id = ids[kind, surface] = len(tokens)
-                tokens.append(_new_token(Token, (kind, surface, 0, len(surface))))
-            found.append(token_id)
-        return tuple(found)
+        return tuple([ids[t.kind, t.surface] for t in prune(tokenize(text, table))])
 
     return scan_ids
 
@@ -179,20 +170,22 @@ class TokenInterner:
     """Tokenize and prune with one shared Token and one dense int id per
     distinct (kind, surface), for a run over many posts.
 
-    Each distinct whitespace-separated word is scanned once: a memo keyed
-    on the word gives the ids of the tokens in it that prune keeps. A post
-    is then a tuple of ids, which holds no Token of its own. A canonical
-    token stands for all its occurrences, so its span is that of its
-    surface alone, (0, len(surface)).
+    Each distinct whitespace-separated word of the NFC text goes through
+    prune(tokenize(word, table)) once: a memo keyed on the word gives the
+    ids of the tokens that prune keeps. A post is then a tuple of ids,
+    which holds no Token of its own. A canonical token stands for all its
+    occurrences, so its span is that of its surface alone,
+    (0, len(surface)).
 
-    Scanning word by word gives the tokens of the whole text because no
+    Tokenizing word by word gives the tokens of the whole text because no
     scanner branch looks behind or matches whitespace, so every match ends
-    before the next whitespace, and str.split() splits at exactly the
-    characters that the scanner's whitespace class matches (a test pins
-    this on each Python). An emoticon entry with whitespace inside, such as
-    ": )", breaks that: its match spans two words. It can match only where
-    the text holds it, so ids scans the whole text of a post that holds
-    such an entry, and splits any other post into words.
+    before the next whitespace; str.split() splits at exactly the
+    characters that the scanner's whitespace class matches, and such a
+    word of NFC text is its own NFC form (tests pin both on each Python).
+    An emoticon entry with whitespace inside, such as ": )", breaks that:
+    its match spans two words. It can match only where the text holds it,
+    so ids tokenizes the whole text of a post that holds such an entry,
+    and splits any other post into words.
     """
 
     def __init__(self, table: EmoticonTable) -> None:

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .lexer import EmoticonTable
+from .lexer import EmoticonTable, TokenKind, prune, tokenize
 
 
 class EmotionClass(Enum):
@@ -95,6 +95,9 @@ def lexicon_from_dict(obj: object) -> EmotionLexicon:
         raise LexiconError('lexicon must be an object with a "classes" mapping')
     words: dict[EmotionClass, frozenset[str]] = {}
     emoticons: dict[EmotionClass, frozenset[str]] = {}
+    # Emoticons aside, a keyword must scan as one word token that prune
+    # keeps: no post can hit any other.
+    plain = EmoticonTable(())
     for name, entry in obj["classes"].items():
         cls = _CLASS_BY_KEY.get(str(name).lower())
         if cls is None:
@@ -106,6 +109,9 @@ def lexicon_from_dict(obj: object) -> EmotionLexicon:
         words[cls] = frozenset(
             _clean_surface(w, name, fold=True) for w in _string_list(entry, "words", name)
         )
+        for word in sorted(words[cls]):
+            if [(t.kind, t.surface) for t in prune(tokenize(word, plain))] != [(TokenKind.WORD, word)]:
+                raise LexiconError(f"class {name!r}: word {word!r} is not one word a post can hit")
         emoticons[cls] = frozenset(
             _clean_surface(e, name, fold=False) for e in _string_list(entry, "emoticons", name)
         )

@@ -18,17 +18,17 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
 from .ingest import scope_too_long
 from .lexer import TokenInterner, TokenKind, _Memo
-# The per-token steps that TokenInterner takes at once; the benchmark's
+# The per-token steps that TokenInterner runs in lexer; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
-from .lexicon import ALL_CLASSES, EmotionClass, EmotionLexicon, LEXICON_CLASSES
+from .lexicon import ALL_CLASSES, EmotionLexicon, LEXICON_CLASSES
 from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, store_io, user_scope
 from .timeline import (
     OCCURRENCE_CLASS_KEYS,
@@ -92,30 +92,8 @@ class AnalyzeSummary:
     left_out: list[str]
 
 
-# One classified post of a user: its labels and its lexicon occurrences as
-# counts in ALL_CLASSES order.
-_Record = tuple[frozenset[EmotionClass], tuple[int, ...]]
-# the occurrence row of a post without lexicon hits
+# the occurrence row of a post without lexicon hits, in ALL_CLASSES order
 _NO_HITS = (0,) * len(ALL_CLASSES)
-
-
-class _Columns:
-    """One user's posts, filled as the log is read: the token ids of all of
-    them end to end, each post's length and time, and the id tuples of the
-    posts that hold an emoticon, which are the user's training candidates."""
-
-    __slots__ = ("ids", "lengths", "stamps", "candidates")
-
-    def __init__(self) -> None:
-        self.ids = array("I")
-        self.lengths = array("I")
-        self.stamps: list[datetime] = []
-        self.candidates: list[tuple[int, ...]] = []
-
-    def posts(self) -> list[tuple[int, ...]]:
-        """Each post's id tuple, in log order."""
-        ids = iter(self.ids)
-        return [tuple(islice(ids, n)) for n in self.lengths]
 
 
 def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig) -> AnalyzeSummary:
@@ -124,56 +102,47 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     An empty store writes nothing (there is no bucket range to describe).
     The model trains when at least two classes have enough emoticon-labeled
     posts; otherwise the cascade runs rule-only. Tokens are interned, and
-    the cascade sees the shared canonical tokens. Each distinct id gram of
-    the run gets a dense gram id, and a profile is two arrays, the dense
-    ids of its grams and their counts, ranked and rendered once for all
-    scopes. `@all`'s profile and its series and occurrence columns are the
-    sums of its users'. A user id whose scope is too long for a directory
-    name, which ingest rejects but an older ingest logged, is left out of
-    every derived file and named in the summary. A re-analyze first
-    retires the config's analysis.json, which it writes last. A write that
-    fails raises a store-io StoreError.
+    the cascade sees the shared canonical tokens. A user's posts are two
+    lists filled as the log is read, their id tuples and their times; the
+    training documents are picked from them once the whole log is read.
+    Each distinct id gram of the run gets a dense gram id, and a profile is
+    two arrays, the dense ids of its grams and their counts, ranked and
+    rendered once for all scopes. `@all`'s profile and its series and
+    occurrence columns are the sums of its users'. A user id whose scope is
+    too long for a directory name, which ingest rejects but an older ingest
+    logged, is left out of every derived file and named in the summary. A
+    re-analyze first retires the config's analysis.json, which it writes
+    last. A write that fails raises a store-io StoreError.
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
-    tokens = interner.tokens
-    emoticon = TokenKind.EMOTICON
-    # the ids of the emoticon tokens interned so far, of tokens[:interned]
-    emoticons: set[int] = set()
-    interned = 0
-    # A user's posts are columns, not an object per post; only a training
-    # candidate keeps its id tuple, until the model is trained.
-    by_user: dict[str, _Columns] = {}
+    # per user: the posts' id tuples and their times, in log order
+    by_user: dict[str, tuple[list[tuple[int, ...]], list[datetime]]] = {}
     left_out: set[str] = set()
     for post in store.iter_posts():
-        columns = by_user.get(post.user_id)
-        if columns is None:
+        user = by_user.get(post.user_id)
+        if user is None:
             if scope_too_long(post.user_id):
                 left_out.add(post.user_id)
                 continue
-            columns = by_user[post.user_id] = _Columns()
-        ids = interner.ids(post.text)
-        if len(tokens) > interned:
-            emoticons.update(i for i in range(interned, len(tokens)) if tokens[i].kind is emoticon)
-            interned = len(tokens)
-        columns.ids.extend(ids)
-        columns.lengths.append(len(ids))
-        columns.stamps.append(post.timestamp)
-        # Only a post that holds an emoticon can be a training document.
-        if not emoticons.isdisjoint(ids):
-            columns.candidates.append(ids)
+            user = by_user[post.user_id] = ([], [])
+        user[0].append(interner.ids(post.text))
+        user[1].append(post.timestamp)
     if not by_user:
         return AnalyzeSummary(
             users=0, posts=0, model_trained=False, config_hash=config_hash,
             left_out=sorted(left_out),
         )
 
-    tokens_of = interner.tokens_of
-    # user by user in order of first post, each user's in log order
-    with_emoticon = chain.from_iterable(columns.candidates for columns in by_user.values())
+    tokens, tokens_of = interner.tokens, interner.tokens_of
+    # Only a post that holds an emoticon can be a training document; they
+    # go user by user in order of first post, each user's in log order.
+    emoticons = {i for i, token in enumerate(tokens) if token.kind is TokenKind.EMOTICON}
+    with_emoticon = (
+        ids for posts, _ in by_user.values() for ids in posts if not emoticons.isdisjoint(ids)
+    )
     pairs = (
-        (tokens, classifier.emoticon_label(tokens, lexicon))
-        for tokens in map(tokens_of, with_emoticon)
+        (doc, classifier.emoticon_label(doc, lexicon)) for doc in map(tokens_of, with_emoticon)
     )
     model: NBModel | None
     try:
@@ -181,8 +150,6 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     except UntrainableError:
         model = None
     trained = model is not None
-    for columns in by_user.values():
-        columns.candidates = []
 
     meta_dir = store.derived_dir(META_SCOPE, config_hash)
     with store_io():
@@ -204,12 +171,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     totals = array("Q")
     # (bucket start, the user's row of columns in that bucket) over all users
     user_rows: list[tuple[datetime, tuple[int, ...]]] = []
-    # one object per distinct record: there are few, and a user holds one
-    # reference per post
-    shared: dict[_Record, _Record] = {}
     for user_id in users:
-        columns = by_user.pop(user_id)
-        posts = columns.posts()
+        posts, stamps = by_user.pop(user_id)
         counts = Counter(ngrams.interned_grams(posts, config.n_max))
         gids = array("I", map(gram_ids.__getitem__, counts))
         profiles[user_id] = (gids, array("I", counts.values()), len(posts))
@@ -218,13 +181,12 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         for gid, count in zip(gids, counts.values()):
             totals[gid] += count
         del counts
-        records: list[tuple[datetime, _Record]] = []
-        for stamp, ids in zip(columns.stamps, posts):
+        records = []
+        for stamp, ids in zip(stamps, posts):
             label = classifier.classify_post(tokens_of(ids), lexicon, model)
             hits = label.hits
             row = tuple([hits.get(cls, 0) for cls in ALL_CLASSES]) if hits else _NO_HITS
-            record = (label.labels, row)
-            records.append((stamp, shared.setdefault(record, record)))
+            records.append((stamp, (label.labels, row)))
         buckets, groups = bucketize(records, config.granularity)
         label_groups = [[labels for labels, _ in group] for group in groups]
         sums = [emotion_series(buckets, label_groups, cls).counts for cls in ALL_CLASSES]
@@ -237,7 +199,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     _write_series(store, ALL_SCOPE, buckets, _bucket_sums(groups), config_hash)
     # The ranking and the ngrams.csv writes are analyze's memory peak: the
     # model and the records are done with by then.
-    del model, records, label_groups, shared
+    del model, records, label_groups
 
     ranking = ngrams.GramRanking(gram_ids, tokens)
     del gram_ids

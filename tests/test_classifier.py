@@ -90,6 +90,12 @@ def test_load_lexicon_file_errors(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(LexiconError):
             load_lexicon(bad)
+    # keywords no post can hit: two words, a word and a number, a number,
+    # a word that prune drops
+    for word in ("feel good", "x2", "3", "The"):
+        bad.write_text(json.dumps({"classes": {"sad": {"words": [word]}}}), encoding="utf-8")
+        with pytest.raises(LexiconError, match=f"class 'sad': word {word.casefold()!r}"):
+            load_lexicon(bad)
 
 
 def test_lexicon_digest_stable_across_orderings():

@@ -468,6 +468,18 @@ def test_analyze_unparsable_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path, t
     assert "bad lexicon" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+def test_a_keyword_no_post_can_hit_is_a_bad_lexicon(capsys, corpus, tmp_path, command):
+    store = str(tmp_path / "store")
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text('{"classes": {"happy": {"words": ["feel good"]}}}', encoding="utf-8")
+    extra = ["--out", str(tmp_path / "report.json")] if command == "detect" else []
+    code, _, err = run(capsys, command, "--store", store, "--lexicon", str(lexicon), *extra)
+    assert code == 2
+    assert "bad lexicon: class 'happy': word 'feel good'" in err
+
+
 def test_analyze_non_utf8_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path):
     store = str(tmp_path / "store")
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)

@@ -23,6 +23,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import example, given, strategies as st
 
+from facewall import classifier
 from facewall.classifier import (
     METHOD_EMOTICON,
     METHOD_LEXICON,
@@ -579,6 +580,38 @@ def test_analyze_matches_the_per_token_reference(tmp_path, corpus, granularity, 
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("lexicon", [LEX, SPACED_LEXICON], ids=["default", "inner-space"])
+def test_analyze_trains_on_the_reference_documents_in_order(tmp_path, monkeypatch, lexicon):
+    # model.json does not depend on the order of the documents, so this
+    # checks the documents themselves: user by user in order of first post,
+    # each user's in log order.
+    pieces = SPACED_PIECES + sorted(LEX.all_emoticons())
+    records = adversarial_records(80, pieces, ORACLE_ONLY + [": )"])
+    store = Store.open(tmp_path / "store", create=True)
+    store.append_batch(load_corpus(write_jsonl(tmp_path / "corpus.jsonl", records), "jsonl"))
+    trained = []
+
+    def capture(docs, **kwargs):
+        trained.append(list(docs))
+        return train_nb(trained[-1], **kwargs)
+
+    monkeypatch.setattr(classifier, "train_nb", capture)
+    analyze_store(store, lexicon, AnalysisConfig("month", 3, lexicon.digest()))
+
+    table = lexicon.emoticon_table()
+    by_user: dict = {}
+    for post in store.iter_posts():
+        by_user.setdefault(post.user_id, []).append(prune(tokenize(post.text, table)))
+    labeled = [(t, emoticon_label(t, lexicon)) for posts in by_user.values() for t in posts]
+
+    def keys(docs):
+        return [([(t.kind, t.surface) for t in tokens], cls) for tokens, cls in docs]
+
+    [docs] = trained
+    assert len(docs) > 20
+    assert keys(docs) == keys(training_pairs(labeled))
 
 
 # -- the record path: ingest and the post-log read ------------------------------------

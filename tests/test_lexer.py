@@ -3,7 +3,7 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from facewall.lexer import EmoticonTable, Token, TokenInterner, TokenKind, prune, tokenize
 from facewall.lexicon import default_lexicon
@@ -206,10 +206,14 @@ SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003
 
 # Pieces that reach every scanner branch and the casefold and pruning
 # rules, mixed with arbitrary characters; ": )" and "o\u3000o" are
-# emoticons of SPACED_TABLE.
+# emoticons of SPACED_TABLE. A word may start with a mark that follows
+# whitespace: combining marks (one pair out of canonical order), a Hangul
+# vowel jamo after a leading jamo, a Devanagari vowel sign after a
+# consonant. NFC composes none of them across the whitespace.
 PIECES = [*SPACES, "  ", ":-)", ":(", ": )", ":", ")", "o\u3000o", "o", "<3", "☹", "The", "AN",
           "a", "café", "cafe\u0301", "ß", "SS", "Straße", "3", "1,000", "2.5", "@bob",
-          "http://x.y/z", "www.a.b", "!", "'", "-", "don't", "λ"]
+          "http://x.y/z", "www.a.b", "!", "'", "-", "don't", "λ", "e \u0301", " \u0301\u0323",
+          "\u3000\u0308x", "\u1100 \u1161", "\u1100\u1161", "\u0915 \u093f", "\u0915\u093f"]
 TEXTS = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=14).map("".join)
 
 # Emoticons with whitespace inside: a match can span two words.
@@ -234,6 +238,7 @@ def test_split_and_the_scanner_agree_on_whitespace_at_every_code_point():
 
 @pytest.mark.parametrize("table", [TABLE, SPACED_TABLE], ids=["default", "inner-space"])
 @given(texts=st.lists(TEXTS, max_size=6))
+@example(texts=["e \u0301x \u0301\u0323 \u1100 \u1161 \u0915 \u093f", "\u0301 \u1161"])
 def test_interned_posts_are_the_pruned_token_keys(table, texts):
     interner = TokenInterner(table)
     id_of: dict = {}
