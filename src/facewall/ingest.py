@@ -2,7 +2,8 @@
 UTC-normalized records with per-line rejection reasons.
 
 Exact duplicates (same user, same instant, same text) are re-scrapes and
-are dropped on first sight; the first occurrence wins.
+are dropped on first sight; the first occurrence wins. Ingest tells them
+apart by RawPost.key_digest(), 32 bytes a post.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class RawPost:
     timestamp: datetime
     text: str
     source: str | None = None
-    # the timestamp's canonical text, and the dedupe key once built
+    # the timestamp's canonical text, and the key digest once built
     _stamp: str = field(default="", init=False, repr=False, compare=False)
-    _key: tuple[str, str, str] | None = field(default=None, init=False, repr=False, compare=False)
+    _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -71,14 +72,28 @@ class RawPost:
         _set_key(self, None)
 
     def dedupe_key(self) -> tuple[str, str, str]:
-        # Built once, when asked: ingest dedupes a post in the batch and
-        # again against the store; analyze reads posts without a key.
-        key = self._key
-        if key is None:
-            digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-            key = (self.user_id, self._stamp, digest)
-            _set_key(self, key)
-        return key
+        """(user id, canonical stamp, hex sha256 of the text): posts with
+        equal keys are duplicates. Built anew on each call; ingest compares
+        key_digest() in its place."""
+        return (self.user_id, self._stamp, hashlib.sha256(self.text.encode("utf-8")).hexdigest())
+
+    def key_digest(self) -> bytes:
+        """The 32-byte sha256 of the post's user id, canonical stamp and
+        text, in an encoding that tells any two such triples apart: the
+        user id behind its length, the stamp (never a NUL) ended by a NUL,
+        then the text. Two posts' digests are equal exactly when their
+        dedupe_key() values are, unless sha256 collides: among n distinct
+        keys, P(any two digests equal) <= n**2 / 2**257.
+
+        Built once, when asked: ingest keys a post in the batch and again
+        against the store; analyze reads posts without a key."""
+        digest = self._key
+        if digest is None:
+            user_id = self.user_id
+            encoded = f"{len(user_id)}:{user_id}{self._stamp}\0{self.text}".encode("utf-8")
+            digest = hashlib.sha256(encoded).digest()
+            _set_key(self, digest)
+        return digest
 
     def to_record(self) -> dict:
         record = {"user_id": self.user_id, "timestamp": self._stamp, "text": self.text}
@@ -233,7 +248,8 @@ def _post_from_row(row: Mapping[str, object] | None) -> RawPost:
 
 def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     """Read every record of the file in order, collecting rejections and
-    dropping in-file duplicates (first occurrence kept).
+    dropping in-file duplicates (first occurrence kept), as told apart by
+    RawPost.key_digest().
 
     Unreadable files raise OSError, and files that are not UTF-8 raise
     UnicodeDecodeError; a leading byte-order mark is dropped. A file with
@@ -243,7 +259,7 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")
     batch = CorpusBatch()
-    seen: set[tuple[str, str, str]] = set()
+    seen: set[bytes] = set()
     # one str per distinct user id and source: each record repeats them
     strings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
@@ -260,7 +276,7 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
             _set_user_id(post, strings.setdefault(post.user_id, post.user_id))
             if post.source is not None:
                 _set_source(post, strings.setdefault(post.source, post.source))
-            key = post.dedupe_key()
+            key = post.key_digest()
             if key in seen:
                 batch.duplicates_dropped += 1
                 continue

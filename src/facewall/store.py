@@ -190,25 +190,27 @@ class Store:
 
     def append_batch(self, batch: CorpusBatch) -> AppendReceipt:
         """Append new records in batch order; records already present (same
-        dedupe key) are skipped. Idempotent across re-ingests.
+        dedupe key, compared as RawPost.key_digest()) are skipped.
+        Idempotent across re-ingests.
 
         The manifest's record_count becomes the records read from the log
         plus those written, which also heals a count left short, e.g. by
         an ingest that died after writing some records."""
+        # The 32-byte digests of the log's keys and of those written so far.
         # Local to the call, so it is dropped while the caller still holds
-        # the batch: the batch's key tuples are then freed with their posts,
+        # the batch: the batch's digests are then freed with their posts,
         # in allocation order, not in the set's hash order, which would
         # leave the freed memory in scattered pieces the next command
         # cannot return or fully reuse.
-        keys = set()
+        keys: set[bytes] = set()
         logged = 0
         for post in self.iter_posts():
-            keys.add(post.dedupe_key())
+            keys.add(post.key_digest())
             logged += 1
         written = 0
         with store_io(), open(self.posts_path, "a", encoding="utf-8") as handle:
             for post in batch.posts:
-                key = post.dedupe_key()
+                key = post.key_digest()
                 if key in keys:
                     continue
                 handle.write(post.to_line())

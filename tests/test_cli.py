@@ -196,6 +196,26 @@ def test_ingest_non_utf8_input(capsys, tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+def test_an_ingest_that_cannot_read_its_last_line_writes_nothing(capsys, corpus, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    log, manifest = (store / "posts.jsonl").read_bytes(), (store / "manifest.json").read_bytes()
+    # new records over many of the decoder's reads, then a line that is not UTF-8
+    records = [post_record("u3", "2016-01-01T00:00:00Z", f"new post {i}") for i in range(2000)]
+    bad = write_jsonl(tmp_path / "bad.jsonl", records)
+    with open(bad, "ab") as handle:
+        handle.write(b'{"user_id":"u3","timestamp":"2016-01-02T00:00:00Z","text":"caf\xe9"}\n')
+    assert bad.stat().st_size > 100_000
+
+    code, out, err = run(
+        capsys, "ingest", "--input", str(bad), "--format", "jsonl", "--store", str(store)
+    )
+    assert code == 2 and out == ""
+    assert "cannot read input" in err and "Traceback" not in err
+    assert (store / "posts.jsonl").read_bytes() == log
+    assert (store / "manifest.json").read_bytes() == manifest
+
+
 def test_ingest_csv_corpus(capsys, tmp_path):
     csv_file = tmp_path / "wall.csv"
     csv_file.write_text(

@@ -126,6 +126,52 @@ def test_load_corpus_dedupes_identical_lines(tmp_path):
     assert batch.duplicates_dropped == 1
 
 
+KEY_STAMP = datetime(2015, 1, 1, tzinfo=timezone.utc)
+# digits, ":", NUL and characters outside the BMP: the pieces of a key's
+# encoding, and those whose UTF-8 or UTF-16 length differs from one
+hostile = st.text(st.sampled_from("09:\x00é\U0001f600\U00010000"), max_size=8)
+# a canonical stamp holds no NUL; the readers pass it as _stamp_text
+hostile_stamps = st.sampled_from(["2015-01-01T00:00:00Z", "2016-01-01T00:00:00Z"]) | st.text(
+    st.sampled_from("09:-TZé\U0001f600\U00010000"), max_size=4
+)
+
+
+@st.composite
+def cut_triples(draw) -> list[tuple[str, str, str]]:
+    """(user id, stamp, text) triples cut from one hostile string at random
+    points, so that many share their concatenation; the stamp drops the
+    string's NULs."""
+    whole = draw(hostile)
+    cuts = st.lists(st.integers(0, len(whole)), min_size=2, max_size=2).map(sorted)
+    return [
+        (whole[:i], whole[i:j].replace("\x00", ""), whole[j:])
+        for i, j in draw(st.lists(cuts, min_size=2, max_size=6))
+    ]
+
+
+def key_post(user_id: str, stamp_text: str, text: str) -> RawPost:
+    return RawPost(user_id, KEY_STAMP, text, None, stamp_text)
+
+
+@given(cut_triples() | st.lists(st.tuples(hostile, hostile_stamps, hostile), min_size=2, max_size=6))
+def test_key_digests_are_equal_exactly_when_dedupe_keys_are(triples):
+    # a fresh post for the first triple again: one pair of equal keys at least
+    posts = [key_post(*triple) for triple in triples + triples[:1]]
+    assert all(type(post.key_digest()) is bytes and len(post.key_digest()) == 32 for post in posts)
+    for a in posts:
+        for b in posts:
+            assert (a.key_digest() == b.key_digest()) == (a.dedupe_key() == b.dedupe_key())
+
+
+def test_key_digests_tell_apart_keys_a_nul_separated_join_would_merge():
+    first = RawPost("a\x002015-01-01T00:00:00Z", datetime(2016, 1, 1, tzinfo=timezone.utc), "x")
+    second = RawPost("a", KEY_STAMP, "2016-01-01T00:00:00Z\x00x")
+    joined = ["\x00".join([p.user_id, p.dedupe_key()[1], p.text]) for p in (first, second)]
+    assert joined[0] == joined[1]
+    assert first.dedupe_key() != second.dedupe_key()
+    assert first.key_digest() != second.key_digest()
+
+
 def test_load_corpus_records_rejection_location(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(

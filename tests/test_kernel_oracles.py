@@ -36,6 +36,7 @@ from facewall.classifier import (
     train_nb,
     training_pairs,
 )
+from facewall.cli import main
 from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus
 from facewall.lexer import Token, TokenKind, prune, tokenize
 from facewall.lexicon import ALL_CLASSES, EmotionClass, default_lexicon, lexicon_from_dict
@@ -828,6 +829,58 @@ def test_a_hand_written_log_stamp_is_keyed_by_its_canonical_text(tmp_path):
     )
     ingest_both_ways(tmp_path, log, corpus, "jsonl")
     assert reference_ingest(log, corpus, "jsonl")[2] == 2
+
+
+def batch_sequence(seed: int) -> list[str]:
+    """Corpus files for one store, ingested in turn: records drawn from a
+    small pool, so that a file repeats records of its own and of earlier
+    files, and a few bad lines."""
+    rng = random.Random(seed)
+    users = ["u1", " u1 ", "a\x00b", "1:", "\U0001f600"]
+    stamps = [
+        "2015-03-02T10:00:00Z", "2015-03-02T10:00:00+00:00", "2015-03-02T11:00:00+01:00",
+        "2016-01-01T00:00:00Z",
+    ]
+    texts = ["hi", "", "hi\x00", "2015-03-02T10:00:00Z\x00hi", "\U0001f600 :)"]
+    bad = ["not json", json.dumps(post_record("u1", "bad", "x")), json.dumps({"text": "no user"})]
+    files = []
+    for _ in range(rng.randrange(2, 5)):
+        lines = [
+            json.dumps(
+                post_record(rng.choice(users), rng.choice(stamps), rng.choice(texts)),
+                ensure_ascii=rng.random() < 0.5,
+            )
+            for _ in range(rng.randrange(25))
+        ] + rng.sample(bad, rng.randrange(3))
+        rng.shuffle(lines)
+        files.append(lines)
+    # one post in two files, its instant written with "Z" and with "+00:00"
+    files[0].append(json.dumps(post_record("u1", "2015-03-02T10:00:00Z", "same")))
+    files[-1].append(json.dumps(post_record("u1", "2015-03-02T10:00:00+00:00", "same")))
+    return ["".join(line + "\n" for line in lines) for lines in files]
+
+
+@pytest.mark.parametrize("seed", [93, 94, 95, 96])
+def test_cli_ingests_of_a_batch_sequence_match_the_dedupe_key_reference(tmp_path, capsys, seed):
+    # reference_ingest keys each record by the tuple RawPost.dedupe_key() returns
+    store = tmp_path / "store"
+    log = ""
+    for number, corpus in enumerate(batch_sequence(seed)):
+        path = tmp_path / f"batch-{number}.jsonl"
+        path.write_text(corpus, encoding="utf-8")
+        code = main(["ingest", "--input", str(path), "--format", "jsonl", "--store", str(store)])
+        out, err = capsys.readouterr()
+        want_log, rejected, duplicates = reference_ingest(log, corpus, "jsonl")
+        written = want_log.count("\n") - log.count("\n")
+        assert code == 0
+        assert out == f"ingested={written} rejected={len(rejected)} duplicates={duplicates}\n"
+        assert err == "".join(
+            f"facewall: {path}:{line}: rejected ({reason})\n" for line, reason in rejected
+        )
+        assert (store / "posts.jsonl").read_bytes() == want_log.encode("utf-8")
+        manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["record_count"] == want_log.count("\n")
+        log = want_log
 
 
 stamp_pieces = st.sampled_from(["2015", "0001", "9999", "２０１５", "٢٠١٥", "201"])
