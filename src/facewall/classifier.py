@@ -191,12 +191,7 @@ class NBModel:
             "doc_counts": {cls.value: self.doc_counts[cls] for cls in self.classes},
             "vocabulary": sorted(text.values()),
             "features": {
-                cls.value: {
-                    text[gram]: count
-                    for gram, count in sorted(
-                        self.feature_counts[cls].items(), key=lambda kv: text[kv[0]]
-                    )
-                }
+                cls.value: {text[gram]: count for gram, count in self.feature_counts[cls].items()}
                 for cls in self.classes
             },
         }

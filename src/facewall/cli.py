@@ -8,6 +8,7 @@ machine-readable summary lines to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from pathlib import Path
@@ -70,7 +71,10 @@ def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
                      help="emotion lexicon JSON (default: built-in)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The facewall parser, built once per process: each main() call parses
+    with it, and a parse leaves the parser as it found it."""
     parser = _Parser(prog="facewall", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -78,12 +82,10 @@ def build_parser() -> _Parser:
     ingest.add_argument("--input", required=True, metavar="PATH")
     ingest.add_argument("--format", required=True, choices=FORMATS)
     ingest.add_argument("--store", required=True, metavar="DIR")
-    ingest.set_defaults(func=cmd_ingest)
 
     analyze = commands.add_parser("analyze", help="label posts and build derived series")
     analyze.add_argument("--store", required=True, metavar="DIR")
     _add_analysis_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     chart = commands.add_parser("chart", help="render a series as an SVG line chart")
     chart.add_argument("--store", required=True, metavar="DIR")
@@ -97,7 +99,6 @@ def build_parser() -> _Parser:
                        help="posts (default) or occurrences")
     chart.add_argument("--size", type=_size, default=(DEFAULT_WIDTH, DEFAULT_HEIGHT), metavar="WxH")
     _add_analysis_flags(chart)
-    chart.set_defaults(func=cmd_chart)
 
     detect = commands.add_parser("detect", help="flag anomalous emotion-profile shifts")
     detect.add_argument("--store", required=True, metavar="DIR")
@@ -108,7 +109,6 @@ def build_parser() -> _Parser:
     detect.add_argument("--min-hits", type=int, default=DetectorConfig.min_hits)
     detect.add_argument("--min-total", type=int, default=DetectorConfig.min_total)
     _add_analysis_flags(detect)
-    detect.set_defaults(func=cmd_detect)
 
     export = commands.add_parser("export", help="write cached series/ngram CSVs")
     export.add_argument("--store", required=True, metavar="DIR")
@@ -116,23 +116,21 @@ def build_parser() -> _Parser:
     export.add_argument("--out", required=True, metavar="FILE.csv")
     export.add_argument("--user", metavar="ID", default=None)
     _add_analysis_flags(export)
-    export.set_defaults(func=cmd_export)
 
     return parser
 
 
-class _UnknownUser(Exception):
-    """A --user that the analysis does not list."""
+class _Failure(Exception):
+    """A command's failure: main prints the message and exits with the code."""
 
-
-class _CannotWrite(Exception):
-    """An --out path that cannot be written."""
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # A command leaves no reference cycles (a test checks this), so
@@ -142,15 +140,13 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        # looked up now, so a replaced cmd_* function takes effect
+        return globals()["cmd_" + args.command](args)
+    except _Failure as exc:
+        print(f"facewall: {exc}", file=sys.stderr)
+        return exc.code
     except LexiconError as exc:
         print(f"facewall: bad lexicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _UnknownUser as exc:
-        print(f"facewall: unknown user: {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_INPUT
-    except _CannotWrite as exc:
-        print(f"facewall: cannot write output: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT
     except StoreError as exc:
         print(f"facewall: store error: {exc}", file=sys.stderr)
@@ -178,7 +174,7 @@ def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, dic
     try:
         scope = scope_for(meta, args.user)
     except KeyError:
-        raise _UnknownUser(args.user) from None
+        raise _Failure(EXIT_INPUT, f"unknown user: {args.user!r}") from None
     return store, config, meta, scope
 
 
@@ -186,15 +182,14 @@ def _write_output(path: str, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
-        raise _CannotWrite(exc) from None
+        raise _Failure(EXIT_INPUT, f"cannot write output: {exc}") from None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         batch = load_corpus(args.input, args.format)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"facewall: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, f"cannot read input: {exc}") from None
     store = Store.open(args.store, create=True)
     with store.lock():
         torn = store.cut_torn_tail()
@@ -215,8 +210,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.ngrams < 1:
-        print("facewall: --ngrams must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "--ngrams must be at least 1")
     lexicon, store, config = _open(args)
     with store.lock():
         summary = analyze_store(store, lexicon, config)
@@ -241,14 +235,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_chart(args: argparse.Namespace) -> int:
     if args.cls not in CHART_CLASSES:
-        print(f"facewall: unknown class: {args.cls!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, f"unknown class: {args.cls!r}")
     if args.measure not in ("posts", "occurrences"):
-        print(f"facewall: unknown measure: {args.measure!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, f"unknown measure: {args.measure!r}")
     if args.measure == "occurrences" and args.cls == VOLUME:
-        print("facewall: volume has no occurrence series", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, "volume has no occurrence series")
     store, config, meta, scope = _open_analysis(args)
     scope_label = args.user if args.user is not None else "all users"
     granularity = meta["config"]["granularity"]
@@ -277,8 +268,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     try:
         detector.validate()
     except ValueError as exc:
-        print(f"facewall: bad detector parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"bad detector parameters: {exc}") from None
     _, store, config = _open(args)
     reports, summary = detect_store(store, config, detector)
     text = reports_to_json([report_to_dict(report, summary.granularity) for report in reports])
@@ -293,8 +283,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     if args.what not in ("series", "ngrams"):
-        print(f"facewall: unknown export kind: {args.what!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, f"unknown export kind: {args.what!r}")
     store, config, _, scope = _open_analysis(args)
     # A damaged file is a store error, as in chart and detect; the export
     # itself is the cached bytes.

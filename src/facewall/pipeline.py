@@ -276,10 +276,11 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> dict:
     """Locate the analysis meta for this config; errors are store errors so
     the CLI maps them to exit 3."""
     meta_path = store.derived_dir(META_SCOPE, config.config_hash) / META_JSON
-    if not meta_path.exists():
-        raise StoreError("not-analyzed", "run `facewall analyze` first")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        with store_io():
+            if not meta_path.exists():
+                raise StoreError("not-analyzed", "run `facewall analyze` first")
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError):  # not JSON or UTF-8; nested too deep
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON) from None
     if not _is_meta(meta):
@@ -300,7 +301,8 @@ def _is_meta(meta: object) -> bool:
         and isinstance(meta.get("config"), dict)
         and isinstance(meta["config"].get("granularity"), str)
         and isinstance(meta.get("users"), list)
-        and all(isinstance(user, str) for user in meta["users"])
+        # analyze lists no user id too long for a directory name
+        and all(isinstance(user, str) and not scope_too_long(user) for user in meta["users"])
     )
 
 
@@ -324,8 +326,9 @@ def derived_file(store: Store, config: AnalysisConfig, scope: str, name: str) ->
     """Path of one derived file of a resolved analysis; a missing file is a
     store error, not a traceback."""
     path = store.derived_dir(scope, config.config_hash) / name
-    if not path.is_file():
-        raise artifact_error("missing-artifact", scope, name)
+    with store_io():
+        if not path.is_file():
+            raise artifact_error("missing-artifact", scope, name)
     return path
 
 

@@ -70,14 +70,14 @@ class Store:
     @classmethod
     def open(cls, root: str | Path, create: bool = False) -> "Store":
         store = cls(root)
-        if not store.manifest_path.exists():
-            if not create:
-                raise StoreError("store-io", f"no store at {store.root}")
-            with store_io():
+        with store_io():
+            if not store.manifest_path.exists():
+                if not create:
+                    raise StoreError("store-io", f"no store at {store.root}")
                 store.root.mkdir(parents=True, exist_ok=True)
                 store.posts_path.touch(exist_ok=True)
-            store._manifest = {"schema_version": SCHEMA_VERSION, "record_count": 0}
-            store._save_manifest()
+                store._manifest = {"schema_version": SCHEMA_VERSION, "record_count": 0}
+                store._save_manifest()
         store._load_manifest()
         return store
 

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import errno
 import gc
@@ -335,8 +334,8 @@ def test_commands_leave_the_collector_no_cycles_of_facewall_objects(
     capsys, corpus, tmp_path, monkeypatch, gc_state
 ):
     # The collector is paused for a command, so a cycle the command leaves
-    # lives until the command ends: no facewall object may be in one.
-    # argparse's parsers hold cycles of their own, which are allowed.
+    # lives until the command ends: no facewall object may be in one, the
+    # parser included.
     with open(corpus, "a", encoding="utf-8") as handle:
         handle.write("not json\n")
         handle.write("[1, 2]\n")
@@ -375,7 +374,6 @@ def test_commands_leave_the_collector_no_cycles_of_facewall_objects(
         type(obj).__qualname__
         for obj in garbage
         if type(obj).__module__.split(".")[0] == "facewall"
-        and not isinstance(obj, argparse.ArgumentParser)
     )
     assert leaked == Counter()
     ingest_err = outs[0][1]
@@ -383,6 +381,16 @@ def test_commands_leave_the_collector_no_cycles_of_facewall_objects(
         assert f"rejected ({reason})" in ingest_err
     assert "model=trained" in outs[1][0]
     assert scored
+
+
+def test_main_builds_the_parser_once_per_process(capsys, corpus, tmp_path):
+    build_parser.cache_clear()
+    store = str(tmp_path / "store")
+    assert run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)[0] == 0
+    assert run(capsys, "analyze", "--store", store, "--ngrams", "0")[0] == 1
+    assert run(capsys, "detect", "--store", store)[0] == 1
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
 
 
 def analyzed_store(capsys, corpus, tmp_path):
@@ -918,6 +926,152 @@ def test_unwritable_out_is_an_input_error(capsys, corpus, tmp_path, argv):
         code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
         assert code == 2
         assert "cannot write output" in err
+
+
+COMMAND_FAILURES = {
+    "cannot-read-input": (
+        ["ingest", "--input", "{tmp}/absent.jsonl", "--format", "jsonl", "--store", "{tmp}/new"],
+        2,
+        "cannot read input: [Errno 2] No such file or directory: '{tmp}/absent.jsonl'",
+    ),
+    "ngrams-below-1": (["analyze", "--store", "{store}", "--ngrams", "0"], 1,
+                       "--ngrams must be at least 1"),
+    "unknown-class": (
+        ["chart", "--store", "{store}", "--class", "bogus", "--out", "{out}", "--all-users"],
+        2,
+        "unknown class: 'bogus'",
+    ),
+    "unknown-measure": (
+        ["chart", "--store", "{store}", "--class", "happy", "--out", "{out}", "--all-users",
+         "--measure", "bogus"],
+        2,
+        "unknown measure: 'bogus'",
+    ),
+    "volume-occurrences": (
+        ["chart", "--store", "{store}", "--class", "volume", "--out", "{out}", "--all-users",
+         "--measure", "occurrences"],
+        2,
+        "volume has no occurrence series",
+    ),
+    "bad-detector": (
+        ["detect", "--store", "{store}", "--out", "{out}", "--window", "1"],
+        1,
+        "bad detector parameters: bad-window",
+    ),
+    "unknown-export-kind": (
+        ["export", "--store", "{store}", "--what", "bogus", "--out", "{out}"],
+        2,
+        "unknown export kind: 'bogus'",
+    ),
+    "unknown-user-chart": (
+        ["chart", "--store", "{store}", "--class", "happy", "--out", "{out}", "--user", "zz"],
+        2,
+        "unknown user: 'zz'",
+    ),
+    "unknown-user-export": (
+        ["export", "--store", "{store}", "--what", "series", "--out", "{out}", "--user", "zz"],
+        2,
+        "unknown user: 'zz'",
+    ),
+    "cannot-write-output": (
+        ["detect", "--store", "{store}", "--out", "{tmp}"],
+        2,
+        "cannot write output: [Errno 21] Is a directory: '{tmp}'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", COMMAND_FAILURES.values(), ids=list(COMMAND_FAILURES)
+)
+def test_a_command_failure_is_one_stderr_line_and_its_exit_code(
+    capsys, corpus, tmp_path, argv, code, message
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    paths = {"tmp": str(tmp_path), "store": store, "out": str(tmp_path / "out")}
+    got = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert got == (code, "", f"facewall: {message.format(**paths)}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_two_commands_in_one_process_share_no_flags(capsys, corpus, tmp_path):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    report = tmp_path / "report.json"
+    for argv, window in ((["--window", "3"], 3), ([], 6)):
+        code, out, err = run(capsys, "detect", "--store", store, "--out", str(report), *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("users=2 ")
+        assert {r["config"]["window"] for r in json.loads(report.read_text())} == {window}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input", "{corpus}", "--format", "jsonl"],
+        ["analyze"],
+        ["detect", "--out", "{out}"],
+    ],
+    ids=["ingest", "analyze", "detect"],
+)
+def test_a_store_path_too_long_for_the_file_system_is_a_store_error(
+    capsys, corpus, tmp_path, argv
+):
+    store = tmp_path / ("s" * 300)
+    paths = {"corpus": str(corpus), "out": str(tmp_path / "out")}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv], "--store", str(store))
+    assert (code, out) == (3, "")
+    assert err.startswith("facewall: store error: store-io: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [corpus]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect"],
+        ["chart", "--class", "happy", "--user", "u" * 300],
+        ["export", "--what", "series", "--user", "u" * 300],
+    ],
+    ids=["detect", "chart", "export"],
+)
+def test_an_analysis_listing_a_user_id_too_long_for_a_directory_name_is_corrupt(
+    capsys, corpus, tmp_path, argv
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    (hash_dir,) = (tmp_path / "store" / "derived" / "@meta").iterdir()
+    meta_path = hash_dir / "analysis.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["users"].append("u" * 300)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+    assert (code, stdout) == (3, "")
+    assert err == (
+        "facewall: store error: corrupt-artifact: @meta/analysis.json; "
+        "re-run `facewall analyze`\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "chart", "export"])
+def test_an_analysis_json_that_cannot_be_read_is_a_store_error(
+    capsys, corpus, tmp_path, command
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    (hash_dir,) = (tmp_path / "store" / "derived" / "@meta").iterdir()
+    (hash_dir / "analysis.json").unlink()
+    (hash_dir / "analysis.json").mkdir()
+    argv = {
+        "detect": [],
+        "chart": ["--class", "volume", "--all-users"],
+        "export": ["--what", "series"],
+    }[command]
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--store", store, "--out", str(out), *argv)
+    assert (code, stdout) == (3, "")
+    assert err.startswith("facewall: store error: store-io: ")
+    assert not out.exists()
 
 
 def rewrite(path, edit):
