@@ -215,10 +215,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with store.lock():
         summary = analyze_store(store, lexicon, config)
     for user_id in summary.left_out:
-        print(
-            f"facewall: warning: left out user id too long for a directory name: {user_id!r}",
-            file=sys.stderr,
-        )
+        what = "user id too long for a directory name" if user_id else "empty user id"
+        print(f"facewall: warning: left out {what}: {user_id!r}", file=sys.stderr)
     model_state = "trained" if summary.model_trained else "untrainable"
     if summary.posts and not summary.model_trained:
         print(

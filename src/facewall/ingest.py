@@ -149,10 +149,13 @@ def user_scope(user_id: str) -> str:
     return "%2E" + scope[1:] if scope.startswith(".") else scope
 
 
-def scope_too_long(user_id: str) -> bool:
-    """Whether user_scope(user_id) is too long for a directory name."""
+def lacks_scope(user_id: str) -> bool:
+    """Whether user_id names no scope directory: it is empty, whose files
+    would sit among the scopes, or its user_scope is too long for a name."""
     # quote writes at most 12 bytes for a character, so a short id fits
-    return len(user_id) > MAX_SCOPE_BYTES // 12 and len(user_scope(user_id)) > MAX_SCOPE_BYTES
+    return not user_id or (
+        len(user_id) > MAX_SCOPE_BYTES // 12 and len(user_scope(user_id)) > MAX_SCOPE_BYTES
+    )
 
 
 def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
@@ -164,8 +167,8 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
     user_id = user_id.strip()
     if not user_id:
         raise RecordRejected("missing-field:user_id")
-    # The store names a directory user_scope(user_id).
-    if scope_too_long(user_id):
+    # The store names a directory user_scope(user_id), which is not empty.
+    if lacks_scope(user_id):
         raise RecordRejected("malformed", "a user id too long for a directory name")
     try:
         stamp = parse_rfc3339(timestamp)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .lexer import Token
+from .store import replacing
 
 # One gram element is (kind name, surface); a gram is a tuple of them.
 GramElement = tuple[str, str]
@@ -146,7 +147,7 @@ class GramRanking:
 def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRanking) -> None:
     """Write the rows of a profile whose counts are keyed by the dense gram
     ids of the ranking, in export order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as handle:
         csv.writer(handle).writerow(["n", "gram", "count"])
         handle.writelines(ranking.csv_rows(profile.counts))
 

@@ -23,13 +23,13 @@ from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
-from .ingest import scope_too_long
+from .ingest import lacks_scope, user_scope
 from .lexer import TokenInterner, TokenKind, _Memo
 # The per-token steps that TokenInterner runs in lexer; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
 from .lexicon import ALL_CLASSES, EmotionLexicon, LEXICON_CLASSES
-from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, store_io, user_scope
+from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, replacing, store_io
 from .timeline import (
     OCCURRENCE_CLASS_KEYS,
     SERIES_CLASS_KEYS,
@@ -88,7 +88,7 @@ class AnalyzeSummary:
     posts: int
     model_trained: bool
     config_hash: str
-    # logged user ids too long for a directory name, whose posts are left out
+    # logged user ids empty or too long for a directory name, whose posts are left out
     left_out: list[str]
 
 
@@ -108,11 +108,11 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     Each distinct id gram of the run gets a dense gram id, and a profile is
     two arrays, the dense ids of its grams and their counts, ranked and
     rendered once for all scopes. `@all`'s profile and its series and
-    occurrence columns are the sums of its users'. A user id whose scope is
-    too long for a directory name, which ingest rejects but an older ingest
-    logged, is left out of every derived file and named in the summary. A
-    re-analyze first retires the config's analysis.json, which it writes
-    last. A write that fails raises a store-io StoreError.
+    occurrence columns are the sums of its users'. A user id that names no
+    directory (lacks_scope), which ingest rejects but an older or hand-edited
+    log can hold, is left out of every derived file and named in the summary.
+    A re-analyze first retires the config's analysis.json, which it writes
+    last. Each file is written whole by replacing(); a failed write is store-io.
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
@@ -122,7 +122,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     for post in store.iter_posts():
         user = by_user.get(post.user_id)
         if user is None:
-            if scope_too_long(post.user_id):
+            if lacks_scope(post.user_id):
                 left_out.add(post.user_id)
                 continue
             user = by_user[post.user_id] = ([], [])
@@ -151,15 +151,14 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         model = None
     trained = model is not None
 
-    meta_dir = store.derived_dir(META_SCOPE, config_hash)
+    meta_path = store.derived_dir(META_SCOPE, config_hash) / META_JSON
+    # Until the new one is written, no analysis.json vouches for a mix of
+    # old and new derived files.
     with store_io():
-        # Until the new one is written, no analysis.json vouches for a mix
-        # of old and new derived files.
-        (meta_dir / META_JSON).unlink(missing_ok=True)
-        if model is not None:
-            model_dir = store.derived_dir(MODEL_SCOPE, config_hash)
-            model_dir.mkdir(parents=True, exist_ok=True)
-            (model_dir / MODEL_JSON).write_text(model.to_json(), encoding="utf-8")
+        meta_path.unlink(missing_ok=True)
+    if model is not None:
+        with replacing(store.derived_dir(MODEL_SCOPE, config_hash) / MODEL_JSON) as handle:
+            handle.write(model.to_json())
 
     users = sorted(by_user)
     # the dense gram id of each id gram of the run, in order of first count
@@ -206,9 +205,11 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     for user_id in users:
         gids, counts, user_posts = profiles.pop(user_id)
         profile = ngrams.NGramProfile(user_id, dict(zip(gids, counts)), user_posts)
-        _write_ngrams(store, user_scope(user_id), profile, ranking, config_hash)
-    everyone = ngrams.NGramProfile("all", dict(enumerate(totals)), post_count)
-    _write_ngrams(store, ALL_SCOPE, everyone, ranking, config_hash)
+        ngrams.write_ngram_csv(
+            store.derived_dir(user_scope(user_id), config_hash) / NGRAMS_CSV, profile, ranking
+        )
+    pooled = ngrams.NGramProfile("all", dict(enumerate(totals)), post_count)
+    ngrams.write_ngram_csv(store.derived_dir(ALL_SCOPE, config_hash) / NGRAMS_CSV, pooled, ranking)
 
     meta = {
         "schema": CONFIG_SCHEMA,
@@ -218,12 +219,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         "users": users,
         "model_trained": trained,
     }
-    with store_io():
-        meta_dir.mkdir(parents=True, exist_ok=True)
-        (meta_dir / META_JSON).write_text(
-            json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+    with replacing(meta_path) as handle:
+        handle.write(json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
     return AnalyzeSummary(
         users=len(users),
         posts=post_count,
@@ -251,22 +248,8 @@ def _write_series(
     series = dict(zip(SERIES_CLASS_KEYS, columns))
     occurrences = dict(zip(OCCURRENCE_CLASS_KEYS, columns[len(SERIES_CLASS_KEYS) :]))
     out_dir = store.derived_dir(scope, config_hash)
-    with store_io():
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_series_csv(out_dir / SERIES_CSV, SeriesTable(starts, series, series[VOLUME]))
-        write_occurrence_csv(out_dir / OCCURRENCES_CSV, starts, occurrences)
-
-
-def _write_ngrams(
-    store: Store,
-    scope: str,
-    profile: ngrams.NGramProfile,
-    ranking: ngrams.GramRanking,
-    config_hash: str,
-) -> None:
-    """A scope's ngrams.csv, once its series are written."""
-    with store_io():
-        ngrams.write_ngram_csv(store.derived_dir(scope, config_hash) / NGRAMS_CSV, profile, ranking)
+    write_series_csv(out_dir / SERIES_CSV, SeriesTable(starts, series, series[VOLUME]))
+    write_occurrence_csv(out_dir / OCCURRENCES_CSV, starts, occurrences)
 
 
 # -- reading the cache ------------------------------------------------------
@@ -301,8 +284,8 @@ def _is_meta(meta: object) -> bool:
         and isinstance(meta.get("config"), dict)
         and isinstance(meta["config"].get("granularity"), str)
         and isinstance(meta.get("users"), list)
-        # analyze lists no user id too long for a directory name
-        and all(isinstance(user, str) and not scope_too_long(user) for user in meta["users"])
+        # analyze lists no user id that is empty or too long for a directory name
+        and all(isinstance(user, str) and not lacks_scope(user) for user in meta["users"])
     )
 
 

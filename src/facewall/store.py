@@ -7,6 +7,10 @@ remains of a write cut short, which was never a record. Ingest is the one
 command that writes the log and the manifest (schema version and record
 count); analyze writes only under derived/. One writer at a time is
 enforced with an advisory flock on <root>/.lock.
+
+Every store file but the log and .lock is written by replacing(), to
+<name>.tmp beside it and then renamed over the old one: a reader, which
+takes no lock, never sees part of a file at its final name. No fsync.
 """
 
 from __future__ import annotations
@@ -52,6 +56,19 @@ def store_io():
         yield
     except OSError as exc:
         raise StoreError("store-io", str(exc)) from exc
+
+
+@contextmanager
+def replacing(path: str | Path):
+    """A UTF-8 handle (newline="") on <name>.tmp beside path, renamed over
+    path on a clean exit. Makes the parent; an OSError is a store-io error."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with store_io():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,8 @@ class Store:
 
     def _save_manifest(self) -> None:
         text = json.dumps(self._manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-        _write_atomic(self.manifest_path, text)
+        with replacing(self.manifest_path) as handle:
+            handle.write(text)
 
     @property
     def manifest(self) -> dict:
@@ -225,10 +243,3 @@ class Store:
 
     def derived_dir(self, scope: str, config_hash: str) -> Path:
         return self.derived_root / scope / config_hash
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with store_io():
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)

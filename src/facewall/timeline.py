@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
 from .lexicon import ALL_CLASSES, EmotionClass
+from .store import replacing
 
 GRANULARITIES = ("week", "month", "quarter", "year")
 
@@ -471,7 +472,7 @@ def write_series_csv(path: str | Path, table: SeriesTable) -> None:
     row per (bucket, class) in SERIES_CLASS_KEYS order, proportions with
     exactly six decimals (half-even, from the binary double)."""
     columns = [table.counts[key] for key in SERIES_CLASS_KEYS]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(SERIES_HEADER)
         for i, (start, total) in enumerate(zip(table.bucket_starts, table.totals)):
@@ -499,7 +500,7 @@ def write_occurrence_csv(
     """occurrences.csv of the bucket starts and class columns that
     read_occurrence_csv returns: one row per (bucket, class), classes in
     OCCURRENCE_CLASS_KEYS order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(OCCURRENCE_HEADER)
         for i, start in enumerate(bucket_starts):

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def store_files(root):
+    """The bytes of each file under root, by its path relative to root."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
 
 
 @pytest.mark.parametrize(
@@ -130,19 +139,18 @@ def test_a_user_id_too_long_for_a_directory_name_is_rejected_at_ingest(capsys, c
     assert code == 0 and out.startswith("users=3 posts=18 ")
 
 
-def test_analyze_leaves_out_a_logged_user_id_too_long_for_a_directory_name(
-    capsys, corpus, tmp_path
-):
-    # Records ingest now rejects, in a log an earlier ingest wrote: analyze
-    # names their users and derives the files of the log without them.
-    long_ids = ["\u5b57" * 30, "." + "a" * 255]
+def analyze_beside_a_plain_store(capsys, corpus, tmp_path, user_ids):
+    """Ingest the corpus into a plain and a spoiled store, log two records
+    of each given id in the spoiled one, as an older ingest or a hand edit
+    could, and analyze both. The spoiled analyze must derive the plain
+    store's files; returns the stores and the spoiled analyze's stderr."""
     stores = {name: str(tmp_path / name) for name in ("plain", "spoiled")}
     for store in stores.values():
         run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
     with open(tmp_path / "spoiled" / "posts.jsonl", "a", encoding="utf-8") as log:
-        for i, long_id in enumerate(long_ids):
+        for i, user_id in enumerate(user_ids):
             for stamp in ("2015-02-07T09:00:00Z", "2016-05-01T12:00:00Z"):
-                record = post_record(long_id, stamp, f"zebra {i} sunny great :-) :( <3")
+                record = post_record(user_id, stamp, f"zebra {i} sunny great :-) :( <3")
                 log.write(json.dumps(record, ensure_ascii=False) + "\n")
     # a re-ingest counts the logged records into the manifest
     code, out, _ = run(
@@ -153,31 +161,50 @@ def test_analyze_leaves_out_a_logged_user_id_too_long_for_a_directory_name(
     results = {name: run(capsys, "analyze", "--store", store) for name, store in stores.items()}
     assert results["spoiled"][0] == 0
     assert results["spoiled"][1] == results["plain"][1]
-    for long_id in long_ids:
-        assert f"left out user id too long for a directory name: {long_id!r}" in results[
-            "spoiled"][2]
     assert "Traceback" not in results["spoiled"][2]
 
     def derived(name):
-        root = tmp_path / name / "derived"
-        files = {
-            path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()
-        }
+        files = store_files(tmp_path / name / "derived")
         meta = next(key for key in files if key.endswith("/analysis.json"))
         return files, meta, json.loads(files.pop(meta))
 
     plain_files, plain_meta_name, plain_meta = derived("plain")
     spoiled_files, spoiled_meta_name, spoiled_meta = derived("spoiled")
     assert spoiled_files == plain_files and spoiled_meta_name == plain_meta_name
-    assert (plain_meta.pop("record_count"), spoiled_meta.pop("record_count")) == (17, 21)
+    counts = (plain_meta.pop("record_count"), spoiled_meta.pop("record_count"))
+    assert counts == (17, 17 + 2 * len(user_ids))
     assert spoiled_meta == plain_meta
+    return stores, results["spoiled"][2]
+
+
+def test_analyze_leaves_out_a_logged_user_id_too_long_for_a_directory_name(
+    capsys, corpus, tmp_path
+):
+    # Records ingest now rejects, in a log an earlier ingest wrote: analyze
+    # names their users and derives the files of the log without them.
+    long_ids = ["\u5b57" * 30, "." + "a" * 255]
+    stores, err = analyze_beside_a_plain_store(capsys, corpus, tmp_path, long_ids)
+    for long_id in long_ids:
+        assert f"left out user id too long for a directory name: {long_id!r}" in err
 
     reports = {
         name: run(capsys, "detect", "--store", store, "--out", str(tmp_path / f"{name}.json"))
         for name, store in stores.items()
     }
     assert reports["spoiled"][:2] == reports["plain"][:2] and reports["plain"][0] == 0
+
+
+def test_analyze_leaves_out_a_logged_empty_user_id(capsys, corpus, tmp_path):
+    # The empty id's scope is empty: its files would sit among the scopes
+    # in derived/, at derived/<config hash>/.
+    stores, err = analyze_beside_a_plain_store(capsys, corpus, tmp_path, [""])
+    assert err.startswith("facewall: warning: left out empty user id: ''\n")
+    out = tmp_path / "out"
+    for argv in (["chart", "--class", "happy"], ["export", "--what", "series"]):
+        argv += ["--store", stores["spoiled"], "--out", str(out), "--user", ""]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "facewall: unknown user: ''\n")
+    assert not out.exists()
 
 
 def test_ingest_non_utf8_input(capsys, tmp_path):
@@ -442,6 +469,85 @@ def test_a_reanalyze_cut_short_leaves_readers_at_not_analyzed(
     assert run(capsys, "analyze", "--store", store)[0] == 0
     assert run(capsys, *export, "--out", str(ngrams_csv))[0] == 0
     assert ngrams_csv.read_bytes() == before
+
+
+class FillingDisk:
+    """A text file on a disk that fills once `room` characters are in it."""
+
+    def __init__(self, handle, room):
+        self._handle, self._room = handle, room
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._handle.write(text[: self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._room -= len(text)
+        return self._handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+@pytest.mark.parametrize(
+    "scope, name",
+    [("u1", "ngrams.csv"), ("u1", "series.csv"), ("@all", "occurrences.csv"), ("@model", "model.json")],
+)
+def test_a_write_that_fails_partway_leaves_the_old_file_whole(
+    capsys, corpus, tmp_path, monkeypatch, scope, name
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    root = tmp_path / "store"
+    before = store_files(root)
+    (hash_dir,) = (root / "derived" / scope).iterdir()
+    target = (hash_dir / name).relative_to(root).as_posix()
+    room = 100
+    assert len(before[target]) > room
+
+    # the disk fills once `room` characters of the scope's file are written
+    real_open = open
+
+    def filling_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        path = Path(file)
+        if "w" in mode and path.parent.parent.name == scope and path.name.startswith(name):
+            return FillingDisk(handle, room)
+        return handle
+
+    monkeypatch.setattr("builtins.open", filling_open)
+    code, out, err = run(capsys, "analyze", "--store", store)
+    monkeypatch.undo()
+    assert (code, out) == (3, "")
+    assert err.startswith("facewall: store error: store-io: [Errno 28] ")
+    assert (root / target).read_bytes() == before[target]
+
+    assert run(capsys, "analyze", "--store", store)[0] == 0
+    assert store_files(root) == before
+
+
+def test_every_store_file_but_the_log_and_the_lock_is_renamed_into_place(
+    capsys, corpus, tmp_path, monkeypatch
+):
+    replaced = set()
+    real_replace = os.replace
+
+    def recording_replace(src, dst, *args, **kwargs):
+        replaced.add(Path(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    analyzed_store(capsys, corpus, tmp_path)
+    root = tmp_path / "store"
+    written = {path for path in root.rglob("*") if path.is_file()}
+    appended = {root / "posts.jsonl", root / ".lock"}
+    assert appended <= written and replaced == written - appended
 
 
 def test_analyze_untrainable_warns_and_succeeds(capsys, tmp_path):
@@ -1026,6 +1132,23 @@ def test_a_store_path_too_long_for_the_file_system_is_a_store_error(
     assert sorted(tmp_path.iterdir()) == [corpus]
 
 
+def assert_an_analysis_listing_is_corrupt(capsys, corpus, tmp_path, user_id, argv):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    (hash_dir,) = (tmp_path / "store" / "derived" / "@meta").iterdir()
+    meta_path = hash_dir / "analysis.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["users"].append(user_id)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+    assert (code, stdout) == (3, "")
+    assert err == (
+        "facewall: store error: corrupt-artifact: @meta/analysis.json; "
+        "re-run `facewall analyze`\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1038,20 +1161,20 @@ def test_a_store_path_too_long_for_the_file_system_is_a_store_error(
 def test_an_analysis_listing_a_user_id_too_long_for_a_directory_name_is_corrupt(
     capsys, corpus, tmp_path, argv
 ):
-    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
-    (hash_dir,) = (tmp_path / "store" / "derived" / "@meta").iterdir()
-    meta_path = hash_dir / "analysis.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["users"].append("u" * 300)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    out = tmp_path / "out"
-    code, stdout, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
-    assert (code, stdout) == (3, "")
-    assert err == (
-        "facewall: store error: corrupt-artifact: @meta/analysis.json; "
-        "re-run `facewall analyze`\n"
-    )
-    assert not out.exists()
+    assert_an_analysis_listing_is_corrupt(capsys, corpus, tmp_path, "u" * 300, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect"],
+        ["chart", "--class", "happy", "--user", ""],
+        ["export", "--what", "series", "--user", ""],
+    ],
+    ids=["detect", "chart", "export"],
+)
+def test_an_analysis_listing_an_empty_user_id_is_corrupt(capsys, corpus, tmp_path, argv):
+    assert_an_analysis_listing_is_corrupt(capsys, corpus, tmp_path, "", argv)
 
 
 @pytest.mark.parametrize("command", ["detect", "chart", "export"])
