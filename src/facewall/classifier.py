@@ -9,19 +9,19 @@ the post's features were ever seen in training.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .lexer import Token, TokenKind, _Memo
 from .lexicon import EmotionClass, EmotionLexicon, LEXICON_CLASSES
 from .ngrams import (
     DEFAULT_MAX_N, Gram, GramElement, _token_key, interned_grams, ngrams_of_orders, render_gram
 )
+from .store import write_json
 
 METHOD_EMOTICON = "emoticon"
 METHOD_LEXICON = "lexicon"
@@ -196,8 +196,11 @@ class NBModel:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    def to_json(self, handle: TextIO) -> None:
+        """Write model.json's text to handle: to_dict() as
+        json.dumps(..., sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        writes it, in pieces of a bounded size (store.write_json)."""
+        write_json(handle, self.to_dict())
 
 
 def train_nb(

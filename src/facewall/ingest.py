@@ -44,14 +44,17 @@ class RawPost:
     `_stamp_text` is internal to the readers in this package: the
     timestamp's canonical text (what format_rfc3339 writes), passed by a
     reader that already holds it so that it is not formatted again. It is
-    never checked against `timestamp`; other callers leave it out."""
+    never checked against `timestamp`; other callers leave it out. A post
+    without that text formats it anew from `timestamp` when to_line(),
+    to_record(), dedupe_key() or key_digest() needs it. load_corpus drops
+    the text once it has keyed a post, so a post of its batch holds none."""
 
     user_id: str
     timestamp: datetime
     text: str
     source: str | None = None
-    # the timestamp's canonical text, and the key digest once built
-    _stamp: str = field(default="", init=False, repr=False, compare=False)
+    # the timestamp's canonical text, if given and not yet dropped
+    _stamp: str | None = field(default=None, init=False, repr=False, compare=False)
     _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(
@@ -68,14 +71,15 @@ class RawPost:
         _set_timestamp(self, timestamp)
         _set_text(self, text)
         _set_source(self, source)
-        _set_stamp(self, format_rfc3339(timestamp) if _stamp_text is None else _stamp_text)
+        _set_stamp(self, _stamp_text)
         _set_key(self, None)
 
     def dedupe_key(self) -> tuple[str, str, str]:
         """(user id, canonical stamp, hex sha256 of the text): posts with
         equal keys are duplicates. Built anew on each call; ingest compares
         key_digest() in its place."""
-        return (self.user_id, self._stamp, hashlib.sha256(self.text.encode("utf-8")).hexdigest())
+        text_hash = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        return (self.user_id, self._canonical_stamp(), text_hash)
 
     def key_digest(self) -> bytes:
         """The 32-byte sha256 of the post's user id, canonical stamp and
@@ -89,14 +93,19 @@ class RawPost:
         against the store; analyze reads posts without a key."""
         digest = self._key
         if digest is None:
-            user_id = self.user_id
-            encoded = f"{len(user_id)}:{user_id}{self._stamp}\0{self.text}".encode("utf-8")
+            user_id, stamp = self.user_id, self._canonical_stamp()
+            encoded = f"{len(user_id)}:{user_id}{stamp}\0{self.text}".encode("utf-8")
             digest = hashlib.sha256(encoded).digest()
             _set_key(self, digest)
         return digest
 
+    def _canonical_stamp(self) -> str:
+        """The stamp text given, or else format_rfc3339(self.timestamp)."""
+        stamp = self._stamp
+        return format_rfc3339(self.timestamp) if stamp is None else stamp
+
     def to_record(self) -> dict:
-        record = {"user_id": self.user_id, "timestamp": self._stamp, "text": self.text}
+        record = {"user_id": self.user_id, "timestamp": self._canonical_stamp(), "text": self.text}
         if self.source is not None:
             record["source"] = self.source
         return record
@@ -108,7 +117,7 @@ class RawPost:
         source = "" if self.source is None else f'"source": {_json_string(self.source)}, '
         return (
             "{" + source + '"text": ' + _json_string(self.text)
-            + ', "timestamp": ' + _json_string(self._stamp)
+            + ', "timestamp": ' + _json_string(self._canonical_stamp())
             + ', "user_id": ' + _json_string(self.user_id) + "}\n"
         )
 
@@ -257,7 +266,8 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     Unreadable files raise OSError, and files that are not UTF-8 raise
     UnicodeDecodeError; a leading byte-order mark is dropped. A file with
     zero parseable records is a valid, empty batch. The batch's posts with
-    equal user ids share one str, and so do those with equal sources.
+    equal user ids share one str, and so do those with equal sources; they
+    hold no stamp text, only their timestamps and key digests.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")
@@ -280,6 +290,9 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
             if post.source is not None:
                 _set_source(post, strings.setdefault(post.source, post.source))
             key = post.key_digest()
+            # keyed: to_line formats the stamp anew, equal to the text
+            # (canonical_text), so the batch holds no stamp text
+            _set_stamp(post, None)
             if key in seen:
                 batch.duplicates_dropped += 1
                 continue

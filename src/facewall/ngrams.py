@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .lexer import Token
 from .store import replacing
@@ -111,27 +111,39 @@ class _Echo:
 
 class GramRanking:
     """The export order of the id grams of a run. A gram is a tuple of ids
-    of these canonical tokens, and its dense gram id is its index in the
-    grams given. Each gram is rendered once and ranked once by (n, text),
-    and rank_of[gid] is its rank: a profile whose counts are keyed by dense
-    gram id writes its ngrams.csv rows in rank order. Grams that render
-    alike (only when a surface holds GRAM_SEP) share a rank, and their rows
-    go by count, so the rows come out as sorted (n, text, count) rows do."""
+    of these canonical tokens, known by its dense gram id. Each gram is
+    rendered once and ranked once by (n, text), and rank_of[gid] is its
+    rank: a profile whose counts are keyed by dense gram id writes its
+    ngrams.csv rows in rank order. Grams that render alike (only when a
+    surface holds GRAM_SEP) share a rank, and their rows go by count, so
+    the rows come out as sorted (n, text, count) rows do.
 
-    def __init__(self, grams: Iterable[tuple[int, ...]], tokens: Sequence[Token]) -> None:
+    The ranking takes the grams dict over, each id gram mapped to its dense
+    gram id (0 to len - 1), and empties it: each id gram is let go as its
+    (n, text) head is rendered, and each head as its CSV row head is made,
+    so the id grams, the heads and the CSV heads are never all held at once."""
+
+    def __init__(self, grams: dict[tuple[int, ...], int], tokens: Sequence[Token]) -> None:
         elements = [render_gram((key,)) for key in map(_token_key, tokens)]
         # each gram's (n, text), by dense gram id
-        heads = [(len(gram), GRAM_SEP.join([elements[i] for i in gram])) for gram in grams]
-        ranked: list[tuple[int, str]] = []
-        self.rank_of = array("I", [0]) * len(heads)
-        for gid in sorted(range(len(heads)), key=heads.__getitem__):
-            head = heads[gid]
-            if not ranked or ranked[-1] != head:
-                ranked.append(head)
-            self.rank_of[gid] = len(ranked) - 1
+        heads: list[tuple[int, str] | None] = [None] * len(grams)
+        while grams:
+            gram, gid = grams.popitem()
+            heads[gid] = (len(gram), GRAM_SEP.join([elements[i] for i in gram]))
+        grams.clear()  # frees the emptied dict's table
+        order = array("I", sorted(range(len(heads)), key=heads.__getitem__))
+        rank_of = self.rank_of = array("I", [0]) * len(heads)
         # each rank's CSV row up to its count, quoted by the csv module
         writer = csv.writer(_Echo())
-        self._csv_heads = [writer.writerow(head + ("",))[: -len(_EOL)] for head in ranked]
+        csv_heads: list[str] = []
+        last = None
+        for gid in order:
+            head, heads[gid] = heads[gid], None
+            if head != last:
+                csv_heads.append(writer.writerow(head + ("",))[: -len(_EOL)])
+                last = head
+            rank_of[gid] = len(csv_heads) - 1
+        self._csv_heads = csv_heads
 
     def csv_rows(self, counts: Mapping[int, int]) -> Iterator[str]:
         """The (n, rendered gram, count) rows of counts keyed by dense gram

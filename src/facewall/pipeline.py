@@ -29,7 +29,9 @@ from .lexer import TokenInterner, TokenKind, _Memo
 # tracer (perfbench/tracing.py) wraps them at these bindings.
 from .lexer import prune, tokenize  # noqa: F401
 from .lexicon import ALL_CLASSES, EmotionLexicon, LEXICON_CLASSES
-from .store import ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, replacing, store_io
+from .store import (
+    ALL_SCOPE, META_SCOPE, MODEL_SCOPE, Store, StoreError, replacing, store_io, write_json
+)
 from .timeline import (
     OCCURRENCE_CLASS_KEYS,
     SERIES_CLASS_KEYS,
@@ -38,6 +40,7 @@ from .timeline import (
     DeviationReport,
     SeriesTable,
     TimeBucket,
+    bucket_start_memo,
     bucketize,
     build_report,
     emotion_series,
@@ -103,7 +106,8 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     The model trains when at least two classes have enough emoticon-labeled
     posts; otherwise the cascade runs rule-only. Tokens are interned, and
     the cascade sees the shared canonical tokens. A user's posts are two
-    lists filled as the log is read, their id tuples and their times; the
+    lists filled as the log is read, their id tuples and their bucket
+    starts, one shared datetime per UTC date (bucket_start_memo); the
     training documents are picked from them once the whole log is read.
     Each distinct id gram of the run gets a dense gram id, and a profile is
     two arrays, the dense ids of its grams and their counts, ranked and
@@ -116,9 +120,11 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     """
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
-    # per user: the posts' id tuples and their times, in log order
+    # per user: the posts' id tuples and their bucket starts, in log order
     by_user: dict[str, tuple[list[tuple[int, ...]], list[datetime]]] = {}
     left_out: set[str] = set()
+    # the log's timestamps are UTC (parse_rfc3339), so date() is the UTC date
+    starts = bucket_start_memo(config.granularity)
     for post in store.iter_posts():
         user = by_user.get(post.user_id)
         if user is None:
@@ -127,7 +133,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
                 continue
             user = by_user[post.user_id] = ([], [])
         user[0].append(interner.ids(post.text))
-        user[1].append(post.timestamp)
+        user[1].append(starts[post.timestamp.date()])
     if not by_user:
         return AnalyzeSummary(
             users=0, posts=0, model_trained=False, config_hash=config_hash,
@@ -158,7 +164,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         meta_path.unlink(missing_ok=True)
     if model is not None:
         with replacing(store.derived_dir(MODEL_SCOPE, config_hash) / MODEL_JSON) as handle:
-            handle.write(model.to_json())
+            model.to_json(handle)
 
     users = sorted(by_user)
     # the dense gram id of each id gram of the run, in order of first count
@@ -171,7 +177,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     # (bucket start, the user's row of columns in that bucket) over all users
     user_rows: list[tuple[datetime, tuple[int, ...]]] = []
     for user_id in users:
-        posts, stamps = by_user.pop(user_id)
+        posts, starts = by_user.pop(user_id)
         counts = Counter(ngrams.interned_grams(posts, config.n_max))
         gids = array("I", map(gram_ids.__getitem__, counts))
         profiles[user_id] = (gids, array("I", counts.values()), len(posts))
@@ -181,11 +187,11 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
             totals[gid] += count
         del counts
         records = []
-        for stamp, ids in zip(stamps, posts):
+        for start, ids in zip(starts, posts):
             label = classifier.classify_post(tokens_of(ids), lexicon, model)
             hits = label.hits
             row = tuple([hits.get(cls, 0) for cls in ALL_CLASSES]) if hits else _NO_HITS
-            records.append((stamp, (label.labels, row)))
+            records.append((start, (label.labels, row)))
         buckets, groups = bucketize(records, config.granularity)
         label_groups = [[labels for labels, _ in group] for group in groups]
         sums = [emotion_series(buckets, label_groups, cls).counts for cls in ALL_CLASSES]
@@ -196,10 +202,11 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     # one bucketize over the users' bucket starts lines their rows up
     buckets, groups = bucketize(user_rows, config.granularity)
     _write_series(store, ALL_SCOPE, buckets, _bucket_sums(groups), config_hash)
-    # The ranking and the ngrams.csv writes are analyze's memory peak: the
-    # model and the records are done with by then.
+    # The model and the records are done with: the ranking and the
+    # ngrams.csv writes, analyze's last large allocations, run without them.
     del model, records, label_groups
 
+    # the ranking empties gram_ids as it renders the grams
     ranking = ngrams.GramRanking(gram_ids, tokens)
     del gram_ids
     for user_id in users:
@@ -220,7 +227,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         "model_trained": trained,
     }
     with replacing(meta_path) as handle:
-        handle.write(json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+        write_json(handle, meta)
     return AnalyzeSummary(
         users=len(users),
         posts=post_count,

@@ -10,7 +10,9 @@ enforced with an advisory flock on <root>/.lock.
 
 Every store file but the log and .lock is written by replacing(), to
 <name>.tmp beside it and then renamed over the old one: a reader, which
-takes no lock, never sees part of a file at its final name. No fsync.
+takes no lock, never sees part of a file at its final name; a failed write
+removes its temp file. No fsync. The JSON files (manifest.json, model.json,
+analysis.json) are written by write_json.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from typing import TextIO
 
 # user_scope is ingest's, which rejects an id whose scope is too long.
 from .ingest import CorpusBatch, RawPost, check_post_fields, parse_json, user_scope  # noqa: F401
@@ -61,14 +65,79 @@ def store_io():
 @contextmanager
 def replacing(path: str | Path):
     """A UTF-8 handle (newline="") on <name>.tmp beside path, renamed over
-    path on a clean exit. Makes the parent; an OSError is a store-io error."""
+    path on a clean exit and removed on any other. Makes the parent; an
+    OSError is a store-io error."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with store_io():
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
+
+
+# the most members of one container write_json encodes in one piece
+JSON_CHUNK_MEMBERS = 4096
+
+
+def write_json(handle: TextIO, value) -> None:
+    """Write the bytes of json.dumps(value, sort_keys=True,
+    ensure_ascii=False, indent=2) + "\n" for a value of dicts with str
+    keys, lists and scalars.
+
+    Only the frame of brackets and indents is built here: each run of up to
+    JSON_CHUNK_MEMBERS scalar members of a container goes to the C encoder
+    as one piece, with its member separator already indented. The document
+    is never whole, and the pure-Python encoder, which indent=2 selects and
+    which leaves a reference cycle behind, never runs."""
+    _write_value(handle.write, value, 0)
+    handle.write("\n")
+
+
+def _write_value(write, value, depth: int) -> None:
+    if isinstance(value, dict) and value:
+        keys = sorted(value)
+        items = [value[key] for key in keys]
+    elif isinstance(value, (list, tuple)) and value:
+        keys, items = None, value
+    else:
+        write(_scalars(0).encode(value))
+        return
+    pad = "\n" + "  " * (depth + 1)
+    write(("[" if keys is None else "{") + pad)
+    start = 0
+    while start < len(items):
+        if start:
+            write("," + pad)
+        if _is_framed(items[start]):
+            if keys is not None:
+                write(_scalars(0).encode(keys[start]) + ": ")
+            _write_value(write, items[start], depth + 1)
+            start += 1
+            continue
+        end = start + 1
+        while end < len(items) and end - start < JSON_CHUNK_MEMBERS and not _is_framed(items[end]):
+            end += 1
+        run = items[start:end] if keys is None else dict(zip(keys[start:end], items[start:end]))
+        write(_scalars(depth + 1).encode(run)[1:-1])
+        start = end
+    write("\n" + "  " * depth + ("]" if keys is None else "}"))
+
+
+def _is_framed(value) -> bool:
+    """Whether indent=2 spreads value over lines: a non-empty container."""
+    return isinstance(value, (dict, list, tuple)) and bool(value)
+
+
+@cache
+def _scalars(depth: int) -> json.JSONEncoder:
+    """The C encoder whose member separator starts a line `depth` levels in."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
 
 
 @dataclass(frozen=True)
@@ -144,9 +213,8 @@ class Store:
         self._manifest = manifest
 
     def _save_manifest(self) -> None:
-        text = json.dumps(self._manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
         with replacing(self.manifest_path) as handle:
-            handle.write(text)
+            write_json(handle, self._manifest)
 
     @property
     def manifest(self) -> dict:

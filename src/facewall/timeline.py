@@ -21,6 +21,7 @@ from operator import ge, mul, sub
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
+from .lexer import _Memo
 from .lexicon import ALL_CLASSES, EmotionClass
 from .store import replacing
 
@@ -57,6 +58,17 @@ def bucket_start(stamp: datetime, granularity: str) -> datetime:
     raise ValueError(f"unknown granularity: {granularity!r}")
 
 
+def bucket_start_memo(granularity: str) -> dict[date, datetime]:
+    """starts[day] is bucket_start(stamp, granularity) for a stamp whose UTC
+    date is day, one shared datetime per date: every granularity's periods
+    start at a UTC midnight, so a stamp's start depends on its UTC date
+    alone. Filled on first look-up."""
+    utc = timezone.utc
+    return _Memo(
+        lambda day: bucket_start(datetime(day.year, day.month, day.day, tzinfo=utc), granularity)
+    )
+
+
 def next_bucket_start(start: datetime, granularity: str) -> datetime:
     if granularity == "week":
         return start + timedelta(days=7)
@@ -83,8 +95,10 @@ def bucketize(
     items: Iterable[tuple[datetime, T]], granularity: str
 ) -> tuple[list[TimeBucket], list[list[T]]]:
     """Assign items to calendar buckets, materializing empty buckets so the
-    range from first to last item is contiguous and gap-free."""
-    stamped = [(bucket_start(ts, granularity), value) for ts, value in items]
+    range from first to last item is contiguous and gap-free. Each distinct
+    stamp's start is computed once a call."""
+    start_of = _Memo(lambda ts: bucket_start(ts, granularity))
+    stamped = [(start_of[ts], value) for ts, value in items]
     if not stamped:
         return [], []
     first = min(s for s, _ in stamped)

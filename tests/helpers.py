@@ -4,6 +4,7 @@ naive-Bayes oracle."""
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -44,6 +45,13 @@ def interned_profile(profile: NGramProfile) -> tuple[NGramProfile, GramRanking]:
     tokens = [Token(TokenKind[kind], surface, 0, len(surface)) for kind, surface in ids]
     interned = NGramProfile(profile.owner, counts, profile.post_count)
     return interned, GramRanking(grams, tokens)
+
+
+def model_json(model) -> str:
+    """The text NBModel.to_json writes, read back from an io.StringIO."""
+    handle = io.StringIO()
+    model.to_json(handle)
+    return handle.getvalue()
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

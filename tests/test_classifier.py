@@ -26,7 +26,7 @@ from facewall.lexicon import (
     lexicon_from_dict,
     load_lexicon,
 )
-from helpers import emoticon, oracle_posteriors, word, words
+from helpers import emoticon, model_json, oracle_posteriors, word, words
 
 LEX = default_lexicon()
 
@@ -432,7 +432,7 @@ def test_model_json_round_trip():
     # model.json is an export: it names the smoothing, the order, the sorted
     # rendered vocabulary, and each class's documents and feature counts
     model = toy_model(alpha=0.5)
-    text = model.to_json()
+    text = model_json(model)
     payload = json.loads(text)
     assert payload["alpha"] == 0.5
     assert payload["n_max"] == 1
@@ -443,4 +443,4 @@ def test_model_json_round_trip():
         "happy": {"WORD:day": 1, "WORD:great": 1},
         "sad": {"WORD:bad": 1, "WORD:day": 1},
     }
-    assert model.to_json() == text
+    assert model_json(model) == text

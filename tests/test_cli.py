@@ -410,6 +410,28 @@ def test_commands_leave_the_collector_no_cycles_of_facewall_objects(
     assert scored
 
 
+def test_commands_leave_the_collector_no_cycles_at_all(capsys, corpus, tmp_path, gc_state):
+    # Not of any type: json.dumps(..., indent=2) would leave its encoder's
+    # closures in a cycle for each JSON file written.
+    build_parser()
+    store = str(tmp_path / "store")
+    commands = [
+        ["ingest", "--input", str(corpus), "--format", "jsonl", "--store", store],
+        ["analyze", "--store", store],
+        ["detect", "--store", store, "--out", str(tmp_path / "r.json")],
+    ]
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    codes = [run(capsys, *argv)[0] for argv in commands]
+    gc.collect()
+    garbage = gc.garbage[before:]
+    del gc.garbage[before:]
+    assert codes == [0, 0, 0]
+    assert Counter(type(obj).__qualname__ for obj in garbage) == Counter()
+
+
 def test_main_builds_the_parser_once_per_process(capsys, corpus, tmp_path):
     build_parser.cache_clear()
     store = str(tmp_path / "store")
@@ -527,6 +549,8 @@ def test_a_write_that_fails_partway_leaves_the_old_file_whole(
     assert (code, out) == (3, "")
     assert err.startswith("facewall: store error: store-io: [Errno 28] ")
     assert (root / target).read_bytes() == before[target]
+    # the failed write took its temp file with it
+    assert list(root.rglob("*.tmp")) == []
 
     assert run(capsys, "analyze", "--store", store)[0] == 0
     assert store_files(root) == before

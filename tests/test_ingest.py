@@ -464,3 +464,33 @@ def test_any_csv_row_loads_or_is_rejected_for_a_documented_reason(tmp_path_facto
     batch = load_corpus(path, "csv")
     assert len(batch.posts) + len(batch.rejected) == 1
     assert all(reason in REASONS for _, reason in batch.rejected)
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        "2015-03-01T10:00:00Z",
+        "2015-03-01T10:00:00z",
+        "2015-03-01t10:00:00Z",
+        "2015-03-01 10:00:00Z",
+        "2015-03-01T12:30:00+02:30",
+        "2015-03-01T02:00:00-08:00",
+        "2015-03-01T10:00:00.5Z",
+        "2015-03-01T10:00:00.123456789+00:00",
+        "2015-03-01T10:00:00.000000Z",
+    ],
+)
+def test_a_keyed_post_keeps_its_line_record_and_dedupe_key(tmp_path, stamp):
+    line = json.dumps(post_record("u1", stamp, "hello") | {"source": "feed"})
+    fresh = parse_post_record(line, "jsonl")
+    before = (fresh.to_line(), fresh.to_record(), fresh.dedupe_key())
+    assert before[1]["timestamp"] == format_rfc3339(parse_rfc3339(stamp))
+    digest = fresh.key_digest()
+    assert (fresh.to_line(), fresh.to_record(), fresh.dedupe_key()) == before
+    # load_corpus keys each post and drops its stamp text; the post writes
+    # the same line all the same
+    (loaded,) = load_corpus(write_jsonl(tmp_path / "c.jsonl", [json.loads(line)]), "jsonl").posts
+    assert loaded._stamp is None
+    assert (loaded.to_line(), loaded.to_record(), loaded.dedupe_key()) == before
+    assert loaded.key_digest() == digest
+    assert parse_post_record(line, "jsonl").key_digest() == digest

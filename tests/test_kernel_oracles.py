@@ -60,7 +60,7 @@ from facewall.timeline import (
     write_occurrence_csv,
     write_series_csv,
 )
-from helpers import emoticon, interned_profile, post_record, word, write_jsonl
+from helpers import emoticon, interned_profile, model_json, post_record, word, write_jsonl
 
 LEX = default_lexicon()
 TABLE = LEX.emoticon_table()
@@ -228,7 +228,7 @@ def test_train_nb_tables_match_the_per_document_bags():
             assert table == reference[cls]
             # key order feeds the model's float sums, so it must not move
             assert list(table) == list(reference[cls])
-        assert model.to_json() == reference_to_json(model)
+        assert model_json(model) == reference_to_json(model)
 
 
 # -- the cascade's rule hits ----------------------------------------------------------
@@ -498,7 +498,7 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     reference_scope(out / ALL_SCOPE, every_record, everyone, granularity)
     if model is not None:
         (out / MODEL_SCOPE).mkdir()
-        (out / MODEL_SCOPE / "model.json").write_text(model.to_json(), encoding="utf-8")
+        (out / MODEL_SCOPE / "model.json").write_text(model_json(model), encoding="utf-8")
     return routes
 
 

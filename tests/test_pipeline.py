@@ -78,6 +78,28 @@ def test_volume_conservation_per_user_and_aggregate(analyzed):
         assert column == [sums[name][start] for start in starts], name
 
 
+@pytest.mark.parametrize("granularity", ["week", "month"])
+def test_a_post_is_bucketed_by_its_utc_date(tmp_path, granularity):
+    # Monday 2015-03-02 01:00 at +02:00 is Sunday 2015-03-01 23:00Z: the
+    # week of Monday 2015-02-23, the month of March; and the last instant of
+    # Saturday 2015-02-28Z is the week of 2015-02-23, the month of February
+    records = [
+        post_record("u1", "2015-02-28T23:59:59.999999Z", "one"),
+        post_record("u1", "2015-03-02T01:00:00+02:00", "two"),
+        post_record("u1", "2015-03-02T00:00:00Z", "three"),
+    ]
+    store = Store.open(tmp_path / "store", create=True)
+    store.append_batch(load_corpus(write_jsonl(tmp_path / "c.jsonl", records), "jsonl"))
+    config = AnalysisConfig(granularity=granularity, lexicon_digest=LEX.digest())
+    analyze_store(store, LEX, config)
+    table = load_series_table(store, config, user_scope("u1"))
+    by_start = dict(zip(table.bucket_starts, table.totals))
+    if granularity == "week":
+        assert by_start == {"2015-02-23": 2, "2015-03-02": 1}
+    else:
+        assert by_start == {"2015-02-01": 1, "2015-03-01": 2}
+
+
 def test_series_counts_can_exceed_totals_only_via_multilabel(analyzed):
     store, config, _, _ = analyzed
     table = load_series_table(store, config, user_scope("u1"))

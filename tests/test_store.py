@@ -1,12 +1,15 @@
+import io
 import json
 from datetime import timezone
+from unittest import mock
 from urllib.parse import unquote
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from facewall import store as store_module
 from facewall.ingest import CorpusBatch, RawPost, load_corpus
-from facewall.store import Store, StoreError, user_scope
+from facewall.store import JSON_CHUNK_MEMBERS, Store, StoreError, user_scope, write_json
 from helpers import post_record, write_jsonl
 
 
@@ -169,3 +172,49 @@ def test_appended_posts_read_back_equal(tmp_path_factory, batch_posts):
 @given(posts)
 def test_log_line_is_the_sorted_json_record(post):
     assert post.to_line() == json.dumps(post.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# -- write_json ------------------------------------------------------------------
+
+json_keys = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n", "\x00", "\x7f", "é", "\u2028", "😀"]
+)
+json_scalars = st.one_of(
+    st.text(), st.sampled_from(["\u2028", "\u2029", "a\"b\\c", "é😀"]),
+    st.integers(), st.floats(), st.booleans(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(json_keys, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+def written_json(value) -> str:
+    handle = io.StringIO()
+    write_json(handle, value)
+    return handle.getvalue()
+
+
+@given(json_values, st.integers(1, 4))
+@example({}, 1)
+@example([], 1)
+@example({"": [], "\u2028": {}, "a": [{}, [], "\u2028"], "b": {"c": [1, 2.5, True]}}, 2)
+def test_write_json_is_json_dumps_with_indent(value, chunk):
+    want = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    with mock.patch.object(store_module, "JSON_CHUNK_MEMBERS", chunk):
+        assert written_json(value) == want
+    assert written_json(value) == want
+
+
+def test_write_json_never_writes_a_large_container_whole():
+    value = {
+        "features": {f"WORD:w{i}": i for i in range(3 * JSON_CHUNK_MEMBERS)},
+        "vocabulary": [f"WORD:w{i}" for i in range(3 * JSON_CHUNK_MEMBERS)],
+    }
+    pieces = []
+    handle = mock.Mock(write=pieces.append)
+    write_json(handle, value)
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    # each piece holds at most JSON_CHUNK_MEMBERS members
+    assert max(piece.count("\n") for piece in pieces) < JSON_CHUNK_MEMBERS

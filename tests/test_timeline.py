@@ -26,6 +26,7 @@ from facewall.timeline import (
     SeriesTable,
     TimeBucket,
     bucket_start,
+    bucket_start_memo,
     bucketize,
     build_report,
     emotion_series,
@@ -81,6 +82,31 @@ def test_bucket_start_respects_utc_offsets():
 
     local = datetime(2015, 2, 1, 1, 0, tzinfo=timezone(timedelta(hours=2)))
     assert bucket_start(local, "month") == ts(2015, 1)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_the_bucket_start_memo_is_bucket_start(granularity):
+    from datetime import timedelta
+
+    starts = bucket_start_memo(granularity)
+    plus_two = timezone(timedelta(hours=2))
+    stamps = [
+        # Sunday 2015-03-29 23:59:59.999999Z, then Monday 00:00Z
+        datetime(2015, 3, 29, 23, 59, 59, 999999, tzinfo=UTC),
+        datetime(2015, 3, 30, tzinfo=UTC),
+        datetime(2015, 3, 30, 12, tzinfo=UTC),
+        datetime(2015, 3, 31, 23, 59, 59, 999999, tzinfo=UTC),
+        datetime(2015, 4, 1, tzinfo=UTC),
+        datetime(2015, 12, 31, 23, 59, 59, 999999, tzinfo=UTC),
+        datetime(2016, 1, 1, tzinfo=UTC),
+        # Monday 01:00 at +02:00 is Sunday 23:00Z
+        datetime(2015, 3, 30, 1, tzinfo=plus_two),
+        datetime(2015, 3, 30, 2, tzinfo=plus_two),
+    ]
+    for stamp in stamps + stamps[::-1]:
+        assert starts[stamp.astimezone(UTC).date()] == bucket_start(stamp, granularity)
+    # one shared datetime per date
+    assert starts[stamps[1].date()] is starts[stamps[2].date()]
 
 
 def test_bucketize_zero_fills_gaps():
