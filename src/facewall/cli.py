@@ -203,7 +203,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"facewall: {args.input}:{line}: rejected ({reason})", file=sys.stderr)
     if len(batch.rejected) > 20:
         print(f"facewall: ... {len(batch.rejected) - 20} more rejections", file=sys.stderr)
-    duplicates = batch.duplicates_dropped + (len(batch.posts) - receipt.written)
+    duplicates = batch.duplicates_dropped + (len(batch.lines) - receipt.written)
     print(f"ingested={receipt.written} rejected={len(batch.rejected)} duplicates={duplicates}")
     return EXIT_OK
 

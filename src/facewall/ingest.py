@@ -3,7 +3,7 @@ UTC-normalized records with per-line rejection reasons.
 
 Exact duplicates (same user, same instant, same text) are re-scrapes and
 are dropped on first sight; the first occurrence wins. Ingest tells them
-apart by RawPost.key_digest(), 32 bytes a post.
+apart by their key digests, 32 bytes a post.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
-from typing import Iterator, Mapping
 from urllib.parse import quote
 
 from .rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
@@ -37,6 +37,24 @@ class RecordRejected(ValueError):
         self.reason = reason
 
 
+def _log_line(user_id: str, stamp: str, text: str, source: str | None) -> str:
+    """A record's post-log line: the bytes of json.dumps(record,
+    sort_keys=True, ensure_ascii=False) plus a newline, built directly,
+    where stamp is the canonical stamp text and a None source is left out."""
+    head = "{" if source is None else f'{{"source": {_json_string(source)}, '
+    return (
+        f'{head}"text": {_json_string(text)}, "timestamp": {_json_string(stamp)}, '
+        f'"user_id": {_json_string(user_id)}}}\n'
+    )
+
+
+def _key_digest(user_id: str, stamp: str, text: str) -> bytes:
+    """The 32-byte sha256 of a dedupe key, in an encoding that tells any two
+    (user id, canonical stamp, text) triples apart: the user id behind its
+    length, the stamp (never a NUL) ended by a NUL, then the text."""
+    return hashlib.sha256(f"{len(user_id)}:{user_id}{stamp}\0{text}".encode("utf-8")).digest()
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class RawPost:
     """One validated post.
@@ -46,14 +64,13 @@ class RawPost:
     reader that already holds it so that it is not formatted again. It is
     never checked against `timestamp`; other callers leave it out. A post
     without that text formats it anew from `timestamp` when to_line(),
-    to_record(), dedupe_key() or key_digest() needs it. load_corpus drops
-    the text once it has keyed a post, so a post of its batch holds none."""
+    to_record(), dedupe_key() or key_digest() needs it."""
 
     user_id: str
     timestamp: datetime
     text: str
     source: str | None = None
-    # the timestamp's canonical text, if given and not yet dropped
+    # the timestamp's canonical text, if given
     _stamp: str | None = field(default=None, init=False, repr=False, compare=False)
     _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -83,19 +100,15 @@ class RawPost:
 
     def key_digest(self) -> bytes:
         """The 32-byte sha256 of the post's user id, canonical stamp and
-        text, in an encoding that tells any two such triples apart: the
-        user id behind its length, the stamp (never a NUL) ended by a NUL,
-        then the text. Two posts' digests are equal exactly when their
+        text (_key_digest). Two posts' digests are equal exactly when their
         dedupe_key() values are, unless sha256 collides: among n distinct
         keys, P(any two digests equal) <= n**2 / 2**257.
 
-        Built once, when asked: ingest keys a post in the batch and again
-        against the store; analyze reads posts without a key."""
+        Built once, when asked: the store keys each post of its log; analyze
+        reads posts without a key."""
         digest = self._key
         if digest is None:
-            user_id, stamp = self.user_id, self._canonical_stamp()
-            encoded = f"{len(user_id)}:{user_id}{stamp}\0{self.text}".encode("utf-8")
-            digest = hashlib.sha256(encoded).digest()
+            digest = _key_digest(self.user_id, self._canonical_stamp(), self.text)
             _set_key(self, digest)
         return digest
 
@@ -113,13 +126,8 @@ class RawPost:
     def to_line(self) -> str:
         """The record as one post-log line: the bytes of
         json.dumps(self.to_record(), sort_keys=True, ensure_ascii=False)
-        plus a newline, built directly."""
-        source = "" if self.source is None else f'"source": {_json_string(self.source)}, '
-        return (
-            "{" + source + '"text": ' + _json_string(self.text)
-            + ', "timestamp": ' + _json_string(self._canonical_stamp())
-            + ', "user_id": ' + _json_string(self.user_id) + "}\n"
-        )
+        plus a newline (_log_line)."""
+        return _log_line(self.user_id, self._canonical_stamp(), self.text, self.source)
 
 
 _set_user_id, _set_timestamp, _set_text, _set_source, _set_stamp, _set_key = (
@@ -127,11 +135,65 @@ _set_user_id, _set_timestamp, _set_text, _set_source, _set_stamp, _set_key = (
 )
 
 
-@dataclass
+@dataclass(init=False)
 class CorpusBatch:
-    posts: list[RawPost] = field(default_factory=list)
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    duplicates_dropped: int = 0
+    """The kept records of a corpus file, in file order, as the append
+    writes them: each one's post-log line (RawPost.to_line()) and key digest
+    (RawPost.key_digest()). Also the rejections, as (line number, reason),
+    and the count of in-file duplicates dropped.
+
+    CorpusBatch(posts=...) renders the posts given, duplicates and all."""
+
+    lines: list[str]
+    digests: list[bytes]
+    rejected: list[tuple[int, str]]
+    duplicates_dropped: int
+
+    def __init__(
+        self,
+        posts: Iterable[RawPost] = (),
+        rejected: list[tuple[int, str]] | None = None,
+        duplicates_dropped: int = 0,
+    ) -> None:
+        self.lines, self.digests = [], []
+        for post in posts:
+            self.lines.append(post.to_line())
+            self.digests.append(post.key_digest())
+        self.rejected = [] if rejected is None else rejected
+        self.duplicates_dropped = duplicates_dropped
+
+    @property
+    def posts(self) -> Sequence[RawPost]:
+        """The lines read back as RawPosts, each decoded when it is read;
+        len() decodes none."""
+        return _LoggedPosts(self.lines)
+
+
+class _LoggedPosts(Sequence):
+    """A read-only sequence of the RawPosts that post-log lines record."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_logged_post(line) for line in self._lines[index]]
+        return _logged_post(self._lines[index])
+
+    def __iter__(self) -> Iterator[RawPost]:
+        return map(_logged_post, self._lines)
+
+
+def _logged_post(line: str) -> RawPost:
+    """The RawPost of a line that _log_line wrote; its stamp is canonical."""
+    record = json.loads(line)
+    stamp = record["timestamp"]
+    return RawPost(
+        record["user_id"], parse_rfc3339(stamp), record["text"], record.get("source"), stamp
+    )
 
 
 def check_post_fields(user_id: object, timestamp: object, text: object, source: object) -> None:
@@ -167,7 +229,13 @@ def lacks_scope(user_id: str) -> bool:
     )
 
 
-def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
+def _record_fields(obj: object) -> tuple[str, datetime, str, str | None, str]:
+    """The checked fields of a parsed JSONL object or CSV row, in RawPost's
+    argument order: (user id, timestamp, text, source, canonical stamp
+    text). Raises RecordRejected with the first failing check's reason."""
+    # not a JSON object; a CSV row the csv module could not read (None)
+    if not isinstance(obj, Mapping):
+        raise RecordRejected("malformed")
     user_id, timestamp, text = required = tuple(map(obj.get, REQUIRED_FIELDS))
     if None in required:
         raise RecordRejected("missing-field:" + REQUIRED_FIELDS[required.index(None)])
@@ -183,7 +251,7 @@ def _post_from_fields(obj: Mapping[str, object]) -> RawPost:
         stamp = parse_rfc3339(timestamp)
     except ValueError:
         raise RecordRejected("bad-timestamp") from None
-    return RawPost(user_id, stamp, text, source, canonical_text(timestamp, stamp))
+    return user_id, stamp, text, source, canonical_text(timestamp, stamp)
 
 
 # The decoder's C scanner, without json.loads' per-call set-up.
@@ -202,14 +270,13 @@ def parse_json(line: str) -> object:
     return json.loads(line)
 
 
-def _post_from_line(line: str) -> RawPost:
+def _line_fields(line: str) -> tuple[str, datetime, str, str | None, str]:
+    """_record_fields of a JSONL line."""
     try:
         obj = parse_json(line)
     except (ValueError, RecursionError):  # RecursionError: nested too deep
         raise RecordRejected("malformed") from None
-    if not isinstance(obj, dict):
-        raise RecordRejected("malformed")
-    return _post_from_fields(obj)
+    return _record_fields(obj)
 
 
 def parse_post_record(raw: str | Mapping[str, object], fmt: str) -> RawPost:
@@ -218,11 +285,9 @@ def parse_post_record(raw: str | Mapping[str, object], fmt: str) -> RawPost:
     if fmt == "jsonl":
         if not isinstance(raw, str):
             raise RecordRejected("malformed")
-        return _post_from_line(raw)
+        return RawPost(*_line_fields(raw))
     if fmt == "csv":
-        if not isinstance(raw, Mapping):
-            raise RecordRejected("malformed")
-        return _post_from_fields(raw)
+        return RawPost(*_record_fields(raw))
     raise ValueError(f"unsupported format: {fmt!r}")
 
 
@@ -252,50 +317,37 @@ def _iter_csv(handle) -> Iterator[tuple[int, Mapping[str, object] | None]]:
         yield read[0], row
 
 
-def _post_from_row(row: Mapping[str, object] | None) -> RawPost:
-    if row is None:  # a row the csv module could not read
-        raise RecordRejected("malformed")
-    return _post_from_fields(row)
-
-
 def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     """Read every record of the file in order, collecting rejections and
     dropping in-file duplicates (first occurrence kept), as told apart by
-    RawPost.key_digest().
+    their key digests. Each kept record's log line and digest are rendered
+    as it is read, from the stamp text in hand; no RawPost is built.
 
     Unreadable files raise OSError, and files that are not UTF-8 raise
     UnicodeDecodeError; a leading byte-order mark is dropped. A file with
-    zero parseable records is a valid, empty batch. The batch's posts with
-    equal user ids share one str, and so do those with equal sources; they
-    hold no stamp text, only their timestamps and key digests.
+    zero parseable records is a valid, empty batch.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format: {fmt!r}")
     batch = CorpusBatch()
+    lines, digests = batch.lines, batch.digests
     seen: set[bytes] = set()
-    # one str per distinct user id and source: each record repeats them
-    strings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         if fmt == "jsonl":
-            rows, parse = _iter_jsonl(handle), _post_from_line
+            rows, fields_of = _iter_jsonl(handle), _line_fields
         else:
-            rows, parse = _iter_csv(handle), _post_from_row
+            rows, fields_of = _iter_csv(handle), _record_fields
         for number, raw in rows:
             try:
-                post = parse(raw)
+                user_id, _, text, source, stamp = fields_of(raw)
             except RecordRejected as rejection:
                 batch.rejected.append((number, rejection.reason))
                 continue
-            _set_user_id(post, strings.setdefault(post.user_id, post.user_id))
-            if post.source is not None:
-                _set_source(post, strings.setdefault(post.source, post.source))
-            key = post.key_digest()
-            # keyed: to_line formats the stamp anew, equal to the text
-            # (canonical_text), so the batch holds no stamp text
-            _set_stamp(post, None)
+            key = _key_digest(user_id, stamp, text)
             if key in seen:
                 batch.duplicates_dropped += 1
                 continue
             seen.add(key)
-            batch.posts.append(post)
+            digests.append(key)
+            lines.append(_log_line(user_id, stamp, text, source))
     return batch

@@ -15,12 +15,12 @@ _TIMESTAMP_RE = re.compile(
         (\d{2}):(\d{2}):(\d{2})
         (?:\.(\d+))?
         (?:([Zz])|([+-])(\d{2}):(\d{2}))$""",
-    re.VERBOSE,
+    # \d is 0-9 only, as RFC 3339's DIGIT is; it takes any Unicode digit
+    # otherwise, which int() would read
+    re.VERBOSE | re.ASCII,
 )
 
-# The text format_rfc3339 writes for a whole-second instant. ASCII digits
-# only: the general pattern's \d takes any Unicode digit, fromisoformat
-# does not.
+# The text format_rfc3339 writes for a whole-second instant.
 _CANONICAL_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 

@@ -275,19 +275,19 @@ class Store:
         return size - keep
 
     def append_batch(self, batch: CorpusBatch) -> AppendReceipt:
-        """Append new records in batch order; records already present (same
-        dedupe key, compared as RawPost.key_digest()) are skipped.
-        Idempotent across re-ingests.
+        """Append the batch's new lines in batch order; records already
+        present (same key digest as a logged post's RawPost.key_digest())
+        are skipped. Idempotent across re-ingests.
 
         The manifest's record_count becomes the records read from the log
         plus those written, which also heals a count left short, e.g. by
         an ingest that died after writing some records."""
         # The 32-byte digests of the log's keys and of those written so far.
         # Local to the call, so it is dropped while the caller still holds
-        # the batch: the batch's digests are then freed with their posts,
-        # in allocation order, not in the set's hash order, which would
-        # leave the freed memory in scattered pieces the next command
-        # cannot return or fully reuse.
+        # the batch: the batch's digests are then freed with its lines, in
+        # allocation order, not in the set's hash order, which would leave
+        # the freed memory in scattered pieces the next command cannot
+        # return or fully reuse.
         keys: set[bytes] = set()
         logged = 0
         for post in self.iter_posts():
@@ -295,11 +295,10 @@ class Store:
             logged += 1
         written = 0
         with store_io(), open(self.posts_path, "a", encoding="utf-8") as handle:
-            for post in batch.posts:
-                key = post.key_digest()
+            for key, line in zip(batch.digests, batch.lines):
                 if key in keys:
                     continue
-                handle.write(post.to_line())
+                handle.write(line)
                 keys.add(key)
                 written += 1
         if self.record_count != logged + written:

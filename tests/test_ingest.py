@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from facewall import ingest
 from facewall.ingest import REQUIRED_FIELDS, RawPost, RecordRejected, load_corpus, parse_post_record
 from facewall.rfc3339 import format_rfc3339, parse_rfc3339
 from helpers import post_record, write_jsonl
@@ -211,7 +212,7 @@ def test_load_csv_with_extra_columns_and_quoting(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_a_batch_keeps_one_string_per_user_id_and_per_source(tmp_path, fmt):
+def test_a_batch_holds_each_record_as_parsed_alone(tmp_path, fmt):
     records = [
         post_record(user, f"2015-03-0{day}T10:00:00Z", f"post {day}", source=source)
         for day, (user, source) in enumerate(
@@ -219,27 +220,24 @@ def test_a_batch_keeps_one_string_per_user_id_and_per_source(tmp_path, fmt):
         )
     ]
     records.append(post_record("u3", "2015-03-09T10:00:00Z", "no source"))
-    path = tmp_path / f"corpus.{fmt}"
-    if fmt == "jsonl":
-        write_jsonl(path, records)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, ["user_id", "timestamp", "text", "source"])
-            writer.writeheader()
-            writer.writerows(records)
-    posts = load_corpus(path, fmt).posts
+    path = write_corpus(tmp_path / f"corpus.{fmt}", records, fmt)
+    posts = list(load_corpus(path, fmt).posts)
     # the same fields as each record parsed on its own
     alone = [parse_post_record(raw, fmt) for raw in _raw_records(path, fmt)]
     assert posts == alone
     assert [post.to_line() for post in posts] == [post.to_line() for post in alone]
-    for field, distinct in (("user_id", 3), ("source", 2)):
-        first: dict = {}
-        for post in posts:
-            value = getattr(post, field)
-            if value:
-                assert first.setdefault(value, value) is value
-        assert len(first) == distinct
-    assert posts[0].dedupe_key()[0] is posts[2].user_id
+
+
+def write_corpus(path, records: list[dict], fmt: str):
+    """The records as a JSONL file, or as a CSV file whose rows leave a
+    missing source empty."""
+    if fmt == "jsonl":
+        return write_jsonl(path, records)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, ["user_id", "timestamp", "text", "source"])
+        writer.writeheader()
+        writer.writerows(records)
+    return path
 
 
 def _raw_records(path, fmt) -> list:
@@ -249,11 +247,93 @@ def _raw_records(path, fmt) -> list:
         return [row for row in csv.DictReader(handle)]
 
 
+def first_seen_posts(path, fmt) -> list[RawPost]:
+    """parse_post_record of each record of the file it takes, only the
+    first of those with equal key digests."""
+    posts: dict[bytes, RawPost] = {}
+    for raw in _raw_records(path, fmt):
+        try:
+            post = parse_post_record(raw, fmt)
+        except RecordRejected:
+            continue
+        posts.setdefault(post.key_digest(), post)
+    return list(posts.values())
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_load_corpus_parses_each_stamp_once_and_the_len_of_its_posts_none(
+    tmp_path, monkeypatch, fmt
+):
+    records = [
+        post_record(f"u{i % 3}", f"2015-03-0{i % 4 + 1}T10:00:00+01:00", f"post {i % 5}")
+        for i in range(12)
+    ]
+    records += records[:4] + [post_record("u9", "2015-03-02T10:00:00", "no offset")]
+    path = write_corpus(tmp_path / f"corpus.{fmt}", records, fmt)
+    calls: list[str] = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_rfc3339(text)
+
+    monkeypatch.setattr(ingest, "parse_rfc3339", counted)
+    batch = load_corpus(path, fmt)
+    # one parse a record, the duplicates' and the bad stamp's too
+    assert len(calls) == len(records) == 17
+    assert batch.duplicates_dropped == 4 and len(batch.rejected) == 1
+    # perfbench counts records by len(batch.posts), which decodes none
+    assert len(batch.posts) == 12 and len(calls) == 17
+    assert list(batch.posts) == first_seen_posts(path, fmt)
+
+
+# Characters a JSON or CSV encoder must escape or quote, line breaks that
+# str.splitlines() takes but the readers do not, and characters outside the
+# BMP. CSV leaves NUL out: before Python 3.11 its reader cannot read one.
+hostile_chars = ['"', "\\", "\x01", "\x1f", "\x7f", "\r", "\n", "\t", ",", " ", "\u2028", "\x85"]
+hostile_chars += ["\ufeff", "\U0001f600", "\U00010000", "é", "a", "1", ":"]
+# non-canonical forms of two instants, and a stamp that is no RFC 3339 one
+record_stamps = st.sampled_from(
+    [
+        "2015-03-01T10:00:00Z",
+        "2015-03-01T10:00:00z",
+        "2015-03-01t10:00:00Z",
+        "2015-03-01 10:00:00Z",
+        "2015-03-01T12:00:00+02:00",
+        "2015-03-01T09:30:00-00:30",
+        "2015-03-01T10:00:00.000Z",
+        "2015-03-01T10:00:00.5Z",
+        "2015-03-01T12:00:00.500000+02:00",
+        "2015-03-01T10:00:00",
+    ]
+)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@given(data=st.data())
+def test_a_batch_holds_the_line_and_key_digest_of_each_first_seen_post(
+    tmp_path_factory, fmt, data
+):
+    chars = hostile_chars + (["\x00"] if fmt == "jsonl" else [])
+    field = st.text(st.sampled_from(chars), max_size=5)
+    record = st.fixed_dictionaries(
+        {"user_id": field, "timestamp": record_stamps, "text": field}, optional={"source": field}
+    )
+    records = data.draw(st.lists(record, min_size=1, max_size=6))
+    # in-file duplicates, each drawn from the records before it
+    records += data.draw(st.lists(st.sampled_from(records), max_size=4))
+    path = write_corpus(tmp_path_factory.mktemp("corpus") / f"corpus.{fmt}", records, fmt)
+    batch = load_corpus(path, fmt)
+    want = first_seen_posts(path, fmt)
+    assert batch.lines == [post.to_line() for post in want]
+    assert batch.digests == [post.key_digest() for post in want]
+    assert list(batch.posts) == want
+
+
 def test_load_csv_short_row_rejected(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("user_id,timestamp,text\nu1,2015-03-02T10:00:00Z\n", encoding="utf-8")
     batch = load_corpus(path, "csv")
-    assert batch.posts == []
+    assert list(batch.posts) == []
     assert batch.rejected == [(2, "missing-field:text")]
 
 
@@ -368,8 +448,26 @@ def test_zero_parseable_records_is_empty_batch(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("junk\nmore junk\n", encoding="utf-8")
     batch = load_corpus(path, "jsonl")
-    assert batch.posts == []
+    assert list(batch.posts) == []
     assert len(batch.rejected) == 2
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        "\uff12\uff10\uff11\uff15-03-02T10:00:00Z",  # fullwidth year
+        "2015-03-02T10:00:00.\u0663Z",  # Arabic-Indic digit in the fraction
+        "2015-03-02T10:00:00+\uff101:00",  # fullwidth digit in the offset
+        "2015-03-02T1\u09e6:00:00Z",  # Bengali digit in the hour
+    ],
+)
+def test_a_stamp_with_a_digit_outside_ascii_is_a_bad_timestamp(stamp):
+    # RFC 3339's DIGIT is ASCII 0-9 only
+    with pytest.raises(ValueError):
+        parse_rfc3339(stamp)
+    with pytest.raises(RecordRejected) as err:
+        parse_post_record(json.dumps(post_record("u1", stamp, "x")), "jsonl")
+    assert err.value.reason == "bad-timestamp"
 
 
 def test_rfc3339_round_trip_random_instants():
@@ -487,10 +585,9 @@ def test_a_keyed_post_keeps_its_line_record_and_dedupe_key(tmp_path, stamp):
     assert before[1]["timestamp"] == format_rfc3339(parse_rfc3339(stamp))
     digest = fresh.key_digest()
     assert (fresh.to_line(), fresh.to_record(), fresh.dedupe_key()) == before
-    # load_corpus keys each post and drops its stamp text; the post writes
-    # the same line all the same
+    # load_corpus renders the line and the key as it reads the record; the
+    # post read back from the batch gives the same
     (loaded,) = load_corpus(write_jsonl(tmp_path / "c.jsonl", [json.loads(line)]), "jsonl").posts
-    assert loaded._stamp is None
     assert (loaded.to_line(), loaded.to_record(), loaded.dedupe_key()) == before
     assert loaded.key_digest() == digest
     assert parse_post_record(line, "jsonl").key_digest() == digest

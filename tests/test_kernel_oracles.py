@@ -623,7 +623,7 @@ REFERENCE_TIMESTAMP_RE = re.compile(
         (\d{2}):(\d{2}):(\d{2})
         (?:\.(\d+))?
         (?:([Zz])|([+-])(\d{2}):(\d{2}))$""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # RFC 3339's DIGIT: 0-9 only
 )
 
 
