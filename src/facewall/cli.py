@@ -11,7 +11,6 @@ import argparse
 import functools
 import gc
 import sys
-from pathlib import Path
 
 from .charts import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_series_chart
 from .ingest import FORMATS, load_corpus
@@ -31,8 +30,8 @@ from .pipeline import (
     resolve_analysis,
     scope_for,
 )
-from .store import Store, StoreError
-from .timeline import GRANULARITIES, VOLUME, DetectorConfig, report_to_dict, reports_to_json
+from .store import Store, StoreError, write_json
+from .timeline import GRANULARITIES, VOLUME, DetectorConfig, report_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,9 +177,11 @@ def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, dic
     return store, config, meta, scope
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str, write) -> None:
+    """write(handle) on a UTF-8 handle on the --out file; OSError is an input error."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
     except OSError as exc:
         raise _Failure(EXIT_INPUT, f"cannot write output: {exc}") from None
 
@@ -251,7 +252,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     width, height = args.size
     title = f"{args.cls}: {scope_label}"
     svg = render_series_chart(series, title, width=width, height=height, measure=args.measure)
-    _write_output(args.out, svg.encode("utf-8"))
+    _write_output(args.out, lambda out: out.write(svg))
     return EXIT_OK
 
 
@@ -269,8 +270,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_USAGE, f"bad detector parameters: {exc}") from None
     _, store, config = _open(args)
     reports, summary = detect_store(store, config, detector)
-    text = reports_to_json([report_to_dict(report, summary.granularity) for report in reports])
-    _write_output(args.out, text.encode("utf-8"))
+    entries = [report_to_dict(report, summary.granularity) for report in reports]
+    _write_output(args.out, lambda out: write_json(out, entries))
     print(
         f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}"
         f" zscore={summary.zscore_flags} jsd={summary.jsd_flags}"
@@ -291,7 +292,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     else:
         load_ngram_profile(store, config, scope)
         name = NGRAMS_CSV
-    _write_output(args.out, derived_file(store, config, scope, name).read_bytes())
+    data = derived_file(store, config, scope, name).read_bytes()
+    _write_output(args.out, lambda out: out.buffer.write(data))
     return EXIT_OK
 
 

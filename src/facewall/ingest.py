@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
@@ -57,68 +57,37 @@ def _key_digest(user_id: str, stamp: str, text: str) -> bytes:
 
 @dataclass(frozen=True, slots=True, init=False)
 class RawPost:
-    """One validated post.
-
-    `_stamp_text` is internal to the readers in this package: the
-    timestamp's canonical text (what format_rfc3339 writes), passed by a
-    reader that already holds it so that it is not formatted again. It is
-    never checked against `timestamp`; other callers leave it out. A post
-    without that text formats it anew from `timestamp` when to_line(),
-    to_record(), dedupe_key() or key_digest() needs it."""
+    """One validated post."""
 
     user_id: str
     timestamp: datetime
     text: str
     source: str | None = None
-    # the timestamp's canonical text, if given
-    _stamp: str | None = field(default=None, init=False, repr=False, compare=False)
-    _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        user_id: str,
-        timestamp: datetime,
-        text: str,
-        source: str | None = None,
-        _stamp_text: str | None = None,
-    ) -> None:
+    def __init__(self, user_id: str, timestamp: datetime, text: str, source: str | None = None):
         # Each slot is set through its descriptor, in about half the time
         # of the generated frozen __init__'s object.__setattr__ calls.
         _set_user_id(self, user_id)
         _set_timestamp(self, timestamp)
         _set_text(self, text)
         _set_source(self, source)
-        _set_stamp(self, _stamp_text)
-        _set_key(self, None)
 
     def dedupe_key(self) -> tuple[str, str, str]:
         """(user id, canonical stamp, hex sha256 of the text): posts with
-        equal keys are duplicates. Built anew on each call; ingest compares
-        key_digest() in its place."""
+        equal keys are duplicates. Ingest compares key digests in its place."""
         text_hash = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-        return (self.user_id, self._canonical_stamp(), text_hash)
+        return (self.user_id, format_rfc3339(self.timestamp), text_hash)
 
     def key_digest(self) -> bytes:
         """The 32-byte sha256 of the post's user id, canonical stamp and
         text (_key_digest). Two posts' digests are equal exactly when their
         dedupe_key() values are, unless sha256 collides: among n distinct
-        keys, P(any two digests equal) <= n**2 / 2**257.
-
-        Built once, when asked: the store keys each post of its log; analyze
-        reads posts without a key."""
-        digest = self._key
-        if digest is None:
-            digest = _key_digest(self.user_id, self._canonical_stamp(), self.text)
-            _set_key(self, digest)
-        return digest
-
-    def _canonical_stamp(self) -> str:
-        """The stamp text given, or else format_rfc3339(self.timestamp)."""
-        stamp = self._stamp
-        return format_rfc3339(self.timestamp) if stamp is None else stamp
+        keys, P(any two digests equal) <= n**2 / 2**257."""
+        return _key_digest(self.user_id, format_rfc3339(self.timestamp), self.text)
 
     def to_record(self) -> dict:
-        record = {"user_id": self.user_id, "timestamp": self._canonical_stamp(), "text": self.text}
+        stamp = format_rfc3339(self.timestamp)
+        record = {"user_id": self.user_id, "timestamp": stamp, "text": self.text}
         if self.source is not None:
             record["source"] = self.source
         return record
@@ -127,10 +96,10 @@ class RawPost:
         """The record as one post-log line: the bytes of
         json.dumps(self.to_record(), sort_keys=True, ensure_ascii=False)
         plus a newline (_log_line)."""
-        return _log_line(self.user_id, self._canonical_stamp(), self.text, self.source)
+        return _log_line(self.user_id, format_rfc3339(self.timestamp), self.text, self.source)
 
 
-_set_user_id, _set_timestamp, _set_text, _set_source, _set_stamp, _set_key = (
+_set_user_id, _set_timestamp, _set_text, _set_source = (
     RawPost.__dict__[f.name].__set__ for f in fields(RawPost)
 )
 
@@ -178,22 +147,22 @@ class _LoggedPosts(Sequence):
     def __len__(self) -> int:
         return len(self._lines)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_logged_post(line) for line in self._lines[index]]
-        return _logged_post(self._lines[index])
-
-    def __iter__(self) -> Iterator[RawPost]:
-        return map(_logged_post, self._lines)
+    def __getitem__(self, index: int) -> RawPost:
+        return RawPost(*decode_log_line(self._lines[index])[:4])
 
 
-def _logged_post(line: str) -> RawPost:
-    """The RawPost of a line that _log_line wrote; its stamp is canonical."""
-    record = json.loads(line)
-    stamp = record["timestamp"]
-    return RawPost(
-        record["user_id"], parse_rfc3339(stamp), record["text"], record.get("source"), stamp
-    )
+def decode_log_line(line: str) -> tuple[str, datetime, str, str | None, str]:
+    """The checked fields of a post-log line, as _record_fields gives them:
+    a hand-written stamp in another form is keyed by its canonical text, as
+    ingest keys it. A line that is no JSON object, lacks a field or fails a
+    check raises KeyError, TypeError, ValueError or RecursionError (nested
+    too deep). The newline is cut first, so json's error names line 1."""
+    obj = parse_json(line.rstrip("\n"))
+    user_id, stamp, text = obj["user_id"], obj["timestamp"], obj["text"]
+    source = obj.get("source")
+    check_post_fields(user_id, stamp, text, source)
+    timestamp = parse_rfc3339(stamp)
+    return user_id, timestamp, text, source, canonical_text(stamp, timestamp)
 
 
 def check_post_fields(user_id: object, timestamp: object, text: object, source: object) -> None:
@@ -206,11 +175,14 @@ def check_post_fields(user_id: object, timestamp: object, text: object, source: 
         and (source is None or isinstance(source, str))
     ):
         raise RecordRejected("malformed", "a field that is not a string")
-    try:
-        # A JSON escape can carry a lone surrogate, which has no UTF-8 form.
-        (user_id + timestamp + text + (source or "")).encode("utf-8")
-    except UnicodeEncodeError:
-        raise RecordRejected("malformed", "a field that UTF-8 cannot encode") from None
+    joined = user_id + timestamp + text + (source or "")
+    # A JSON escape can carry a lone surrogate, which has no UTF-8 form; an
+    # ASCII string holds none.
+    if not joined.isascii():
+        try:
+            joined.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordRejected("malformed", "a field that UTF-8 cannot encode") from None
 
 
 def user_scope(user_id: str) -> str:
@@ -230,9 +202,9 @@ def lacks_scope(user_id: str) -> bool:
 
 
 def _record_fields(obj: object) -> tuple[str, datetime, str, str | None, str]:
-    """The checked fields of a parsed JSONL object or CSV row, in RawPost's
-    argument order: (user id, timestamp, text, source, canonical stamp
-    text). Raises RecordRejected with the first failing check's reason."""
+    """The checked fields of a parsed JSONL object or CSV row: RawPost's
+    arguments, then the canonical stamp text. Raises RecordRejected with
+    the first failing check's reason."""
     # not a JSON object; a CSV row the csv module could not read (None)
     if not isinstance(obj, Mapping):
         raise RecordRejected("malformed")
@@ -259,11 +231,12 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def parse_json(line: str) -> object:
-    """json.loads(line). The scanner takes a line it consumes whole; any
-    other line goes to json.loads, which accepts or raises as usual."""
+    """json.loads(line). The scanner takes a line it consumes whole but for
+    a last newline; any other line goes to json.loads, which accepts or
+    raises as usual."""
     try:
         obj, end = _scan_once(line, 0)
-        if end == len(line):
+        if line[end:] in ("", "\n"):
             return obj
     except (StopIteration, ValueError, RecursionError):
         pass
@@ -285,15 +258,12 @@ def parse_post_record(raw: str | Mapping[str, object], fmt: str) -> RawPost:
     if fmt == "jsonl":
         if not isinstance(raw, str):
             raise RecordRejected("malformed")
-        return RawPost(*_line_fields(raw))
-    if fmt == "csv":
-        return RawPost(*_record_fields(raw))
-    raise ValueError(f"unsupported format: {fmt!r}")
-
-
-def _iter_jsonl(handle) -> Iterator[tuple[int, str | Mapping[str, object]]]:
-    for number, line in enumerate(handle, start=1):
-        yield number, line.rstrip("\n")
+        fields = _line_fields(raw)
+    elif fmt == "csv":
+        fields = _record_fields(raw)
+    else:
+        raise ValueError(f"unsupported format: {fmt!r}")
+    return RawPost(*fields[:4])
 
 
 def _iter_csv(handle) -> Iterator[tuple[int, Mapping[str, object] | None]]:
@@ -334,7 +304,7 @@ def load_corpus(path: str | Path, fmt: str) -> CorpusBatch:
     seen: set[bytes] = set()
     with open(path, "r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         if fmt == "jsonl":
-            rows, fields_of = _iter_jsonl(handle), _line_fields
+            rows, fields_of = enumerate(handle, 1), _line_fields
         else:
             rows, fields_of = _iter_csv(handle), _record_fields
         for number, raw in rows:

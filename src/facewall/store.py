@@ -12,7 +12,8 @@ Every store file but the log and .lock is written by replacing(), to
 <name>.tmp beside it and then renamed over the old one: a reader, which
 takes no lock, never sees part of a file at its final name; a failed write
 removes its temp file. No fsync. The JSON files (manifest.json, model.json,
-analysis.json) are written by write_json.
+analysis.json) are written by write_json, which also writes the bytes of
+detect's report.json.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
 # user_scope is ingest's, which rejects an id whose scope is too long.
-from .ingest import CorpusBatch, RawPost, check_post_fields, parse_json, user_scope  # noqa: F401
-from .rfc3339 import canonical_text, parse_rfc3339
+from .ingest import CorpusBatch, RawPost, _key_digest, decode_log_line, user_scope  # noqa: F401
+# decode_log_line parses through ingest's binding; the benchmark's tracer
+# (perfbench/tracing.py) also wraps this one.
+from .rfc3339 import parse_rfc3339  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -91,10 +95,11 @@ def write_json(handle: TextIO, value) -> None:
     keys, lists and scalars.
 
     Only the frame of brackets and indents is built here: each run of up to
-    JSON_CHUNK_MEMBERS scalar members of a container goes to the C encoder
-    as one piece, with its member separator already indented. The document
-    is never whole, and the pure-Python encoder, which indent=2 selects and
-    which leaves a reference cycle behind, never runs."""
+    JSON_CHUNK_MEMBERS scalar members of a container, or of non-empty flat
+    dicts that make up a whole list, goes to the C encoder as one piece,
+    with its member separator already indented. The document is never
+    whole, and the pure-Python encoder, which indent=2 selects and which
+    leaves a reference cycle behind, never runs."""
     _write_value(handle.write, value, 0)
     handle.write("\n")
 
@@ -111,6 +116,9 @@ def _write_value(write, value, depth: int) -> None:
     pad = "\n" + "  " * (depth + 1)
     write(("[" if keys is None else "{") + pad)
     start = 0
+    if keys is None and _flat_dicts(items):
+        _write_flat_dicts(write, items, depth + 1)
+        start = len(items)  # every member written
     while start < len(items):
         if start:
             write("," + pad)
@@ -129,6 +137,27 @@ def _write_value(write, value, depth: int) -> None:
     write("\n" + "  " * depth + ("]" if keys is None else "}"))
 
 
+def _flat_dicts(items) -> bool:
+    """Whether items are all non-empty dicts of scalars; tested in C."""
+    if set(map(type, items)) != {dict} or not all(items):
+        return False
+    types = set(map(type, chain.from_iterable(map(dict.values, items))))
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in types)
+
+
+def _write_flat_dicts(write, dicts, depth: int) -> None:
+    """Write a list's flat dicts, `depth` levels in, JSON_CHUNK_MEMBERS at
+    most to a piece that the C encoder writes with every separator starting
+    a line depth + 1 levels in. A JSON string holds no raw newline, and in a
+    dict a key follows a separator, so each "},\n<pad>{" ends a dict."""
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    boundary, between = "}," + inner + "{", pad + "}," + pad + "{" + inner
+    for start in range(0, len(dicts), JSON_CHUNK_MEMBERS):
+        piece = _scalars(depth + 1).encode(dicts[start : start + JSON_CHUNK_MEMBERS])
+        write((between if start else "{" + inner) + piece[2:-2].replace(boundary, between))
+    write(pad + "}")
+
+
 def _is_framed(value) -> bool:
     """Whether indent=2 spreads value over lines: a non-empty container."""
     return isinstance(value, (dict, list, tuple)) and bool(value)
@@ -136,8 +165,11 @@ def _is_framed(value) -> bool:
 
 @cache
 def _scalars(depth: int) -> json.JSONEncoder:
-    """The C encoder whose member separator starts a line `depth` levels in."""
-    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
+    """The C encoder, keys sorted, whose member separator starts a line
+    `depth` levels in."""
+    return json.JSONEncoder(
+        sort_keys=True, ensure_ascii=False, separators=(",\n" + "  " * depth, ": ")
+    )
 
 
 @dataclass(frozen=True)
@@ -228,20 +260,16 @@ class Store:
     # -- post log ----------------------------------------------------------
 
     def iter_posts(self):
+        for user_id, timestamp, text, source, _ in self._logged_fields():
+            yield RawPost(user_id, timestamp, text, source)
+
+    def _logged_fields(self):
+        """decode_log_line of each log line; any failure is a store-io error."""
         line, number = "", 0
         try:
             with open(self.posts_path, "r", encoding="utf-8") as handle:
                 for number, line in enumerate(handle, 1):
-                    obj = parse_json(line.rstrip("\n"))
-                    user_id, stamp_text, text = obj["user_id"], obj["timestamp"], obj["text"]
-                    source = obj.get("source")
-                    check_post_fields(user_id, stamp_text, text, source)
-                    stamp = parse_rfc3339(stamp_text)
-                    # A hand-written stamp in another form is keyed by its
-                    # canonical text, as ingest keys it.
-                    yield RawPost(
-                        user_id, stamp, text, source, canonical_text(stamp_text, stamp)
-                    )
+                    yield decode_log_line(line)
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             # TypeError: not an object; ValueError: also a field check
             # (RecordRejected); RecursionError: nested too deep
@@ -276,8 +304,8 @@ class Store:
 
     def append_batch(self, batch: CorpusBatch) -> AppendReceipt:
         """Append the batch's new lines in batch order; records already
-        present (same key digest as a logged post's RawPost.key_digest())
-        are skipped. Idempotent across re-ingests.
+        present (same key digest as a logged line's) are skipped.
+        Idempotent across re-ingests.
 
         The manifest's record_count becomes the records read from the log
         plus those written, which also heals a count left short, e.g. by
@@ -290,8 +318,8 @@ class Store:
         # return or fully reuse.
         keys: set[bytes] = set()
         logged = 0
-        for post in self.iter_posts():
-            keys.add(post.key_digest())
+        for user_id, _, text, _, stamp in self._logged_fields():
+            keys.add(_key_digest(user_id, stamp, text))
             logged += 1
         written = 0
         with store_io(), open(self.posts_path, "a", encoding="utf-8") as handle:

@@ -10,14 +10,15 @@ windows: the detectors stay usable in forensic/streaming order.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import accumulate, compress, repeat
-from json import JSONEncoder
-from operator import ge, mul, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import ge, gt, mul, sub
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
@@ -140,8 +141,8 @@ def emotion_series(
     """Post counts per bucket for one class (or VOLUME for all posts).
 
     A multi-labeled post counts once in each of its classes, so class counts
-    may exceed the bucket total; proportions are per-class rates, not a
-    partition.
+    may sum past the bucket total, though none exceeds it; proportions are
+    per-class rates, not a partition.
     """
     class_key = cls.value if isinstance(cls, EmotionClass) else cls
     totals = [len(group) for group in bucket_labels]
@@ -407,48 +408,6 @@ def report_to_dict(report: DeviationReport, granularity: str) -> dict:
     }
 
 
-def reports_to_json(entries: Sequence[Mapping]) -> str:
-    """report.json's text for report_to_dict's entries: the bytes of
-    json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n".
-
-    An entry's values are scalars, non-empty flat dicts, or lists of them.
-    The C encoder writes each scalar, each flat dict and each list in one
-    call, with its member separator already indented; only the frame of
-    brackets around them is built here. A JSON string holds no raw
-    newline, so "},\n<pad>{" in an encoded list is a boundary between two
-    of its dicts.
-    """
-    if not entries:
-        return "[]\n"
-    blocks = []
-    for entry in entries:
-        members = [
-            f"{_SCALARS.encode(key)}: {_entry_value(value)}" for key, value in sorted(entry.items())
-        ]
-        blocks.append("{\n    " + ",\n    ".join(members) + "\n  }")
-    return "[\n  " + ",\n  ".join(blocks) + "\n]\n"
-
-
-_SCALARS = JSONEncoder(ensure_ascii=False)
-# each member of a dict on its own line, as deep as indent=2 puts the
-# members of a dict in an entry, and of a dict in a list in an entry
-_ENTRY_DICT = JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",\n      ", ": "))
-_LISTED_DICT = JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",\n        ", ": "))
-
-
-def _entry_value(value) -> str:
-    """An entry's value as json.dumps(..., indent=2) writes it two levels in."""
-    if isinstance(value, dict):
-        return "{\n      " + _ENTRY_DICT.encode(value)[1:-1] + "\n    }"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = _LISTED_DICT.encode(value)[2:-2]
-        inner = inner.replace("},\n        {", "\n      },\n      {\n        ")
-        return "[\n      {\n        " + inner + "\n      }\n    ]"
-    return _SCALARS.encode(value)
-
-
 @dataclass
 class SeriesTable:
     """Parsed series.csv: bucket starts plus per-class count columns."""
@@ -498,14 +457,17 @@ def write_series_csv(path: str | Path, table: SeriesTable) -> None:
 
 def read_series_csv(path: str | Path) -> SeriesTable:
     """Parse series.csv column by column; a file that deviates from the
-    layout write_series_csv gives raises ValueError."""
-    fields = _bucket_fields(path, SERIES_HEADER, SERIES_CLASS_KEYS)
-    width = len(SERIES_HEADER)
-    stride = width * len(SERIES_CLASS_KEYS)
-    counts = {
-        key: _counts(fields[2 + width * k :: stride]) for k, key in enumerate(SERIES_CLASS_KEYS)
-    }
-    return SeriesTable(fields[0::stride], counts, _counts(fields[3::stride]))
+    layout write_series_csv gives raises ValueError. So does one whose
+    redundancy does not hold: within a bucket, every row gives the same
+    total, the volume count is that total, and no class count exceeds it."""
+    starts, counts, totals, _ = _bucket_columns(path, SERIES_HEADER, SERIES_CLASS_KEYS)
+    if totals.count(counts[-1]) != len(totals):  # the volume row is last
+        raise ValueError("CSV rows of one bucket differ in total")
+    counts = dict(zip(SERIES_CLASS_KEYS, _counts(counts)))
+    volume = counts[VOLUME]
+    if any(any(map(gt, counts[key], volume)) for key in OCCURRENCE_CLASS_KEYS):
+        raise ValueError("a class count in CSV exceeds its bucket's total")
+    return SeriesTable(starts, counts, volume)
 
 
 def write_occurrence_csv(
@@ -525,20 +487,16 @@ def write_occurrence_csv(
 def read_occurrence_csv(path: str | Path) -> tuple[list[str], dict[str, list[int]]]:
     """Bucket starts and per-class counts of occurrences.csv; a file that
     deviates from its layout raises ValueError."""
-    keys = OCCURRENCE_CLASS_KEYS
-    fields = _bucket_fields(path, OCCURRENCE_HEADER, keys)
-    width = len(OCCURRENCE_HEADER)
-    stride = width * len(keys)
-    counts = {key: _counts(fields[2 + width * k :: stride]) for k, key in enumerate(keys)}
-    return fields[0::stride], counts
+    starts, counts = _bucket_columns(path, OCCURRENCE_HEADER, OCCURRENCE_CLASS_KEYS)
+    return starts, dict(zip(OCCURRENCE_CLASS_KEYS, _counts(counts)))
 
 
-def _bucket_fields(path: str | Path, header: list[str], keys: Sequence[str]) -> list[str]:
-    """The body fields of a derived CSV with one row per bucket and key,
-    the keys in the given order within each bucket. Field i of key k's rows
-    is then the stride fields[i + len(header) * k :: len(header) * len(keys)].
-    Raises ValueError for a wrong header, a cut or ragged body, rows out of
-    key order, or bucket starts that are not ISO dates."""
+def _bucket_columns(path: str | Path, header: list[str], keys: Sequence[str]) -> list:
+    """The bucket starts of a derived CSV with one row per bucket and key,
+    the keys in the given order within each bucket, then the columns of
+    each field after the key: [k] holds the field of key k's rows, one a
+    bucket. Raises ValueError for a wrong header, a cut or ragged body, rows
+    out of key order, or bucket starts that are not ISO dates."""
     with open(path, "r", encoding="utf-8") as handle:
         head, _, body = handle.read().partition("\n")
     if head.split(",") != header:
@@ -556,14 +514,25 @@ def _bucket_fields(path: str | Path, header: list[str], keys: Sequence[str]) -> 
         raise ValueError("CSV rows out of bucket and key order")
     if any(days[k::depth] != starts for k in range(1, depth)):
         raise ValueError("CSV rows of one bucket differ in bucket start")
-    for day in starts:
-        date.fromisoformat(day)
-    return fields
+    list(map(date.fromisoformat, starts))
+    stride = width * depth
+    return [starts] + [
+        [fields[i + width * k :: stride] for k in range(depth)] for i in range(2, width)
+    ]
 
 
-def _counts(column: list[str]) -> list[int]:
-    """A CSV column of counts as ints; a negative count raises ValueError."""
-    counts = list(map(int, column))
-    if counts and min(counts) < 0:
-        raise ValueError("negative count in CSV")
-    return counts
+_COUNT_TEXT = re.compile(r"[0-9,]*")
+
+
+def _counts(columns: list[list[str]]) -> list[list[int]]:
+    """Columns of CSV counts, all of one length, as ints, read as one JSON
+    array of the comma-joined counts: JSON takes no empty number and no
+    leading zero. A count the writer never writes but int() would read (a
+    sign, a space, an underscore, another script's digits, a leading zero)
+    raises ValueError."""
+    text = ",".join(chain.from_iterable(columns))
+    if not _COUNT_TEXT.fullmatch(text):
+        raise ValueError("a count in CSV that is not ASCII digits")
+    counts = json.loads(f"[{text}]")
+    n = len(columns[0])
+    return [counts[k * n : k * n + n] for k in range(len(columns))]

@@ -9,6 +9,7 @@ randomization would expose any set-ordered output.
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -419,3 +420,26 @@ def test_reingest_is_idempotent(criterion, pipeline):
         count = json.loads((store / "manifest.json").read_text())["record_count"]
         first_line = pipeline["one"]["ingest_out"].strip()
         assert first_line == f"ingested={count} rejected=0 duplicates=0"
+
+
+# -- damage that keeps the files well formed ----------------------------------------
+
+
+def test_a_class_count_above_its_bucket_total_is_a_store_error(pipeline, tmp_path):
+    # c01's first happy count, 6 of its bucket's 32 posts, made 906: the
+    # file keeps its layout, and only its own redundancy tells
+    store = tmp_path / "store"
+    shutil.copytree(pipeline["one"]["store"], store)
+    (series,) = (store / "derived" / "c01").glob("*/series.csv")
+    lines = series.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("2010-01-01,happy,6,32,")
+    lines[1] = lines[1].replace(",happy,6,", ",happy,906,")
+    series.write_text("".join(lines), encoding="utf-8", newline="")
+    proc = subprocess.run(
+        [sys.executable, "-m", "facewall", "detect", "--store", str(store),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "store error: corrupt-artifact: c01/series.csv; re-run `facewall analyze`" in proc.stderr
+    assert not (tmp_path / "report.json").exists()

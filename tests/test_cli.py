@@ -697,6 +697,32 @@ def test_non_string_post_log_field_is_a_store_error(capsys, corpus, tmp_path, re
     assert f"store-io: corrupt post log: line {line}: {fault}" in err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"user_id": "u1"', "not json", '{"user_id": "u1",}', '"x" "y"', "[1]", "{}"],
+    ids=["cut-object", "not-json", "trailing-comma", "extra-data", "not-an-object", "no-fields"],
+)
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_a_post_log_line_that_does_not_decode_names_the_decoder_error(
+    capsys, corpus, tmp_path, text, command
+):
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    with open(store / "posts.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+    line = len((store / "posts.jsonl").read_text(encoding="utf-8").splitlines())
+    args = ["--store", str(store)]
+    if command == "ingest":
+        args += ["--input", str(corpus), "--format", "jsonl"]
+    code, _, err = run(capsys, command, *args)
+    # the error of the line without its newline, as json gives it
+    try:
+        json.loads(text)["user_id"]
+    except (KeyError, TypeError, ValueError) as exc:
+        fault = exc
+    assert code == 3
+    assert f"store-io: corrupt post log: line {line}: {fault}\n" in err
+
+
 def test_unwritable_derived_dir_is_a_store_error(capsys, corpus, tmp_path):
     store = tmp_path / "store"
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
@@ -1235,7 +1261,20 @@ def with_day(line, day):
     return ",".join([day, *line.split(",")[1:]])
 
 
-CHART_OCCURRENCES = ["chart", "--class", "happy", "--user", "u1", "--measure", "occurrences"]
+def with_first_count(lines, count):
+    """The first row's count replaced, the row's line end kept."""
+    day, cls, old, *rest = lines[1].split(",")
+    end = old[len(old.rstrip("\r\n")) :]
+    return [lines[0], ",".join([day, cls, count + end, *rest])] + lines[2:]
+
+
+def with_second_total(lines, total):
+    day, cls, count, _, share = lines[2].split(",")
+    return lines[:2] + [",".join([day, cls, count, total, share])] + lines[3:]
+
+
+CHART_U1 = ["chart", "--class", "happy", "--user", "u1"]
+CHART_OCCURRENCES = CHART_U1 + ["--measure", "occurrences"]
 EXPORT_U1 = ["export", "--user", "u1", "--what"]
 
 
@@ -1291,6 +1330,14 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
             lambda lines: lines[:2] + ['1,"' + "x" * 200_000 + '",1\n'] + lines[2:],
             EXPORT_U1 + ["ngrams"],
         ),
+        # counts that int() reads but the writer never writes
+        ("u2/series.csv", lambda lines: with_first_count(lines, "\u0661"), ["detect"]),
+        ("u1/series.csv", lambda lines: with_first_count(lines, "+1"), CHART_U1),
+        ("u1/occurrences.csv", lambda lines: with_first_count(lines, "1_0"), CHART_OCCURRENCES),
+        ("u1/series.csv", lambda lines: with_first_count(lines, " 1"), EXPORT_U1 + ["series"]),
+        # series.csv's own redundancy
+        ("u2/series.csv", lambda lines: with_first_count(lines, "906"), ["detect"]),
+        ("u2/series.csv", lambda lines: with_second_total(lines, "2"), ["detect"]),
     ],
     ids=[
         "series-cut-mid-row",
@@ -1309,6 +1356,12 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "export-ngrams-cut-mid-row",
         "export-ngrams-non-integer-count",
         "export-ngrams-oversized-field",
+        "series-arabic-indic-digit-count",
+        "chart-series-plus-signed-count",
+        "occurrences-underscored-count",
+        "export-series-space-before-a-count",
+        "series-class-count-above-the-total",
+        "series-total-differs-in-a-bucket",
     ],
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from facewall import ingest
 from facewall.ingest import REQUIRED_FIELDS, RawPost, RecordRejected, load_corpus, parse_post_record
 from facewall.rfc3339 import format_rfc3339, parse_rfc3339
+from facewall.store import Store
 from helpers import post_record, write_jsonl
 
 
@@ -131,7 +132,7 @@ KEY_STAMP = datetime(2015, 1, 1, tzinfo=timezone.utc)
 # digits, ":", NUL and characters outside the BMP: the pieces of a key's
 # encoding, and those whose UTF-8 or UTF-16 length differs from one
 hostile = st.text(st.sampled_from("09:\x00é\U0001f600\U00010000"), max_size=8)
-# a canonical stamp holds no NUL; the readers pass it as _stamp_text
+# a canonical stamp holds no NUL
 hostile_stamps = st.sampled_from(["2015-01-01T00:00:00Z", "2016-01-01T00:00:00Z"]) | st.text(
     st.sampled_from("09:-TZé\U0001f600\U00010000"), max_size=4
 )
@@ -150,18 +151,20 @@ def cut_triples(draw) -> list[tuple[str, str, str]]:
     ]
 
 
-def key_post(user_id: str, stamp_text: str, text: str) -> RawPost:
-    return RawPost(user_id, KEY_STAMP, text, None, stamp_text)
-
-
 @given(cut_triples() | st.lists(st.tuples(hostile, hostile_stamps, hostile), min_size=2, max_size=6))
 def test_key_digests_are_equal_exactly_when_dedupe_keys_are(triples):
-    # a fresh post for the first triple again: one pair of equal keys at least
-    posts = [key_post(*triple) for triple in triples + triples[:1]]
-    assert all(type(post.key_digest()) is bytes and len(post.key_digest()) == 32 for post in posts)
-    for a in posts:
-        for b in posts:
-            assert (a.key_digest() == b.key_digest()) == (a.dedupe_key() == b.dedupe_key())
+    # the first triple again: one pair of equal keys at least
+    triples = triples + triples[:1]
+    digests = [ingest._key_digest(*triple) for triple in triples]
+    # RawPost.dedupe_key()'s form of each (user id, canonical stamp, text)
+    keys = [
+        (user_id, stamp, hashlib.sha256(text.encode("utf-8")).hexdigest())
+        for user_id, stamp, text in triples
+    ]
+    assert all(type(digest) is bytes and len(digest) == 32 for digest in digests)
+    for a, key_a in zip(digests, keys):
+        for b, key_b in zip(digests, keys):
+            assert (a == b) == (key_a == key_b)
 
 
 def test_key_digests_tell_apart_keys_a_nul_separated_join_would_merge():
@@ -308,11 +311,8 @@ record_stamps = st.sampled_from(
 )
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-@given(data=st.data())
-def test_a_batch_holds_the_line_and_key_digest_of_each_first_seen_post(
-    tmp_path_factory, fmt, data
-):
+def hostile_corpus(directory, fmt: str, data):
+    """A corpus file of hostile records, in-file duplicates among them."""
     chars = hostile_chars + (["\x00"] if fmt == "jsonl" else [])
     field = st.text(st.sampled_from(chars), max_size=5)
     record = st.fixed_dictionaries(
@@ -321,12 +321,32 @@ def test_a_batch_holds_the_line_and_key_digest_of_each_first_seen_post(
     records = data.draw(st.lists(record, min_size=1, max_size=6))
     # in-file duplicates, each drawn from the records before it
     records += data.draw(st.lists(st.sampled_from(records), max_size=4))
-    path = write_corpus(tmp_path_factory.mktemp("corpus") / f"corpus.{fmt}", records, fmt)
+    return write_corpus(directory / f"corpus.{fmt}", records, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@given(data=st.data())
+def test_a_batch_holds_the_line_and_key_digest_of_each_first_seen_post(
+    tmp_path_factory, fmt, data
+):
+    path = hostile_corpus(tmp_path_factory.mktemp("corpus"), fmt, data)
     batch = load_corpus(path, fmt)
     want = first_seen_posts(path, fmt)
     assert batch.lines == [post.to_line() for post in want]
     assert batch.digests == [post.key_digest() for post in want]
     assert list(batch.posts) == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@given(data=st.data())
+def test_the_store_reads_back_the_posts_of_the_batch_it_logged(tmp_path_factory, fmt, data):
+    root = tmp_path_factory.mktemp("corpus")
+    batch = load_corpus(hostile_corpus(root, fmt, data), fmt)
+    store = Store.open(root / "store", create=True)
+    store.append_batch(batch)
+    assert list(store.iter_posts()) == list(batch.posts)
+    # the store keys its log as the batch keys its lines: nothing is new
+    assert store.append_batch(batch).written == 0
 
 
 def test_load_csv_short_row_rejected(tmp_path):

@@ -183,9 +183,19 @@ json_scalars = st.one_of(
     st.text(), st.sampled_from(["\u2028", "\u2029", "a\"b\\c", "é😀"]),
     st.integers(), st.floats(), st.booleans(),
 )
+# strings that hold a flat dict list's member and dict separators, as the C
+# encoder writes them, but escaped
+separator_strings = st.sampled_from(["},", "{", "}", "},\n  {", "\n", "}\u2028{", "\u2028"])
+flat_dict_lists = st.lists(
+    st.dictionaries(json_keys | separator_strings, json_scalars | separator_strings, min_size=1),
+    min_size=1,
+    max_size=6,
+)
 json_values = st.recursive(
     json_scalars,
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(json_keys, inner, max_size=6),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(json_keys, inner, max_size=6)
+    | flat_dict_lists,
     max_leaves=40,
 )
 
@@ -200,6 +210,8 @@ def written_json(value) -> str:
 @example({}, 1)
 @example([], 1)
 @example({"": [], "\u2028": {}, "a": [{}, [], "\u2028"], "b": {"c": [1, 2.5, True]}}, 2)
+@example([{"a": "},\n  {", "b": 1}, {"},": "}"}, {"c": float("inf")}], 2)
+@example({"a": [{"b": [1]}, {"c": 2}], "d": [{"e": {}}, {"f": []}]}, 1)
 def test_write_json_is_json_dumps_with_indent(value, chunk):
     want = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     with mock.patch.object(store_module, "JSON_CHUNK_MEMBERS", chunk):
@@ -210,11 +222,16 @@ def test_write_json_is_json_dumps_with_indent(value, chunk):
 def test_write_json_never_writes_a_large_container_whole():
     value = {
         "features": {f"WORD:w{i}": i for i in range(3 * JSON_CHUNK_MEMBERS)},
+        "flags": [{"bucket": i, "value": i / 7} for i in range(3 * JSON_CHUNK_MEMBERS)],
         "vocabulary": [f"WORD:w{i}" for i in range(3 * JSON_CHUNK_MEMBERS)],
     }
     pieces = []
     handle = mock.Mock(write=pieces.append)
     write_json(handle, value)
     assert "".join(pieces) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    # each piece holds at most JSON_CHUNK_MEMBERS members
-    assert max(piece.count("\n") for piece in pieces) < JSON_CHUNK_MEMBERS
+    # each piece holds at most JSON_CHUNK_MEMBERS members: scalars, one a
+    # line, or flat dicts, one "bucket" key each
+    members = [piece.count('"bucket"') or piece.count("\n") + 1 for piece in pieces]
+    assert max(members) == JSON_CHUNK_MEMBERS
+    # the flat dicts went to the encoder a piece at a time
+    assert sum(piece.count('"bucket"') == JSON_CHUNK_MEMBERS for piece in pieces) == 3

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from facewall import timeline
 from facewall.lexicon import ALL_CLASSES, EmotionClass
+from facewall.store import write_json
 from facewall.timeline import (
     GRANULARITIES,
     OCCURRENCE_CLASS_KEYS,
@@ -35,7 +37,6 @@ from facewall.timeline import (
     read_occurrence_csv,
     read_series_csv,
     report_to_dict,
-    reports_to_json,
     shift_flags,
     write_occurrence_csv,
     write_series_csv,
@@ -670,15 +671,22 @@ reports_st = st.builds(
 )
 
 
+def report_json(entries) -> str:
+    """report.json's text, as detect writes it."""
+    handle = io.StringIO()
+    write_json(handle, entries)
+    return handle.getvalue()
+
+
 @given(st.lists(reports_st, max_size=4), st.sampled_from(GRANULARITIES))
-def test_reports_to_json_is_json_dumps_with_indent(reports, granularity):
+def test_write_json_writes_reports_as_json_dumps_with_indent(reports, granularity):
     entries = [report_to_dict(report, granularity) for report in reports]
     want = json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    assert reports_to_json(entries) == want
+    assert report_json(entries) == want
 
 
-def test_reports_to_json_edge_cases():
-    assert reports_to_json([]) == "[]\n"
+def test_write_json_report_edge_cases():
+    assert report_json([]) == "[]\n"
     config = DetectorConfig(z_thresh=math.inf, jsd_thresh=5e-324)
     quiet = DeviationReport('"\\\x01é🙂', config, ())
     start = ts(2015, 1)
@@ -691,7 +699,7 @@ def test_reports_to_json_edge_cases():
         ),
     )
     entries = [report_to_dict(report, "week") for report in (quiet, loud)]
-    text = reports_to_json(entries)
+    text = report_json(entries)
     assert text == json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     assert '"flags": [],' in text and "Infinity" in text and "-0.0" in text and "null" in text
 
@@ -758,13 +766,13 @@ def reference_read_series_csv(path):
 
 
 def random_table(rng, length):
-    """The series table of one scope, as analyze writes it: counts up to
-    10**9, the volume column equal to the totals."""
+    """The series table of one scope, as analyze writes it: totals up to
+    10**9, the volume column equal to them, no class count above them."""
     buckets = month_buckets(length, year=rng.randint(1990, 2030), month=rng.randint(1, 12))
     top = rng.choice((1, 10, 10**4, 10**9))
     totals = [rng.randint(0, top) for _ in range(length)]
     counts = {
-        key: list(totals) if key == VOLUME else [rng.randint(0, top) for _ in range(length)]
+        key: list(totals) if key == VOLUME else [rng.randint(0, total) for total in totals]
         for key in SERIES_CLASS_KEYS
     }
     return SeriesTable([bucket.key for bucket in buckets], counts, totals)
@@ -819,7 +827,35 @@ SERIES_DAMAGE = {
     "row-split-in-two": lambda lines: lines[:4] + split_row(lines[4]) + lines[5:],
     "bad-header": lambda lines: ["bucket_start,class,count,total\r\n"] + lines[1:],
     "empty-file": lambda lines: [],
+    # counts int() reads but the writer never writes
+    "arabic-indic-digit-count": lambda lines: with_second_count(lines, "\u0663"),
+    "underscored-count": lambda lines: with_second_count(lines, "0_0"),
+    "space-before-a-count": lambda lines: with_second_count(lines, " 0"),
+    "plus-signed-count": lambda lines: with_second_count(lines, "+0"),
+    "zero-padded-count": lambda lines: with_second_count(lines, "00"),
+    # the file's own redundancy
+    "class-count-above-the-total": lambda lines: [lines[0], above_total(lines[1])] + lines[2:],
+    "total-differs-in-a-bucket": lambda lines: lines[:2] + [total_plus_one(lines[2])] + lines[3:],
+    "volume-count-is-not-the-total": (
+        lambda lines: lines[:6] + [with_field(lines[6], 2, total_of(lines[6]) + "0")] + lines[7:]
+    ),
 }
+
+
+def with_second_count(lines, count):
+    return lines[:2] + [with_field(lines[2], 2, count)] + lines[3:]
+
+
+def total_of(line):
+    return line.split(",")[3]
+
+
+def above_total(line):
+    return with_field(line, 2, str(int(total_of(line)) + 1))
+
+
+def total_plus_one(line):
+    return with_field(line, 3, str(int(total_of(line)) + 1))
 
 
 @pytest.mark.parametrize("damage", sorted(SERIES_DAMAGE))
@@ -828,6 +864,20 @@ def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
     path.write_text("".join(SERIES_DAMAGE[damage](lines)), encoding="utf-8", newline="")
     with pytest.raises(ValueError):
         read_series_csv(path)
+
+
+@pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_6", " 7", "7 ", "+7", "-0", "07", ""])
+def test_read_occurrence_csv_takes_only_ascii_digit_counts(tmp_path, count):
+    path = tmp_path / "occurrences.csv"
+    write_occurrence_csv(path, ["2015-01-01"], {key: [3] for key in OCCURRENCE_CLASS_KEYS})
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(
+        "".join(lines[:2] + [with_field(lines[2], 2, count + "\r\n")] + lines[3:]),
+        encoding="utf-8",
+        newline="",
+    )
+    with pytest.raises(ValueError):
+        read_occurrence_csv(path)
 
 
 def test_read_series_csv_accepts_lf_line_ends(tmp_path):
@@ -871,10 +921,13 @@ def count_columns(draw, keys, length):
 @st.composite
 def series_tables(draw):
     """The series table of one scope with arbitrary counts, as analyze
-    writes it: the volume column equal to the totals."""
+    writes it: the volume column equal to the totals, no class count above
+    them."""
     starts = bucket_starts(draw)
-    counts = count_columns(draw, SERIES_CLASS_KEYS, len(starts))
-    return SeriesTable(starts, counts, counts[VOLUME])
+    totals = count_columns(draw, [VOLUME], len(starts))[VOLUME]
+    counts = {key: [draw(st.integers(0, total)) for total in totals] for key in SERIES_CLASS_KEYS}
+    counts[VOLUME] = totals
+    return SeriesTable(starts, counts, totals)
 
 
 # the file is rewritten for every example, so sharing tmp_path is harmless
