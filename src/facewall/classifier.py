@@ -87,14 +87,6 @@ def _rule_hits(
     return e_hits, w_hits
 
 
-def emoticon_label(tokens: Iterable[Token], lexicon: EmotionLexicon) -> set[EmotionClass]:
-    """Classes asserted by any emoticon in the post (whole-post rule)."""
-    lookup = lexicon.emoticon_to_class
-    return {
-        lookup[t.surface] for t in tokens if t.kind is TokenKind.EMOTICON and t.surface in lookup
-    }
-
-
 def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter[EmotionClass]:
     """Emoticon plus word lexicon occurrences per class, outside the
     cascade: always equal to the hits classify_post returns."""
@@ -337,8 +329,12 @@ def expand_lexicon(
 
 
 def training_pairs(
-    labeled: Iterable[tuple[Sequence[Token], set[EmotionClass]]],
+    docs: Iterable[Sequence[Token]], lexicon: EmotionLexicon
 ) -> list[tuple[Sequence[Token], EmotionClass]]:
-    """Distant-supervision selection: keep posts whose emoticons assert
-    exactly one class; multi-class posts are ambiguous and excluded."""
-    return [(tokens, next(iter(classes))) for tokens, classes in labeled if len(classes) == 1]
+    """Distant-supervision selection: each document whose emoticons assert
+    exactly one class (the cascade's emoticon count), paired with that
+    class, in order; a document whose emoticons assert two or more classes
+    is ambiguous and left out."""
+    return [
+        (tokens, *e_hits) for tokens in docs if len(e_hits := _rule_hits(tokens, lexicon)[0]) == 1
+    ]

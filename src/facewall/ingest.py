@@ -9,10 +9,9 @@ apart by their key digests, 32 bytes a post.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
@@ -26,6 +25,15 @@ REQUIRED_FIELDS = ("user_id", "timestamp", "text")
 
 # The longest file name, in bytes, that common file systems take (NAME_MAX).
 MAX_SCOPE_BYTES = 255
+
+# sha256 from CPython's builtin module, which unlike hashlib loads no OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # built without it: hashlib
+        from hashlib import sha256
 
 
 class RecordRejected(ValueError):
@@ -52,10 +60,10 @@ def _key_digest(user_id: str, stamp: str, text: str) -> bytes:
     """The 32-byte sha256 of a dedupe key, in an encoding that tells any two
     (user id, canonical stamp, text) triples apart: the user id behind its
     length, the stamp (never a NUL) ended by a NUL, then the text."""
-    return hashlib.sha256(f"{len(user_id)}:{user_id}{stamp}\0{text}".encode("utf-8")).digest()
+    return sha256(f"{len(user_id)}:{user_id}{stamp}\0{text}".encode("utf-8")).digest()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RawPost:
     """One validated post."""
 
@@ -64,18 +72,10 @@ class RawPost:
     text: str
     source: str | None = None
 
-    def __init__(self, user_id: str, timestamp: datetime, text: str, source: str | None = None):
-        # Each slot is set through its descriptor, in about half the time
-        # of the generated frozen __init__'s object.__setattr__ calls.
-        _set_user_id(self, user_id)
-        _set_timestamp(self, timestamp)
-        _set_text(self, text)
-        _set_source(self, source)
-
     def dedupe_key(self) -> tuple[str, str, str]:
         """(user id, canonical stamp, hex sha256 of the text): posts with
         equal keys are duplicates. Ingest compares key digests in its place."""
-        text_hash = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        text_hash = sha256(self.text.encode("utf-8")).hexdigest()
         return (self.user_id, format_rfc3339(self.timestamp), text_hash)
 
     def key_digest(self) -> bytes:
@@ -97,11 +97,6 @@ class RawPost:
         json.dumps(self.to_record(), sort_keys=True, ensure_ascii=False)
         plus a newline (_log_line)."""
         return _log_line(self.user_id, format_rfc3339(self.timestamp), self.text, self.source)
-
-
-_set_user_id, _set_timestamp, _set_text, _set_source = (
-    RawPost.__dict__[f.name].__set__ for f in fields(RawPost)
-)
 
 
 @dataclass(init=False)

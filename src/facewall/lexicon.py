@@ -9,7 +9,6 @@ the absence of evidence.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import unicodedata
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from .ingest import sha256
 from .lexer import EmoticonTable, TokenKind, prune, tokenize
 
 
@@ -85,7 +85,7 @@ class EmotionLexicon:
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, ensure_ascii=True)
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        return sha256(blob.encode("ascii")).hexdigest()
 
 
 def lexicon_from_dict(obj: object) -> EmotionLexicon:

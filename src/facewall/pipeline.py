@@ -12,7 +12,6 @@ shape reports, not cached series.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from array import array
 from collections import Counter
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
-from .ingest import lacks_scope, user_scope
+from .ingest import lacks_scope, sha256, user_scope
 from .lexer import TokenInterner, TokenKind, _Memo
 # The per-token steps that TokenInterner runs in lexer; the benchmark's
 # tracer (perfbench/tracing.py) wraps them at these bindings.
@@ -82,7 +81,7 @@ class AnalysisConfig:
     @property
     def config_hash(self) -> str:
         blob = json.dumps(self.semantic_fields(), sort_keys=True)
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
+        return sha256(blob.encode("ascii")).hexdigest()[:12]
 
 
 @dataclass
@@ -147,12 +146,12 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     with_emoticon = (
         ids for posts, _ in by_user.values() for ids in posts if not emoticons.isdisjoint(ids)
     )
-    pairs = (
-        (doc, classifier.emoticon_label(doc, lexicon)) for doc in map(tokens_of, with_emoticon)
-    )
     model: NBModel | None
     try:
-        model = classifier.train_nb(classifier.training_pairs(pairs), n_max=config.n_max)
+        # no local holds the pairs: they are freed once the model is trained
+        model = classifier.train_nb(
+            classifier.training_pairs(map(tokens_of, with_emoticon), lexicon), n_max=config.n_max
+        )
     except UntrainableError:
         model = None
     trained = model is not None

@@ -94,12 +94,13 @@ def write_json(handle: TextIO, value) -> None:
     ensure_ascii=False, indent=2) + "\n" for a value of dicts with str
     keys, lists and scalars.
 
-    Only the frame of brackets and indents is built here: each run of up to
-    JSON_CHUNK_MEMBERS scalar members of a container, or of non-empty flat
-    dicts that make up a whole list, goes to the C encoder as one piece,
-    with its member separator already indented. The document is never
-    whole, and the pure-Python encoder, which indent=2 selects and which
-    leaves a reference cycle behind, never runs."""
+    Only the frame of brackets and indents is built here, one rule per
+    container shape: a list of non-empty flat dicts, and a container of
+    scalars only, go to the C encoder in pieces of up to JSON_CHUNK_MEMBERS
+    members, each with its member separator already indented; any other
+    container is written member by member. The document is never whole,
+    and the pure-Python encoder, which indent=2 selects and which leaves a
+    reference cycle behind, never runs."""
     _write_value(handle.write, value, 0)
     handle.write("\n")
 
@@ -115,34 +116,36 @@ def _write_value(write, value, depth: int) -> None:
         return
     pad = "\n" + "  " * (depth + 1)
     write(("[" if keys is None else "{") + pad)
-    start = 0
     if keys is None and _flat_dicts(items):
         _write_flat_dicts(write, items, depth + 1)
-        start = len(items)  # every member written
-    while start < len(items):
-        if start:
-            write("," + pad)
-        if _is_framed(items[start]):
+    elif _all_scalars(items):
+        for start in range(0, len(items), JSON_CHUNK_MEMBERS):
+            if start:
+                write("," + pad)
+            stop = start + JSON_CHUNK_MEMBERS
+            piece = items[start:stop]
+            piece = piece if keys is None else dict(zip(keys[start:stop], piece))
+            write(_scalars(depth + 1).encode(piece)[1:-1])
+    else:
+        for index, item in enumerate(items):
+            if index:
+                write("," + pad)
             if keys is not None:
-                write(_scalars(0).encode(keys[start]) + ": ")
-            _write_value(write, items[start], depth + 1)
-            start += 1
-            continue
-        end = start + 1
-        while end < len(items) and end - start < JSON_CHUNK_MEMBERS and not _is_framed(items[end]):
-            end += 1
-        run = items[start:end] if keys is None else dict(zip(keys[start:end], items[start:end]))
-        write(_scalars(depth + 1).encode(run)[1:-1])
-        start = end
+                write(_scalars(0).encode(keys[index]) + ": ")
+            _write_value(write, item, depth + 1)
     write("\n" + "  " * depth + ("]" if keys is None else "}"))
+
+
+def _all_scalars(values) -> bool:
+    """Whether no value is a dict, list or tuple; tested in C but for one
+    issubclass per distinct type."""
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values)))
 
 
 def _flat_dicts(items) -> bool:
     """Whether items are all non-empty dicts of scalars; tested in C."""
-    if set(map(type, items)) != {dict} or not all(items):
-        return False
-    types = set(map(type, chain.from_iterable(map(dict.values, items))))
-    return not any(issubclass(kind, (dict, list, tuple)) for kind in types)
+    values = chain.from_iterable(map(dict.values, items))
+    return set(map(type, items)) == {dict} and all(items) and _all_scalars(values)
 
 
 def _write_flat_dicts(write, dicts, depth: int) -> None:
@@ -156,11 +159,6 @@ def _write_flat_dicts(write, dicts, depth: int) -> None:
         piece = _scalars(depth + 1).encode(dicts[start : start + JSON_CHUNK_MEMBERS])
         write((between if start else "{" + inner) + piece[2:-2].replace(boundary, between))
     write(pad + "}")
-
-
-def _is_framed(value) -> bool:
-    """Whether indent=2 spreads value over lines: a non-empty container."""
-    return isinstance(value, (dict, list, tuple)) and bool(value)
 
 
 @cache

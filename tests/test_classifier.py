@@ -11,7 +11,6 @@ from facewall.classifier import (
     PostLabel,
     UntrainableError,
     classify_post,
-    emoticon_label,
     expand_lexicon,
     nb_predict,
     occurrence_hits,
@@ -108,9 +107,12 @@ def test_lexicon_digest_stable_across_orderings():
 
 
 def test_emoticon_label_examples():
-    assert emoticon_label([emoticon(":-)")], LEX) == {HAPPY}
-    assert emoticon_label([emoticon(":("), emoticon("<3", at=3)], LEX) == {SAD, LOVE}
-    assert emoticon_label([word("happy")], LEX) == set()
+    # a post's emoticons label it only when they name one class; a keyword
+    # labels no training document
+    happy, keyword = [emoticon(":-)")], [word("happy")]
+    mixed = [emoticon(":("), emoticon("<3", at=3)]
+    assert training_pairs([happy, mixed, keyword], LEX) == [(happy, HAPPY)]
+    assert training_pairs([[emoticon(":("), word("happy"), emoticon("=(", at=9)]], LEX)[0][1] is SAD
 
 
 def test_lexicon_match_examples():
@@ -280,14 +282,14 @@ def test_train_nb_rejects_parameters_it_cannot_train_with(bad):
 
 
 def test_training_pairs_excludes_multi_class_posts():
-    labeled = [
-        (words("a"), {HAPPY}),
-        (words("b"), {HAPPY, SAD}),
-        (words("c"), set()),
-        (words("d"), {SAD}),
+    docs = [
+        [word("a"), emoticon(":)", at=2)],
+        [word("b"), emoticon(":)", at=2), emoticon(":(", at=5)],
+        words("c", "sad"),
+        [word("d"), emoticon(":(", at=2), emoticon("=(", at=5)],
     ]
-    pairs = training_pairs(labeled)
-    assert [cls for _, cls in pairs] == [HAPPY, SAD]
+    pairs = training_pairs(docs, LEX)
+    assert pairs == [(docs[0], HAPPY), (docs[3], SAD)]
 
 
 def test_emoticons_are_excluded_from_training_features():

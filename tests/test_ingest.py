@@ -4,9 +4,11 @@ import hashlib
 import json
 import pickle
 import random
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,6 +176,43 @@ def test_key_digests_tell_apart_keys_a_nul_separated_join_would_merge():
     assert joined[0] == joined[1]
     assert first.dedupe_key() != second.dedupe_key()
     assert first.key_digest() != second.key_digest()
+
+
+@given(st.text())
+def test_sha256_gives_hashlibs_digests(text):
+    data = text.encode("utf-8", "surrogatepass")
+    assert ingest.sha256(data).digest() == hashlib.sha256(data).digest()
+    assert ingest.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this facewall."""
+    src = str(Path(ingest.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PYTHONHASHSEED": "0"},
+    )
+    return proc.stdout
+
+
+def test_the_commands_do_not_load_openssl():
+    # hashlib loads _hashlib, the OpenSSL binding; the builtin sha256 does not
+    loaded = fresh_python(
+        "import sys, facewall.cli\n"
+        "print('_hashlib' in sys.modules, sys.modules['facewall.ingest'].sha256.__module__)"
+    )
+    assert loaded.split() == ["False", "_sha2" if sys.version_info >= (3, 12) else "_sha256"]
+
+
+def test_sha256_falls_back_to_hashlib_without_the_builtin_modules():
+    out = fresh_python(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, facewall.cli\n"
+        "from facewall import ingest\n"
+        "print(ingest.sha256 is hashlib.sha256, ingest.sha256(b'bye').hexdigest())"
+    )
+    assert out.split() == ["True", hashlib.sha256(b"bye").hexdigest()]
 
 
 def test_load_corpus_records_rejection_location(tmp_path):

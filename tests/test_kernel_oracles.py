@@ -32,7 +32,6 @@ from facewall.classifier import (
     PostLabel,
     UntrainableError,
     classify_post,
-    emoticon_label,
     train_nb,
     training_pairs,
 )
@@ -466,6 +465,38 @@ def reference_scope(out, records, profile, granularity) -> None:
     (out / "ngrams.csv").write_bytes(reference_ngram_csv(profile))
 
 
+def reference_training_pairs(docs, lexicon):
+    """Distant supervision as the rule states it: the set of classes that a
+    document's emoticons assert; a one-class set labels the document."""
+    lookup = lexicon.emoticon_to_class
+    pairs = []
+    for tokens in docs:
+        classes = {
+            lookup[t.surface] for t in tokens
+            if t.kind is TokenKind.EMOTICON and t.surface in lookup
+        }
+        if len(classes) == 1:
+            pairs.append((tokens, classes.pop()))
+    return pairs
+
+
+# the cascade's tokens plus the oracle lexicon's: "xo" a keyword of one class
+# and an emoticon of another, "x" an emoticon, "great" and "gloomy" keywords
+TRAINING_TOKENS = CASCADE_TOKENS + [
+    (kind, surface)
+    for kind in (TokenKind.EMOTICON, TokenKind.WORD)
+    for surface in ("xo", ":)", "x", "great", "gloomy")
+]
+
+
+@given(
+    st.sampled_from([LEX, ORACLE_LEXICON]),
+    st.lists(st.lists(st.sampled_from(TRAINING_TOKENS), max_size=8).map(as_tokens), max_size=12),
+)
+def test_training_pairs_is_the_one_class_emoticon_rule(lexicon, docs):
+    assert training_pairs(docs, lexicon) == reference_training_pairs(docs, lexicon)
+
+
 def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     """The derived files, post by post through tokenize, prune, the
     full-bag cascade and the sliced-window feature bags, every scope
@@ -476,9 +507,9 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     for post in store.iter_posts():
         tokens = prune(tokenize(post.text, table))
         by_user.setdefault(post.user_id, []).append((post.timestamp, tokens))
-    labeled = [(t, emoticon_label(t, lexicon)) for posts in by_user.values() for _, t in posts]
+    docs = [tokens for posts in by_user.values() for _, tokens in posts]
     try:
-        model = train_nb(training_pairs(labeled), n_max=n_max)
+        model = train_nb(reference_training_pairs(docs, lexicon), n_max=n_max)
     except UntrainableError:
         model = None
     everyone = NGramProfile("all")
@@ -605,14 +636,14 @@ def test_analyze_trains_on_the_reference_documents_in_order(tmp_path, monkeypatc
     by_user: dict = {}
     for post in store.iter_posts():
         by_user.setdefault(post.user_id, []).append(prune(tokenize(post.text, table)))
-    labeled = [(t, emoticon_label(t, lexicon)) for posts in by_user.values() for t in posts]
+    posts = [tokens for user_posts in by_user.values() for tokens in user_posts]
 
     def keys(docs):
         return [([(t.kind, t.surface) for t in tokens], cls) for tokens, cls in docs]
 
     [docs] = trained
     assert len(docs) > 20
-    assert keys(docs) == keys(training_pairs(labeled))
+    assert keys(docs) == keys(reference_training_pairs(posts, lexicon))
 
 
 # -- the record path: ingest and the post-log read ------------------------------------
