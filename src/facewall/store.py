@@ -28,10 +28,8 @@ from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
-# user_scope is ingest's, which rejects an id whose scope is too long.
-from .ingest import CorpusBatch, RawPost, _key_digest, decode_log_line, user_scope  # noqa: F401
-# decode_log_line parses through ingest's binding; the benchmark's tracer
-# (perfbench/tracing.py) also wraps this one.
+from .ingest import CorpusBatch, _key_digest, decode_log_line
+# unused here, but the benchmark's tracer (perfbench/tracing.py) wraps it
 from .rfc3339 import parse_rfc3339  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -173,7 +171,6 @@ def _scalars(depth: int) -> json.JSONEncoder:
 @dataclass(frozen=True)
 class AppendReceipt:
     written: int
-    record_count: int
 
 
 class Store:
@@ -258,10 +255,6 @@ class Store:
     # -- post log ----------------------------------------------------------
 
     def iter_posts(self):
-        for user_id, timestamp, text, source, _ in self._logged_fields():
-            yield RawPost(user_id, timestamp, text, source)
-
-    def _logged_fields(self):
         """decode_log_line of each log line; any failure is a store-io error."""
         line, number = "", 0
         try:
@@ -316,7 +309,7 @@ class Store:
         # return or fully reuse.
         keys: set[bytes] = set()
         logged = 0
-        for user_id, _, text, _, stamp in self._logged_fields():
+        for user_id, _, text, _, stamp in self.iter_posts():
             keys.add(_key_digest(user_id, stamp, text))
             logged += 1
         written = 0
@@ -330,7 +323,7 @@ class Store:
         if self.record_count != logged + written:
             self.manifest["record_count"] = logged + written
             self._save_manifest()
-        return AppendReceipt(written=written, record_count=self.record_count)
+        return AppendReceipt(written=written)
 
     # -- derived artifacts ---------------------------------------------------
 

@@ -1,17 +1,21 @@
 """Shared test builders: token lists without running the lexer, interned
-n-gram profiles, JSONL corpus files, and an independent brute-force
-naive-Bayes oracle."""
+n-gram profiles, JSONL corpus files, references for a post's log line and
+dedupe key, and an independent brute-force naive-Bayes oracle."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from facewall import ingest
+from facewall.ingest import CorpusBatch, RawPost
 from facewall.lexer import Token, TokenKind
 from facewall.ngrams import GramRanking, NGramProfile
+from facewall.rfc3339 import format_rfc3339
 
 
 def word(surface: str, at: int = 0) -> Token:
@@ -63,6 +67,52 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
 
 def post_record(user: str, stamp: str, text: str, **extra) -> dict:
     return {"user_id": user, "timestamp": stamp, "text": text, **extra}
+
+
+# -- a post's log line and dedupe key ----------------------------------------
+
+
+def log_record(post: RawPost) -> dict:
+    """The post's post-log record: the stamp in canonical form, no source
+    key for a None source."""
+    stamp = format_rfc3339(post.timestamp)
+    record = {"user_id": post.user_id, "timestamp": stamp, "text": post.text}
+    if post.source is not None:
+        record["source"] = post.source
+    return record
+
+
+def log_line(post: RawPost) -> str:
+    """The post's post-log line, as json.dumps renders its record."""
+    return json.dumps(log_record(post), sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def dedupe_key(post: RawPost) -> tuple[str, str, str]:
+    """(user id, canonical stamp, hex sha256 of the text): posts with equal
+    keys are duplicates."""
+    text_hash = hashlib.sha256(post.text.encode("utf-8")).hexdigest()
+    return (post.user_id, format_rfc3339(post.timestamp), text_hash)
+
+
+def key_digest(post: RawPost) -> bytes:
+    """The key digest ingest gives the post."""
+    return ingest._key_digest(post.user_id, format_rfc3339(post.timestamp), post.text)
+
+
+def batch_of(posts) -> CorpusBatch:
+    """A batch holding each post's log line and key digest, as ingest
+    renders them, duplicates and all."""
+    posts = list(posts)
+    lines = [
+        ingest._log_line(post.user_id, format_rfc3339(post.timestamp), post.text, post.source)
+        for post in posts
+    ]
+    return CorpusBatch(lines=lines, digests=list(map(key_digest, posts)))
+
+
+def logged_posts(store) -> list[RawPost]:
+    """The store's post log read back as RawPosts."""
+    return [RawPost(*fields[:4]) for fields in store.iter_posts()]
 
 
 # -- independent naive-Bayes oracle ------------------------------------------

@@ -11,10 +11,12 @@ import pytest
 from facewall import cli
 from facewall.classifier import NBModel
 from facewall.cli import build_parser, main
+from facewall.ingest import decode_log_line, user_scope
 from facewall.lexicon import default_lexicon
 from facewall.lexer import TokenInterner
 from facewall.ngrams import GramRanking
 from facewall.pipeline import AnalysisConfig
+from facewall.store import Store
 from facewall.timeline import DetectorConfig
 from helpers import post_record, write_jsonl
 
@@ -450,6 +452,29 @@ def analyzed_store(capsys, corpus, tmp_path):
     return store, out, err
 
 
+def test_a_reingest_and_an_analyze_read_the_log_through_iter_posts(
+    capsys, corpus, tmp_path, monkeypatch
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    log = (tmp_path / "store" / "posts.jsonl").read_text(encoding="utf-8")
+    want = [decode_log_line(line) for line in log.splitlines(keepends=True)]
+    items = []
+    iter_posts = Store.iter_posts
+
+    def counted(self):
+        for item in iter_posts(self):
+            items.append(item)
+            yield item
+
+    monkeypatch.setattr(Store, "iter_posts", counted)
+    code, out, _ = run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
+    assert code == 0 and out.startswith("ingested=0 ")
+    assert items == want
+    items.clear()
+    assert run(capsys, "analyze", "--store", store)[0] == 0
+    assert items == want
+
+
 def test_analyze_trains_and_writes_cache(capsys, corpus, tmp_path):
     store, out, _ = analyzed_store(capsys, corpus, tmp_path)
     assert "users=2" in out and "model=trained" in out
@@ -596,6 +621,23 @@ def test_analyze_empty_store_writes_nothing(capsys, tmp_path):
     assert code == 0
     assert "posts=0" in out
     assert not (tmp_path / "store" / "derived").exists()
+
+
+@pytest.mark.parametrize(
+    "log",
+    ["", json.dumps(post_record("", "2015-03-02T10:00:00Z", "no user"), sort_keys=True) + "\n"],
+    ids=["emptied", "only-a-user-left-out"],
+)
+def test_analyze_of_a_log_with_no_user_to_analyze_retires_the_old_analysis(
+    capsys, corpus, tmp_path, log
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    (tmp_path / "store" / "posts.jsonl").write_text(log, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--store", store)
+    assert code == 0 and "users=0 posts=0" in out
+    code, _, err = run(capsys, "detect", "--store", store, "--out", str(tmp_path / "report.json"))
+    assert code == 3 and "not-analyzed" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_analyze_missing_store_is_store_error(capsys, tmp_path):
@@ -1005,6 +1047,45 @@ def test_export_flow_and_errors(capsys, corpus, tmp_path):
     assert ngram_csv.read_bytes() == (u1_dir / "ngrams.csv").read_bytes()
 
 
+def with_last_count(data: bytes, count: bytes) -> bytes:
+    """The ngrams.csv bytes with the last row's count replaced."""
+    head, _, _ = data[: -len(b"\r\n")].rpartition(b",")
+    return head + b"," + count + b"\r\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: with_last_count(data, b"+7"),
+        lambda data: with_last_count(data, b"07"),
+        lambda data: data.replace(b"\r\n1,", b"\r\n+1,", 1),
+        lambda data: data[: -len(b"\r\n")],
+        lambda data: data[: -len(b"\n")],
+        lambda data: with_last_count(data, b"10")[: -len(b"0\r\n")],
+    ],
+    ids=[
+        "plus-signed-count",
+        "count-with-a-leading-zero",
+        "plus-signed-order",
+        "no-line-end-after-the-last-row",
+        "last-line-end-cut-in-two",
+        "last-count-cut-short",
+    ],
+)
+def test_export_rejects_an_ngrams_csv_its_writer_never_writes(capsys, corpus, tmp_path, edit):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    (u1_dir,) = (tmp_path / "store" / "derived" / "u1").iterdir()
+    path = u1_dir / "ngrams.csv"
+    path.write_bytes(edit(path.read_bytes()))
+    out = tmp_path / "ngrams.csv"
+    code, _, err = run(
+        capsys, "export", "--store", store, "--what", "ngrams", "--user", "u1", "--out", str(out)
+    )
+    assert code == 3
+    assert "store error: corrupt-artifact: u1/ngrams.csv; re-run `facewall analyze`" in err
+    assert not out.exists()
+
+
 def test_export_requires_analyze(capsys, tmp_path):
     corpus = write_jsonl(
         tmp_path / "c.jsonl", [post_record("u1", "2015-01-01T00:00:00Z", "x")]
@@ -1018,8 +1099,6 @@ def test_export_requires_analyze(capsys, tmp_path):
 
 
 def test_dot_user_ids_stay_inside_derived(capsys, tmp_path):
-    from facewall.store import user_scope
-
     records = [post_record(".", "2015-01-02T10:00:00Z", "great day :-)")]
     records += [post_record("..", f"2015-0{m}-03T10:00:00Z", "sad day :(") for m in (1, 2, 3)]
     corpus = write_jsonl(tmp_path / "dots.jsonl", records)

@@ -17,7 +17,7 @@ from facewall import ingest
 from facewall.ingest import REQUIRED_FIELDS, RawPost, RecordRejected, load_corpus, parse_post_record
 from facewall.rfc3339 import format_rfc3339, parse_rfc3339
 from facewall.store import Store
-from helpers import post_record, write_jsonl
+from helpers import dedupe_key, key_digest, log_line, log_record, logged_posts, post_record, write_jsonl
 
 
 def test_parse_jsonl_record():
@@ -39,9 +39,13 @@ def test_raw_post_is_an_immutable_value():
         post.text = "bye"
     assert [f.name for f in fields(RawPost) if f.init] == ["user_id", "timestamp", "text", "source"]
     digest = hashlib.sha256(b"bye").hexdigest()
-    assert replace(post, text="bye").dedupe_key() == ("u1", "2015-01-02T03:04:05Z", digest)
+    assert dedupe_key(replace(post, text="bye")) == ("u1", "2015-01-02T03:04:05Z", digest)
     for clone in (copy.copy(post), pickle.loads(pickle.dumps(post))):
-        assert clone == post and clone.to_line() == post.to_line()
+        assert clone == post and log_line(clone) == log_line(post)
+    # a plain value: its field slots and the generated dunders, no method
+    assert sorted(name for name in vars(RawPost) if not name.startswith("__")) == sorted(
+        f.name for f in fields(RawPost)
+    )
 
 
 def test_bad_timestamp_rejected():
@@ -158,7 +162,7 @@ def test_key_digests_are_equal_exactly_when_dedupe_keys_are(triples):
     # the first triple again: one pair of equal keys at least
     triples = triples + triples[:1]
     digests = [ingest._key_digest(*triple) for triple in triples]
-    # RawPost.dedupe_key()'s form of each (user id, canonical stamp, text)
+    # helpers.dedupe_key's form of each (user id, canonical stamp, text)
     keys = [
         (user_id, stamp, hashlib.sha256(text.encode("utf-8")).hexdigest())
         for user_id, stamp, text in triples
@@ -172,10 +176,10 @@ def test_key_digests_are_equal_exactly_when_dedupe_keys_are(triples):
 def test_key_digests_tell_apart_keys_a_nul_separated_join_would_merge():
     first = RawPost("a\x002015-01-01T00:00:00Z", datetime(2016, 1, 1, tzinfo=timezone.utc), "x")
     second = RawPost("a", KEY_STAMP, "2016-01-01T00:00:00Z\x00x")
-    joined = ["\x00".join([p.user_id, p.dedupe_key()[1], p.text]) for p in (first, second)]
+    joined = ["\x00".join([p.user_id, dedupe_key(p)[1], p.text]) for p in (first, second)]
     assert joined[0] == joined[1]
-    assert first.dedupe_key() != second.dedupe_key()
-    assert first.key_digest() != second.key_digest()
+    assert dedupe_key(first) != dedupe_key(second)
+    assert key_digest(first) != key_digest(second)
 
 
 @given(st.text())
@@ -263,11 +267,11 @@ def test_a_batch_holds_each_record_as_parsed_alone(tmp_path, fmt):
     ]
     records.append(post_record("u3", "2015-03-09T10:00:00Z", "no source"))
     path = write_corpus(tmp_path / f"corpus.{fmt}", records, fmt)
-    posts = list(load_corpus(path, fmt).posts)
+    batch = load_corpus(path, fmt)
     # the same fields as each record parsed on its own
     alone = [parse_post_record(raw, fmt) for raw in _raw_records(path, fmt)]
-    assert posts == alone
-    assert [post.to_line() for post in posts] == [post.to_line() for post in alone]
+    assert list(batch.posts) == alone
+    assert batch.lines == [log_line(post) for post in alone]
 
 
 def write_corpus(path, records: list[dict], fmt: str):
@@ -291,14 +295,14 @@ def _raw_records(path, fmt) -> list:
 
 def first_seen_posts(path, fmt) -> list[RawPost]:
     """parse_post_record of each record of the file it takes, only the
-    first of those with equal key digests."""
-    posts: dict[bytes, RawPost] = {}
+    first of those with equal dedupe keys."""
+    posts: dict[tuple[str, str, str], RawPost] = {}
     for raw in _raw_records(path, fmt):
         try:
             post = parse_post_record(raw, fmt)
         except RecordRejected:
             continue
-        posts.setdefault(post.key_digest(), post)
+        posts.setdefault(dedupe_key(post), post)
     return list(posts.values())
 
 
@@ -371,8 +375,8 @@ def test_a_batch_holds_the_line_and_key_digest_of_each_first_seen_post(
     path = hostile_corpus(tmp_path_factory.mktemp("corpus"), fmt, data)
     batch = load_corpus(path, fmt)
     want = first_seen_posts(path, fmt)
-    assert batch.lines == [post.to_line() for post in want]
-    assert batch.digests == [post.key_digest() for post in want]
+    assert batch.lines == [log_line(post) for post in want]
+    assert batch.digests == [key_digest(post) for post in want]
     assert list(batch.posts) == want
 
 
@@ -383,7 +387,7 @@ def test_the_store_reads_back_the_posts_of_the_batch_it_logged(tmp_path_factory,
     batch = load_corpus(hostile_corpus(root, fmt, data), fmt)
     store = Store.open(root / "store", create=True)
     store.append_batch(batch)
-    assert list(store.iter_posts()) == list(batch.posts)
+    assert logged_posts(store) == list(batch.posts)
     # the store keys its log as the batch keys its lines: nothing is new
     assert store.append_batch(batch).written == 0
 
@@ -412,7 +416,7 @@ def test_lone_surrogate_is_malformed_and_the_batch_goes_on(tmp_path, field):
     assert batch.rejected == [(2, "malformed")]
     store = Store.open(tmp_path / "store", create=True)
     assert store.append_batch(batch).written == 2
-    assert [post.user_id for post in store.iter_posts()] == ["u1", "u3"]
+    assert [user_id for user_id, *_ in store.iter_posts()] == ["u1", "u3"]
 
 
 def csv_corpus(path, rows):
@@ -484,7 +488,7 @@ def test_a_byte_order_mark_is_not_part_of_the_first_record(tmp_path, fmt):
     ids=["ascii-255", "ascii-256", "latin-252", "latin-258", "dot-255", "dot-256", "cjk-270"],
 )
 def test_a_user_id_whose_scope_is_too_long_for_a_file_name_is_malformed(tmp_path, user_id, fits):
-    from facewall.store import user_scope
+    from facewall.ingest import user_scope
 
     records = [
         post_record("u1", "2015-03-02T10:00:00Z", "fine"),
@@ -640,13 +644,15 @@ def test_any_csv_row_loads_or_is_rejected_for_a_documented_reason(tmp_path_facto
 def test_a_keyed_post_keeps_its_line_record_and_dedupe_key(tmp_path, stamp):
     line = json.dumps(post_record("u1", stamp, "hello") | {"source": "feed"})
     fresh = parse_post_record(line, "jsonl")
-    before = (fresh.to_line(), fresh.to_record(), fresh.dedupe_key())
+    before = (log_line(fresh), log_record(fresh), dedupe_key(fresh))
     assert before[1]["timestamp"] == format_rfc3339(parse_rfc3339(stamp))
-    digest = fresh.key_digest()
-    assert (fresh.to_line(), fresh.to_record(), fresh.dedupe_key()) == before
+    digest = key_digest(fresh)
+    assert (log_line(fresh), log_record(fresh), dedupe_key(fresh)) == before
     # load_corpus renders the line and the key as it reads the record; the
     # post read back from the batch gives the same
-    (loaded,) = load_corpus(write_jsonl(tmp_path / "c.jsonl", [json.loads(line)]), "jsonl").posts
-    assert (loaded.to_line(), loaded.to_record(), loaded.dedupe_key()) == before
-    assert loaded.key_digest() == digest
-    assert parse_post_record(line, "jsonl").key_digest() == digest
+    batch = load_corpus(write_jsonl(tmp_path / "c.jsonl", [json.loads(line)]), "jsonl")
+    assert (batch.lines, batch.digests) == ([before[0]], [digest])
+    (loaded,) = batch.posts
+    assert (log_line(loaded), log_record(loaded), dedupe_key(loaded)) == before
+    assert key_digest(loaded) == digest
+    assert key_digest(parse_post_record(line, "jsonl")) == digest

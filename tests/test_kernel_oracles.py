@@ -36,7 +36,7 @@ from facewall.classifier import (
     training_pairs,
 )
 from facewall.cli import main
-from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus
+from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus, user_scope
 from facewall.lexer import Token, TokenKind, prune, tokenize
 from facewall.lexicon import ALL_CLASSES, EmotionClass, default_lexicon, lexicon_from_dict
 from facewall.ngrams import (
@@ -49,7 +49,7 @@ from facewall.ngrams import (
 )
 from facewall.pipeline import AnalysisConfig, analyze_store
 from facewall.rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
-from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store, user_scope
+from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store
 from facewall.timeline import (
     SERIES_CLASS_KEYS,
     VOLUME,
@@ -504,9 +504,9 @@ def reference_analyze(store, lexicon, granularity, n_max, out) -> Counter:
     Returns how many posts took each cascade route."""
     table = lexicon.emoticon_table()
     by_user: dict = {}
-    for post in store.iter_posts():
-        tokens = prune(tokenize(post.text, table))
-        by_user.setdefault(post.user_id, []).append((post.timestamp, tokens))
+    for user_id, timestamp, text, _, _ in store.iter_posts():
+        tokens = prune(tokenize(text, table))
+        by_user.setdefault(user_id, []).append((timestamp, tokens))
     docs = [tokens for posts in by_user.values() for _, tokens in posts]
     try:
         model = train_nb(reference_training_pairs(docs, lexicon), n_max=n_max)
@@ -634,8 +634,8 @@ def test_analyze_trains_on_the_reference_documents_in_order(tmp_path, monkeypatc
 
     table = lexicon.emoticon_table()
     by_user: dict = {}
-    for post in store.iter_posts():
-        by_user.setdefault(post.user_id, []).append(prune(tokenize(post.text, table)))
+    for user_id, _, text, _, _ in store.iter_posts():
+        by_user.setdefault(user_id, []).append(prune(tokenize(text, table)))
     posts = [tokens for user_posts in by_user.values() for tokens in user_posts]
 
     def keys(docs):
@@ -833,7 +833,7 @@ def ingest_both_ways(tmp_path, log: str, corpus: str, fmt: str) -> None:
     assert store.posts_path.read_text(encoding="utf-8") == want_log
     assert batch.rejected == want_rejected
     assert batch.duplicates_dropped + len(batch.posts) - receipt.written == want_duplicates
-    assert receipt.record_count == want_log.count("\n")
+    assert store.record_count == want_log.count("\n")
 
 
 @pytest.mark.parametrize("seed", [91, 92])
@@ -893,7 +893,7 @@ def batch_sequence(seed: int) -> list[str]:
 
 @pytest.mark.parametrize("seed", [93, 94, 95, 96])
 def test_cli_ingests_of_a_batch_sequence_match_the_dedupe_key_reference(tmp_path, capsys, seed):
-    # reference_ingest keys each record by the tuple RawPost.dedupe_key() returns
+    # reference_ingest keys each record by the tuple helpers.dedupe_key returns
     store = tmp_path / "store"
     log = ""
     for number, corpus in enumerate(batch_sequence(seed)):

@@ -176,6 +176,16 @@ def test_profile_rows_sorted_and_csv_round_trip(tmp_path):
     assert back.counts == profile.counts
 
 
+def test_an_ngram_csv_of_many_rows_reads_back_its_profile(tmp_path):
+    profile = NGramProfile("u1")
+    accumulate(profile, words(*[f"w{i % 700}" for i in range(1000)]), 2)
+    path = tmp_path / "ngrams.csv"
+    write_ngram_csv(path, *interned_profile(profile))
+    # more rows than the reader checks in one piece
+    assert len(profile.counts) > 1000
+    assert read_ngram_csv(path).counts == profile.counts
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 4096])
 def test_ngram_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_rows):
     rng = random.Random(1919)

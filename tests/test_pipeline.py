@@ -14,9 +14,9 @@ from facewall.pipeline import (
     load_series_table,
     resolve_analysis,
 )
-from facewall.ingest import load_corpus
+from facewall.ingest import load_corpus, user_scope
 from facewall.ngrams import read_ngram_csv
-from facewall.store import ALL_SCOPE, Store, user_scope
+from facewall.store import ALL_SCOPE, Store
 from facewall.timeline import BucketSeries, DetectorConfig, TimeBucket, next_bucket_start, zscore_flags
 from helpers import post_record, write_jsonl
 

@@ -7,10 +7,11 @@ from urllib.parse import unquote
 import pytest
 from hypothesis import example, given, strategies as st
 
-from facewall import store as store_module
-from facewall.ingest import CorpusBatch, RawPost, load_corpus
-from facewall.store import JSON_CHUNK_MEMBERS, Store, StoreError, user_scope, write_json
-from helpers import post_record, write_jsonl
+from facewall import ingest, store as store_module
+from facewall.ingest import RawPost, load_corpus, user_scope
+from facewall.rfc3339 import format_rfc3339
+from facewall.store import JSON_CHUNK_MEMBERS, Store, StoreError, write_json
+from helpers import batch_of, dedupe_key, log_line, logged_posts, post_record, write_jsonl
 
 
 def corpus(tmp_path, n=3, name="c.jsonl"):
@@ -25,17 +26,17 @@ def test_append_then_reappend_then_extend(tmp_path):
     batch = load_corpus(corpus(tmp_path, 3), "jsonl")
 
     receipt = store.append_batch(batch)
-    assert (receipt.written, receipt.record_count) == (3, 3)
+    assert (receipt.written, store.record_count) == (3, 3)
 
     receipt = store.append_batch(batch)
-    assert (receipt.written, receipt.record_count) == (0, 3)
+    assert (receipt.written, store.record_count) == (0, 3)
 
     more = write_jsonl(
         tmp_path / "more.jsonl",
         [post_record("u9", "2016-01-01T00:00:00Z", "a"), post_record("u9", "2016-01-02T00:00:00Z", "b")],
     )
     receipt = store.append_batch(load_corpus(more, "jsonl"))
-    assert (receipt.written, receipt.record_count) == (2, 5)
+    assert (receipt.written, store.record_count) == (2, 5)
 
 
 def test_reingest_leaves_store_bytes_identical(tmp_path):
@@ -66,7 +67,7 @@ def test_stored_timestamps_round_trip(tmp_path):
     )
     store = Store.open(tmp_path / "store", create=True)
     store.append_batch(load_corpus(src, "jsonl"))
-    [post] = list(Store.open(tmp_path / "store").iter_posts())
+    [post] = logged_posts(Store.open(tmp_path / "store"))
     record = json.loads((tmp_path / "store" / "posts.jsonl").read_text())
     assert record["timestamp"] == "2011-12-31T22:00:00Z"
     assert post.timestamp.isoformat() == "2011-12-31T22:00:00+00:00"
@@ -160,18 +161,19 @@ def test_appended_posts_read_back_equal(tmp_path_factory, batch_posts):
     store = Store.open(tmp_path_factory.mktemp("store") / "store", create=True)
     first = {}
     for post in batch_posts:
-        first.setdefault(post.dedupe_key(), post)
+        first.setdefault(dedupe_key(post), post)
     unique = list(first.values())
-    receipt = store.append_batch(CorpusBatch(posts=batch_posts * 2))
-    assert receipt.written == receipt.record_count == len(unique)
-    read = list(store.iter_posts())
+    receipt = store.append_batch(batch_of(batch_posts * 2))
+    assert receipt.written == store.record_count == len(unique)
+    read = logged_posts(store)
     assert read == unique
-    assert [post.dedupe_key() for post in read] == [post.dedupe_key() for post in unique]
+    assert [dedupe_key(post) for post in read] == [dedupe_key(post) for post in unique]
 
 
 @given(posts)
 def test_log_line_is_the_sorted_json_record(post):
-    assert post.to_line() == json.dumps(post.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
+    stamp = format_rfc3339(post.timestamp)
+    assert ingest._log_line(post.user_id, stamp, post.text, post.source) == log_line(post)
 
 
 # -- write_json ------------------------------------------------------------------
