@@ -17,14 +17,11 @@ from .ingest import FORMATS, load_corpus
 from .lexicon import LEXICON_CLASSES, EmotionLexicon, LexiconError, default_lexicon, load_lexicon
 from .pipeline import (
     AnalysisConfig,
-    NGRAMS_CSV,
     OCCURRENCES_CSV,
-    SERIES_CSV,
     analyze_store,
     artifact_error,
-    derived_file,
     detect_store,
-    load_ngram_profile,
+    load_export,
     load_occurrence_counts,
     load_series_table,
     resolve_analysis,
@@ -285,14 +282,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_INPUT, f"unknown export kind: {args.what!r}")
     store, config, _, scope = _open_analysis(args)
     # A damaged file is a store error, as in chart and detect; the export
-    # itself is the cached bytes.
-    if args.what == "series":
-        load_series_table(store, config, scope)
-        name = SERIES_CSV
-    else:
-        load_ngram_profile(store, config, scope)
-        name = NGRAMS_CSV
-    data = derived_file(store, config, scope, name).read_bytes()
+    # itself is the cached bytes that were checked.
+    data = load_export(store, config, scope, args.what)
     _write_output(args.out, lambda out: out.buffer.write(data))
     return EXIT_OK
 

@@ -8,12 +8,12 @@ length L contributes exactly max(0, L-n+1) grams of order n.
 from __future__ import annotations
 
 import csv
-import os
+import io
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, le
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TypeVar
 
@@ -88,16 +88,6 @@ def render_gram(gram: Gram) -> str:
     return GRAM_SEP.join([f"{kind}:{surface}" for kind, surface in gram])
 
 
-def parse_gram(text: str) -> Gram:
-    elements = []
-    for part in text.split(GRAM_SEP):
-        kind, sep, surface = part.partition(":")
-        if not sep:
-            raise ValueError(f"malformed gram element: {part!r}")
-        elements.append((kind, surface))
-    return tuple(elements)
-
-
 # csv.writer's line end (the excel dialect)
 _EOL = "\r\n"
 # the most ngrams.csv rows GramRanking.csv_rows joins into one string
@@ -166,26 +156,31 @@ def write_ngram_csv(path: str | Path, profile: NGramProfile, ranking: GramRankin
         handle.writelines(ranking.csv_rows(profile.counts))
 
 
-def read_ngram_csv(path: str | Path) -> NGramProfile:
-    """The profile of an ngrams.csv; raises ValueError for a file that does
-    not end in "\r\n", a ragged row, or an n or count _counts rejects."""
-    with open(path, "rb") as raw:
-        raw.seek(max(raw.seek(0, os.SEEK_END) - len(_EOL), 0))
-        if raw.read() != _EOL.encode("ascii"):
-            raise ValueError("ngram CSV cut short: no line end after the last row")
-    profile = NGramProfile(owner="")
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["n", "gram", "count"]:
-            raise ValueError(f"unexpected ngram CSV header: {header!r}")
-        while rows := list(islice(reader, 256)):  # 4,096 rows peaked 0.8 MB higher
-            if set(map(len, rows)) != {3}:
-                raise ValueError("an ngram CSV row without three fields")
-            orders, grams, counts = zip(*rows)
-            for gram, count in zip(grams, _counts([orders, counts])[1]):
-                profile.counts[parse_gram(gram)] = count
-    return profile
+def read_ngram_csv(data: bytes) -> None:
+    """Check the bytes of an ngrams.csv, decoded piece by piece, and keep
+    nothing. Raises ValueError for a file that is not UTF-8 or does not end
+    in "\r\n", a wrong header, a ragged row, an n or count _counts rejects,
+    a gram element without a ":", or a row below the row before it in the
+    writer's (n, gram, count) order. Equal rows pass: grams that render
+    alike can give them."""
+    if not data.endswith(_EOL.encode("ascii")):
+        raise ValueError("ngram CSV cut short: no line end after the last row")
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    header = next(reader, None)
+    if header != ["n", "gram", "count"]:
+        raise ValueError(f"unexpected ngram CSV header: {header!r}")
+    last: tuple = ()
+    while rows := list(islice(reader, 256)):  # 4,096 rows peaked 0.8 MB higher
+        if set(map(len, rows)) != {3}:
+            raise ValueError("an ngram CSV row without three fields")
+        orders, grams, counts = zip(*rows)
+        if not all(":" in part for gram in grams for part in gram.split(GRAM_SEP)):
+            raise ValueError("an ngram CSV gram element without a ':'")
+        orders, counts = _counts([orders, counts])
+        keyed = [last, *zip(orders, grams, counts)]
+        if not all(map(le, keyed, keyed[1:])):
+            raise ValueError("ngram CSV rows out of (n, gram, count) order")
+        last = keyed[-1]
 
 
 def ngrams_of_orders(tokens: Sequence[Token], n_max: int) -> Counter[Gram]:

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
-from pathlib import Path
 
 from . import classifier, ngrams
 from .classifier import NBModel, UntrainableError
@@ -310,22 +309,17 @@ def artifact_error(reason: str, scope: str, name: str) -> StoreError:
     return StoreError(reason, f"{scope}/{name}; re-run `facewall analyze`")
 
 
-def derived_file(store: Store, config: AnalysisConfig, scope: str, name: str) -> Path:
-    """Path of one derived file of a resolved analysis; a missing file is a
-    store error, not a traceback."""
+def _load(store: Store, config: AnalysisConfig, scope: str, name: str, read):
+    """read(data) of the bytes of one derived file, read once: a missing or
+    not regular file is missing-artifact, a failed read is store-io, and
+    bytes read cannot parse are corrupt-artifact."""
     path = store.derived_dir(scope, config.config_hash) / name
     with store_io():
         if not path.is_file():
             raise artifact_error("missing-artifact", scope, name)
-    return path
-
-
-def _load(store: Store, config: AnalysisConfig, scope: str, name: str, read):
-    """read(path) of one derived file; a missing file or one read cannot
-    parse is a store error."""
-    path = derived_file(store, config, scope, name)
+        data = path.read_bytes()
     try:
-        return read(path)
+        return read(data)
     except (ValueError, csv.Error):
         raise artifact_error("corrupt-artifact", scope, name) from None
 
@@ -334,14 +328,23 @@ def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> Serie
     return _load(store, config, scope, SERIES_CSV, read_series_csv)
 
 
-def load_ngram_profile(store: Store, config: AnalysisConfig, scope: str) -> ngrams.NGramProfile:
-    return _load(store, config, scope, NGRAMS_CSV, ngrams.read_ngram_csv)
-
-
 def load_occurrence_counts(
     store: Store, config: AnalysisConfig, scope: str
 ) -> tuple[list[str], dict[str, list[int]]]:
     return _load(store, config, scope, OCCURRENCES_CSV, read_occurrence_csv)
+
+
+def load_export(store: Store, config: AnalysisConfig, scope: str, what: str) -> bytes:
+    """The bytes of a scope's series.csv (what "series") or ngrams.csv (what
+    "ngrams"), read once and checked as detect and chart check what they
+    read: the export is the bytes that passed."""
+    check = read_series_csv if what == "series" else ngrams.read_ngram_csv
+
+    def checked(data: bytes) -> bytes:
+        check(data)
+        return data
+
+    return _load(store, config, scope, SERIES_CSV if what == "series" else NGRAMS_CSV, checked)
 
 
 # -- detection --------------------------------------------------------------

@@ -10,6 +10,7 @@ windows: the detectors stay usable in forensic/streaming order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -455,12 +456,13 @@ def write_series_csv(path: str | Path, table: SeriesTable) -> None:
                 writer.writerow([start, key, count, total, f"{share:.6f}"])
 
 
-def read_series_csv(path: str | Path) -> SeriesTable:
-    """Parse series.csv column by column; a file that deviates from the
-    layout write_series_csv gives raises ValueError. So does one whose
-    redundancy does not hold: within a bucket, every row gives the same
-    total, the volume count is that total, and no class count exceeds it."""
-    starts, counts, totals, _ = _bucket_columns(path, SERIES_HEADER, SERIES_CLASS_KEYS)
+def read_series_csv(data: bytes) -> SeriesTable:
+    """Parse the bytes of a series.csv column by column; a file that
+    deviates from the layout write_series_csv gives raises ValueError. So
+    does one whose redundancy does not hold: within a bucket, every row
+    gives the same total, the volume count is that total, and no class
+    count exceeds it."""
+    starts, counts, totals, _ = _bucket_columns(data, SERIES_HEADER, SERIES_CLASS_KEYS)
     if totals.count(counts[-1]) != len(totals):  # the volume row is last
         raise ValueError("CSV rows of one bucket differ in total")
     counts = dict(zip(SERIES_CLASS_KEYS, _counts(counts)))
@@ -484,21 +486,22 @@ def write_occurrence_csv(
                 writer.writerow([start, key, counts[key][i]])
 
 
-def read_occurrence_csv(path: str | Path) -> tuple[list[str], dict[str, list[int]]]:
-    """Bucket starts and per-class counts of occurrences.csv; a file that
-    deviates from its layout raises ValueError."""
-    starts, counts = _bucket_columns(path, OCCURRENCE_HEADER, OCCURRENCE_CLASS_KEYS)
+def read_occurrence_csv(data: bytes) -> tuple[list[str], dict[str, list[int]]]:
+    """Bucket starts and per-class counts of the bytes of an
+    occurrences.csv; a file that deviates from its layout raises ValueError."""
+    starts, counts = _bucket_columns(data, OCCURRENCE_HEADER, OCCURRENCE_CLASS_KEYS)
     return starts, dict(zip(OCCURRENCE_CLASS_KEYS, _counts(counts)))
 
 
-def _bucket_columns(path: str | Path, header: list[str], keys: Sequence[str]) -> list:
-    """The bucket starts of a derived CSV with one row per bucket and key,
-    the keys in the given order within each bucket, then the columns of
-    each field after the key: [k] holds the field of key k's rows, one a
-    bucket. Raises ValueError for a wrong header, a cut or ragged body, rows
-    out of key order, or bucket starts that are not ISO dates."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head, _, body = handle.read().partition("\n")
+def _bucket_columns(data: bytes, header: list[str], keys: Sequence[str]) -> list:
+    """The bucket starts of the bytes of a derived CSV with one row per
+    bucket and key, the keys in the given order within each bucket, then
+    the columns of each field after the key: [k] holds the field of key k's
+    rows, one a bucket. The bytes are decoded as a text-mode open reads a
+    file: UTF-8, universal newlines. Raises ValueError for a wrong header,
+    a cut or ragged body, rows out of key order, or bucket starts that are
+    not ISO dates."""
+    head, _, body = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().partition("\n")
     if head.split(",") != header:
         raise ValueError(f"unexpected CSV header: {head!r}")
     width, depth = len(header), len(keys)

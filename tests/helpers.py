@@ -1,9 +1,11 @@
 """Shared test builders: token lists without running the lexer, interned
-n-gram profiles, JSONL corpus files, references for a post's log line and
-dedupe key, and an independent brute-force naive-Bayes oracle."""
+n-gram profiles and the rows of an ngrams.csv, JSONL corpus files,
+references for a post's log line and dedupe key, and an independent
+brute-force naive-Bayes oracle."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 from facewall import ingest
 from facewall.ingest import CorpusBatch, RawPost
 from facewall.lexer import Token, TokenKind
-from facewall.ngrams import GramRanking, NGramProfile
+from facewall.ngrams import GramRanking, NGramProfile, render_gram
 from facewall.rfc3339 import format_rfc3339
 
 
@@ -49,6 +51,19 @@ def interned_profile(profile: NGramProfile) -> tuple[NGramProfile, GramRanking]:
     tokens = [Token(TokenKind[kind], surface, 0, len(surface)) for kind, surface in ids]
     interned = NGramProfile(profile.owner, counts, profile.post_count)
     return interned, GramRanking(grams, tokens)
+
+
+def ngram_rows(path: Path) -> dict[tuple[int, str], int]:
+    """The count of each row of an ngrams.csv, keyed by (n, gram text)."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["n", "gram", "count"]
+    return {(int(n), gram): int(count) for n, gram, count in rows}
+
+
+def rendered_counts(profile: NGramProfile) -> dict[tuple[int, str], int]:
+    """A profile's counts keyed as ngram_rows keys an ngrams.csv's rows."""
+    return {(len(gram), render_gram(gram)): count for gram, count in profile.counts.items()}
 
 
 def model_json(model) -> str:

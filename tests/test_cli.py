@@ -1,3 +1,4 @@
+import builtins
 import csv
 import errno
 import gc
@@ -1053,6 +1054,11 @@ def with_last_count(data: bytes, count: bytes) -> bytes:
     return head + b"," + count + b"\r\n"
 
 
+def with_lines(data: bytes, edit) -> bytes:
+    """The ngrams.csv bytes with its lines, the header first, edited."""
+    return b"".join(edit(data.splitlines(keepends=True)))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -1062,6 +1068,8 @@ def with_last_count(data: bytes, count: bytes) -> bytes:
         lambda data: data[: -len(b"\r\n")],
         lambda data: data[: -len(b"\n")],
         lambda data: with_last_count(data, b"10")[: -len(b"0\r\n")],
+        lambda data: with_lines(data, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]]),
+        lambda data: with_lines(data, lambda lines: [lines[0], *lines[2:], lines[1]]),
     ],
     ids=[
         "plus-signed-count",
@@ -1070,6 +1078,8 @@ def with_last_count(data: bytes, count: bytes) -> bytes:
         "no-line-end-after-the-last-row",
         "last-line-end-cut-in-two",
         "last-count-cut-short",
+        "two-rows-swapped",
+        "first-row-moved-to-the-end",
     ],
 )
 def test_export_rejects_an_ngrams_csv_its_writer_never_writes(capsys, corpus, tmp_path, edit):
@@ -1124,8 +1134,9 @@ def test_dot_user_ids_stay_inside_derived(capsys, tmp_path):
     assert sum(int(row[2]) for row in volume) == 3
 
 
-@pytest.mark.parametrize(
-    "missing, argv",
+# a derived file and a command that reads it
+READS_OF_DERIVED_FILES = pytest.mark.parametrize(
+    "derived, argv",
     [
         ("@all/series.csv", ["chart", "--class", "volume", "--all-users"]),
         (
@@ -1138,15 +1149,75 @@ def test_dot_user_ids_stay_inside_derived(capsys, tmp_path):
     ],
     ids=["chart-series", "chart-occurrences", "detect", "export-series", "export-ngrams"],
 )
-def test_missing_derived_file_is_a_store_error(capsys, corpus, tmp_path, missing, argv):
-    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
-    scope, name = missing.split("/")
+
+
+def derived_path(tmp_path, derived):
+    scope, name = derived.split("/")
     (hash_dir,) = (tmp_path / "store" / "derived" / scope).iterdir()
-    (hash_dir / name).unlink()
+    return hash_dir / name
+
+
+@READS_OF_DERIVED_FILES
+def test_missing_derived_file_is_a_store_error(capsys, corpus, tmp_path, derived, argv):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    derived_path(tmp_path, derived).unlink()
     out = tmp_path / "out"
     code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
     assert code == 3
     assert "store error: missing-artifact" in err
+    assert not out.exists()
+
+
+class _Unreadable:
+    """An open file whose every read fails as a failing disk's does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def fail_reads(monkeypatch, path):
+    """Each read of a file that open() or Path.open() opens at path raises EIO."""
+    for owner in (builtins, Path):
+        def opener(file, *args, _open=owner.open, **kwargs):
+            handle = _open(file, *args, **kwargs)
+            named = isinstance(file, (str, os.PathLike))
+            return _Unreadable(handle) if named and os.path.samefile(file, path) else handle
+
+        monkeypatch.setattr(owner, "open", opener)
+
+
+def link_to_own_memory(monkeypatch, path):
+    """On Linux, a link to the process's own memory, whose first page
+    cannot be read (EIO)."""
+    if not os.path.isfile("/proc/self/mem"):
+        pytest.skip("no /proc/self/mem")
+    path.unlink()
+    path.symlink_to("/proc/self/mem")
+
+
+@pytest.mark.parametrize("unreadable", [fail_reads, link_to_own_memory])
+@READS_OF_DERIVED_FILES
+def test_a_derived_file_that_cannot_be_read_is_a_store_error(
+    capsys, corpus, tmp_path, monkeypatch, unreadable, derived, argv
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    unreadable(monkeypatch, derived_path(tmp_path, derived))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv[0], "--store", store, "--out", str(out), *argv[1:])
+    assert code == 3
+    assert "store error: store-io" in err
     assert not out.exists()
 
 

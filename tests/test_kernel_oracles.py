@@ -44,6 +44,7 @@ from facewall.ngrams import (
     NGramProfile,
     accumulate,
     ngrams_of_orders,
+    read_ngram_csv,
     render_gram,
     write_ngram_csv,
 )
@@ -384,6 +385,8 @@ def test_ngram_csv_is_the_sorted_rendered_rows(tmp_path):
             profile.counts[quoted] += rng.randrange(0, 3)
         write_ngram_csv(path, *interned_profile(profile))
         assert path.read_bytes() == reference_ngram_csv(profile)
+        # the check takes what the writer writes, equal rows included
+        read_ngram_csv(path.read_bytes())
 
 
 # -- analyze from the per-token API ----------------------------------------------------

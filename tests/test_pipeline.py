@@ -15,10 +15,9 @@ from facewall.pipeline import (
     resolve_analysis,
 )
 from facewall.ingest import load_corpus, user_scope
-from facewall.ngrams import read_ngram_csv
 from facewall.store import ALL_SCOPE, Store
 from facewall.timeline import BucketSeries, DetectorConfig, TimeBucket, next_bucket_start, zscore_flags
-from helpers import post_record, write_jsonl
+from helpers import ngram_rows, post_record, write_jsonl
 
 LEX = default_lexicon()
 
@@ -140,9 +139,9 @@ def test_all_users_ngrams_are_the_sum_of_the_per_user_profiles(analyzed):
     summed = Counter()
     for user in users:
         path = store.derived_dir(user_scope(user), config.config_hash) / "ngrams.csv"
-        summed.update(read_ngram_csv(path).counts)
-    everyone = read_ngram_csv(store.derived_dir(ALL_SCOPE, config.config_hash) / "ngrams.csv")
-    assert everyone.counts == summed
+        summed.update(ngram_rows(path))
+    everyone = ngram_rows(store.derived_dir(ALL_SCOPE, config.config_hash) / "ngrams.csv")
+    assert everyone == summed
 
 
 def test_changed_granularity_lands_in_new_hash_dir(analyzed):

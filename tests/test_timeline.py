@@ -728,7 +728,7 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
     assert lines[1] == "2015-01-01,happy,2,3,0.666667"
     assert "2015-01-01,volume,3,3,1.000000" in lines
 
-    table = read_series_csv(path)
+    table = read_series_csv(path.read_bytes())
     assert table == written
     assert table.bucket_starts == ["2015-01-01", "2015-02-01"]
     assert table.counts["happy"] == [2, 0]
@@ -786,7 +786,7 @@ def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
         table = random_table(rng, length)
         write_series_csv(path, table)
         want = reference_read_series_csv(path)
-        assert read_series_csv(path) == want == table, length
+        assert read_series_csv(path.read_bytes()) == want == table, length
         assert len(want.bucket_starts) == length
 
 
@@ -863,7 +863,7 @@ def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
     path, lines = series_lines(tmp_path)
     path.write_text("".join(SERIES_DAMAGE[damage](lines)), encoding="utf-8", newline="")
     with pytest.raises(ValueError):
-        read_series_csv(path)
+        read_series_csv(path.read_bytes())
 
 
 @pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_6", " 7", "7 ", "+7", "-0", "07", ""])
@@ -877,14 +877,14 @@ def test_read_occurrence_csv_takes_only_ascii_digit_counts(tmp_path, count):
         newline="",
     )
     with pytest.raises(ValueError):
-        read_occurrence_csv(path)
+        read_occurrence_csv(path.read_bytes())
 
 
 def test_read_series_csv_accepts_lf_line_ends(tmp_path):
     path, lines = series_lines(tmp_path)
-    want = read_series_csv(path)
+    want = read_series_csv(path.read_bytes())
     path.write_text("".join(line.replace("\r\n", "\n") for line in lines), encoding="utf-8")
-    assert read_series_csv(path) == want
+    assert read_series_csv(path.read_bytes()) == want
 
 
 def test_read_occurrence_csv_columns_and_damage(tmp_path):
@@ -894,13 +894,13 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
         rows += [f"{day},{c.value},{n}" for c, n in zip(ALL_CLASSES, counts)]
     text = "\r\n".join(rows) + "\r\n"
     path.write_text(text, encoding="utf-8", newline="")
-    starts, counts = read_occurrence_csv(path)
+    starts, counts = read_occurrence_csv(path.read_bytes())
     assert starts == ["2015-01-01", "2015-02-01"]
     assert counts == {"happy": [3, 0], "sad": [0, 2], "love": [1, 0],
                       "disappointment": [0, 5], "neutral": [7, 0]}
     path.write_text(text[:-9], encoding="utf-8", newline="")
     with pytest.raises(ValueError):
-        read_occurrence_csv(path)
+        read_occurrence_csv(path.read_bytes())
 
 
 # -- properties of the series file -------------------------------------------------
@@ -939,7 +939,7 @@ reuses_tmp_path = settings(suppress_health_check=[HealthCheck.function_scoped_fi
 def test_series_csv_round_trips(tmp_path, table):
     path = tmp_path / "series.csv"
     write_series_csv(path, table)
-    assert read_series_csv(path) == table
+    assert read_series_csv(path.read_bytes()) == table
 
 
 @reuses_tmp_path
@@ -955,7 +955,7 @@ def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, written, data
         damaged = body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
     path.write_bytes(damaged)
     try:
-        table = read_series_csv(path)
+        table = read_series_csv(path.read_bytes())
     except ValueError:
         return
     assert isinstance(table, SeriesTable)
@@ -973,7 +973,7 @@ def occurrence_tables(draw):
 def test_damaged_occurrence_csv_parses_or_raises_value_error(tmp_path, table, data):
     path = tmp_path / "occurrences.csv"
     write_occurrence_csv(path, *table)
-    assert read_occurrence_csv(path) == table
+    assert read_occurrence_csv(path.read_bytes()) == table
     body = path.read_bytes()
     at = data.draw(st.integers(0, len(body)))
     if data.draw(st.booleans()) or at == len(body):
@@ -982,7 +982,7 @@ def test_damaged_occurrence_csv_parses_or_raises_value_error(tmp_path, table, da
         damaged = body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
     path.write_bytes(damaged)
     try:
-        starts, counts = read_occurrence_csv(path)
+        starts, counts = read_occurrence_csv(path.read_bytes())
     except ValueError:
         return
     assert list(counts) == [cls.value for cls in ALL_CLASSES]
