@@ -11,6 +11,7 @@ import argparse
 import functools
 import gc
 import sys
+from collections import Counter
 
 from .charts import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_series_chart
 from .ingest import FORMATS, load_corpus
@@ -28,7 +29,7 @@ from .pipeline import (
     scope_for,
 )
 from .store import Store, StoreError, write_json
-from .timeline import GRANULARITIES, VOLUME, DetectorConfig, report_to_dict
+from .timeline import GRANULARITIES, VOLUME, DetectorConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -238,9 +239,8 @@ def cmd_chart(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_INPUT, "volume has no occurrence series")
     store, config, meta, scope = _open_analysis(args)
     scope_label = args.user if args.user is not None else "all users"
-    granularity = meta["config"]["granularity"]
     table = load_series_table(store, config, scope)
-    series = table.to_series(args.cls, scope_label, granularity)
+    series = table.to_series(args.cls, meta["config"]["granularity"])
     if args.measure == "occurrences":
         starts, occ_counts = load_occurrence_counts(store, config, scope)
         if starts != table.bucket_starts:
@@ -266,13 +266,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, f"bad detector parameters: {exc}") from None
     _, store, config = _open(args)
-    reports, summary = detect_store(store, config, detector)
-    entries = [report_to_dict(report, summary.granularity) for report in reports]
+    entries = detect_store(store, config, detector)
     _write_output(args.out, lambda out: write_json(out, entries))
+    flags = [flag for entry in entries for flag in entry["flags"]]
+    signals = Counter(flag["signal"] for flag in flags)
+    # only z-score flags name a class
+    classes = Counter(flag["class"] for flag in flags)
     print(
-        f"users={summary.users} flagged_users={summary.flagged_users} flags={summary.flags}"
-        f" zscore={summary.zscore_flags} jsd={summary.jsd_flags}"
-        + "".join(f" {cls}={n}" for cls, n in summary.zscore_by_class.items())
+        f"users={len(entries)} flagged_users={sum(bool(entry['flags']) for entry in entries)}"
+        f" flags={len(flags)} zscore={signals['zscore']} jsd={signals['jsd']}"
+        + "".join(f" {cls.value}={classes[cls.value]}" for cls in LEXICON_CLASSES)
     )
     return EXIT_OK
 

@@ -17,6 +17,12 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 
+# Joins gram elements in the ngrams.csv export (U+241F SYMBOL FOR UNIT
+# SEPARATOR). No word or number holds it and the lexicon refuses an emoticon
+# that does, so no two grams render alike.
+GRAM_SEP = "␟"
+
+
 class TokenKind(Enum):
     WORD = "word"
     EMOTICON = "emoticon"

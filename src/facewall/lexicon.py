@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .ingest import sha256
-from .lexer import EmoticonTable, TokenKind, prune, tokenize
+from .lexer import GRAM_SEP, EmoticonTable, TokenKind, prune, tokenize
 
 
 class EmotionClass(Enum):
@@ -115,6 +115,10 @@ def lexicon_from_dict(obj: object) -> EmotionLexicon:
         emoticons[cls] = frozenset(
             _clean_surface(e, name, fold=False) for e in _string_list(entry, "emoticons", name)
         )
+        # the one kept token kind whose surface can hold the gram separator
+        for emoticon in sorted(emoticons[cls]):
+            if GRAM_SEP in emoticon:
+                raise LexiconError(f"class {name!r}: emoticon {emoticon!r} holds {GRAM_SEP!r}")
     for cls in LEXICON_CLASSES:
         words.setdefault(cls, frozenset())
         emoticons.setdefault(cls, frozenset())

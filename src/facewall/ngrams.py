@@ -13,20 +13,17 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .lexer import Token
+from .lexer import GRAM_SEP, Token
 from .store import replacing
 from .timeline import _counts
 
 # One gram element is (kind name, surface); a gram is a tuple of them.
 GramElement = tuple[str, str]
 Gram = tuple[GramElement, ...]
-
-# Joins gram elements in the CSV export (U+241F SYMBOL FOR UNIT SEPARATOR).
-GRAM_SEP = "␟"
 
 DEFAULT_MAX_N = 3
 
@@ -106,9 +103,8 @@ class GramRanking:
     of these canonical tokens, known by its dense gram id. Each gram is
     rendered once and ranked once by (n, text), and rank_of[gid] is its
     rank: a profile whose counts are keyed by dense gram id writes its
-    ngrams.csv rows in rank order. Grams that render alike (only when a
-    surface holds GRAM_SEP) share a rank, and their rows go by count, so
-    the rows come out as sorted (n, text, count) rows do.
+    ngrams.csv rows in rank order. No two grams render alike (no kept
+    token's surface holds GRAM_SEP), so each gram has a rank of its own.
 
     The ranking takes the grams dict over, each id gram mapped to its dense
     gram id (0 to len - 1), and empties it: each id gram is let go as its
@@ -128,13 +124,10 @@ class GramRanking:
         # each rank's CSV row up to its count, quoted by the csv module
         writer = csv.writer(_Echo())
         csv_heads: list[str] = []
-        last = None
-        for gid in order:
+        for rank, gid in enumerate(order):
             head, heads[gid] = heads[gid], None
-            if head != last:
-                csv_heads.append(writer.writerow(head + ("",))[: -len(_EOL)])
-                last = head
-            rank_of[gid] = len(csv_heads) - 1
+            csv_heads.append(writer.writerow(head + ("",))[: -len(_EOL)])
+            rank_of[gid] = rank
         self._csv_heads = csv_heads
 
     def csv_rows(self, counts: Mapping[int, int]) -> Iterator[str]:
@@ -160,9 +153,8 @@ def read_ngram_csv(data: bytes) -> None:
     """Check the bytes of an ngrams.csv, decoded piece by piece, and keep
     nothing. Raises ValueError for a file that is not UTF-8 or does not end
     in "\r\n", a wrong header, a ragged row, an n or count _counts rejects,
-    a gram element without a ":", or a row below the row before it in the
-    writer's (n, gram, count) order. Equal rows pass: grams that render
-    alike can give them."""
+    a gram element without a ":", or a row whose (n, gram) is not above the
+    row before it: the writer writes each gram once, in (n, gram) order."""
     if not data.endswith(_EOL.encode("ascii")):
         raise ValueError("ngram CSV cut short: no line end after the last row")
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
@@ -176,10 +168,10 @@ def read_ngram_csv(data: bytes) -> None:
         orders, grams, counts = zip(*rows)
         if not all(":" in part for gram in grams for part in gram.split(GRAM_SEP)):
             raise ValueError("an ngram CSV gram element without a ':'")
-        orders, counts = _counts([orders, counts])
-        keyed = [last, *zip(orders, grams, counts)]
-        if not all(map(le, keyed, keyed[1:])):
-            raise ValueError("ngram CSV rows out of (n, gram, count) order")
+        orders, _ = _counts([orders, counts])
+        keyed = [last, *zip(orders, grams)]
+        if not all(map(lt, keyed, keyed[1:])):
+            raise ValueError("ngram CSV rows out of strictly increasing (n, gram) order")
         last = keyed[-1]
 
 

@@ -35,15 +35,15 @@ from .timeline import (
     SERIES_CLASS_KEYS,
     VOLUME,
     DetectorConfig,
-    DeviationReport,
+    Flag,
     SeriesTable,
     TimeBucket,
     bucket_start_memo,
     bucketize,
-    build_report,
     emotion_series,
     read_occurrence_csv,
     read_series_csv,
+    report_entry,
     shift_flags,
     write_occurrence_csv,
     write_series_csv,
@@ -350,55 +350,25 @@ def load_export(store: Store, config: AnalysisConfig, scope: str, what: str) -> 
 # -- detection --------------------------------------------------------------
 
 
-@dataclass
-class DetectSummary:
-    users: int
-    flagged_users: int
-    flags: int
-    granularity: str
-    zscore_flags: int
-    jsd_flags: int
-    # z-score flags per lexicon class, in LEXICON_CLASSES order
-    zscore_by_class: dict[str, int]
-
-
-def detect_store(
-    store: Store, config: AnalysisConfig, detector: DetectorConfig
-) -> tuple[list[DeviationReport], DetectSummary]:
+def detect_store(store: Store, config: AnalysisConfig, detector: DetectorConfig) -> list[dict]:
+    """report.json's entries: one per analyzed user, in the analysis's
+    user order, each the user's report_entry."""
     detector.validate()
     meta = resolve_analysis(store, config)
     granularity = meta["config"]["granularity"]
-    reports: list[DeviationReport] = []
-    total_flags = 0
-    flagged_users = 0
-    signals: Counter[str] = Counter()
-    classes: Counter[str] = Counter()
+    entries = []
     for user_id in meta["users"]:
         table = load_series_table(store, config, user_scope(user_id))
-        report = detect_user(user_id, table, granularity, detector)
-        reports.append(report)
-        total_flags += len(report.flags)
-        flagged_users += bool(report.flags)
-        signals.update(flag.signal for flag in report.flags)
-        classes.update(flag.class_key for flag in report.flags if flag.signal == "zscore")
-    return reports, DetectSummary(
-        len(reports),
-        flagged_users,
-        total_flags,
-        granularity,
-        signals["zscore"],
-        signals["jsd"],
-        {cls.value: classes[cls.value] for cls in LEXICON_CLASSES},
-    )
+        flags = detect_user(table, granularity, detector)
+        entries.append(report_entry(user_id, detector, flags, granularity))
+    return entries
 
 
-def detect_user(
-    user_id: str, table: SeriesTable, granularity: str, detector: DetectorConfig
-) -> DeviationReport:
-    """Run both detectors over one user's cached series."""
+def detect_user(table: SeriesTable, granularity: str, detector: DetectorConfig) -> list[Flag]:
+    """Both detectors' flags over one user's cached series."""
     flags = []
     for cls in LEXICON_CLASSES:
-        series = table.to_series(cls.value, user_id, granularity)
+        series = table.to_series(cls.value, granularity)
         flags.extend(zscore_flags(series, detector.window, detector.z_thresh, detector.min_hits))
     flags.extend(
         shift_flags(
@@ -406,4 +376,4 @@ def detect_user(
             detector.window, detector.jsd_thresh, detector.min_total,
         )
     )
-    return build_report(user_id, flags, detector)
+    return flags

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate, chain, compress, repeat
-from operator import ge, gt, mul, sub
+from operator import ge, gt, lt, mul, sub
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
@@ -122,7 +122,6 @@ def bucketize(
 
 @dataclass
 class BucketSeries:
-    scope: str
     class_key: str
     buckets: Sequence[TimeBucket]
     counts: list[int]
@@ -137,7 +136,6 @@ def emotion_series(
     buckets: Sequence[TimeBucket],
     bucket_labels: Sequence[Sequence[frozenset[EmotionClass]]],
     cls: EmotionClass | str,
-    scope: str = "all",
 ) -> BucketSeries:
     """Post counts per bucket for one class (or VOLUME for all posts).
 
@@ -152,7 +150,7 @@ def emotion_series(
     else:
         target = EmotionClass(class_key)
         counts = [sum(1 for labels in group if target in labels) for group in bucket_labels]
-    return BucketSeries(scope, class_key, list(buckets), counts, totals)
+    return BucketSeries(class_key, list(buckets), counts, totals)
 
 
 @dataclass(frozen=True)
@@ -372,28 +370,14 @@ def _trailing(column: Sequence[int], window: int) -> list[int]:
     return list(accumulate(map(sub, column[window:-1], column[: -window - 1]), initial=first))
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    user_id: str
-    config: DetectorConfig
-    flags: tuple[Flag, ...]
-
-
-def build_report(user_id: str, flags: Iterable[Flag], config: DetectorConfig) -> DeviationReport:
-    ordered = sorted(flags, key=Flag.sort_key)
-    seen = set()
-    for flag in ordered:
-        key = flag.sort_key()
-        if key in seen:
-            raise ValueError("duplicate-flag")
-        seen.add(key)
-    return DeviationReport(user_id, config, tuple(ordered))
-
-
-def report_to_dict(report: DeviationReport, granularity: str) -> dict:
+def report_entry(
+    user_id: str, detector: DetectorConfig, flags: Iterable[Flag], granularity: str
+) -> dict:
+    """One user's entry of report.json: the detector config with the bucket
+    granularity, and the user's flags in Flag.sort_key order."""
     return {
-        "user_id": report.user_id,
-        "config": {"granularity": granularity, **asdict(report.config)},
+        "user_id": user_id,
+        "config": {"granularity": granularity, **asdict(detector)},
         "flags": [
             {
                 "bucket_index": f.bucket_index,
@@ -404,7 +388,7 @@ def report_to_dict(report: DeviationReport, granularity: str) -> dict:
                 "threshold": f.threshold,
                 "severity": f.severity,
             }
-            for f in report.flags
+            for f in sorted(flags, key=Flag.sort_key)
         ],
     }
 
@@ -420,9 +404,9 @@ class SeriesTable:
     def buckets(self, granularity: str) -> Sequence[TimeBucket]:
         return _TableBuckets(self.bucket_starts, granularity)
 
-    def to_series(self, class_key: str, scope: str, granularity: str) -> BucketSeries:
+    def to_series(self, class_key: str, granularity: str) -> BucketSeries:
         counts, totals = list(self.counts[class_key]), list(self.totals)
-        return BucketSeries(scope, class_key, self.buckets(granularity), counts, totals)
+        return BucketSeries(class_key, self.buckets(granularity), counts, totals)
 
 
 class _TableBuckets(Sequence):
@@ -500,7 +484,7 @@ def _bucket_columns(data: bytes, header: list[str], keys: Sequence[str]) -> list
     rows, one a bucket. The bytes are decoded as a text-mode open reads a
     file: UTF-8, universal newlines. Raises ValueError for a wrong header,
     a cut or ragged body, rows out of key order, or bucket starts that are
-    not ISO dates."""
+    not ISO dates in strictly increasing order."""
     head, _, body = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().partition("\n")
     if head.split(",") != header:
         raise ValueError(f"unexpected CSV header: {head!r}")
@@ -517,7 +501,9 @@ def _bucket_columns(data: bytes, header: list[str], keys: Sequence[str]) -> list
         raise ValueError("CSV rows out of bucket and key order")
     if any(days[k::depth] != starts for k in range(1, depth)):
         raise ValueError("CSV rows of one bucket differ in bucket start")
-    list(map(date.fromisoformat, starts))
+    days = list(map(date.fromisoformat, starts))
+    if not all(map(lt, days, days[1:])):
+        raise ValueError("CSV bucket starts out of increasing order")
     stride = width * depth
     return [starts] + [
         [fields[i + width * k :: stride] for k in range(depth)] for i in range(2, width)

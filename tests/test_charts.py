@@ -11,7 +11,7 @@ def month_series(counts, totals=None):
     for _ in counts:
         buckets.append(TimeBucket(start, "month"))
         start = next_bucket_start(start, "month")
-    return BucketSeries("u1", "happy", buckets, counts, totals or [max(c, 1) for c in counts])
+    return BucketSeries("happy", buckets, counts, totals or [max(c, 1) for c in counts])
 
 
 def polyline_points(svg, element_id):
@@ -44,7 +44,7 @@ def test_occurrence_measure_has_no_share_line():
 
 
 def test_empty_series_renders_placeholder():
-    series = BucketSeries("u1", "happy", [], [], [])
+    series = BucketSeries("happy", [], [], [])
     svg = render_series_chart(series, "t")
     assert "no data" in svg
     assert "<polyline" not in svg

@@ -681,6 +681,20 @@ def test_a_keyword_no_post_can_hit_is_a_bad_lexicon(capsys, corpus, tmp_path, co
     assert "bad lexicon: class 'happy': word 'feel good'" in err
 
 
+def test_an_emoticon_holding_the_gram_separator_is_a_bad_lexicon(capsys, corpus, tmp_path):
+    # U+241F joins a gram's elements in ngrams.csv, so two grams would
+    # render alike
+    store = tmp_path / "store"
+    run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", str(store))
+    before = store_files(store)
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text('{"classes": {"happy": {"emoticons": ["x\u241fy"]}}}', encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--store", str(store), "--lexicon", str(lexicon))
+    assert code == 2
+    assert "bad lexicon: class 'happy': emoticon 'x\u241fy'" in err
+    assert store_files(store) == before
+
+
 def test_analyze_non_utf8_lexicon_is_a_bad_lexicon(capsys, corpus, tmp_path):
     store = str(tmp_path / "store")
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
@@ -938,13 +952,16 @@ def test_detect_flow_and_errors(capsys, corpus, tmp_path):
         code, out, _ = run(capsys, "detect", "--store", store, "--out", str(out_file), *argv)
         assert code == 0
         summary = {key: int(value) for key, value in (f.split("=") for f in out.split())}
-        flags = [f for r in json.loads(out_file.read_text()) for f in r["flags"]]
+        reports = json.loads(out_file.read_text())
+        assert summary["users"] == len(reports)
+        assert summary["flagged_users"] == sum(bool(r["flags"]) for r in reports)
+        flags = [f for r in reports for f in r["flags"]]
         assert summary["zscore"] + summary["jsd"] == summary["flags"] == len(flags)
         for signal in ("zscore", "jsd"):
             assert summary[signal] == sum(f["signal"] == signal for f in flags)
             assert (summary[signal] > 0) == (signal in signals)
         classes = ("happy", "sad", "love", "disappointment")
-        assert list(summary)[-4:] == list(classes)
+        assert list(summary) == ["users", "flagged_users", "flags", "zscore", "jsd", *classes]
         assert sum(summary[cls] for cls in classes) == summary["zscore"]
         for cls in classes:
             assert summary[cls] == sum(
@@ -1070,6 +1087,7 @@ def with_lines(data: bytes, edit) -> bytes:
         lambda data: with_last_count(data, b"10")[: -len(b"0\r\n")],
         lambda data: with_lines(data, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]]),
         lambda data: with_lines(data, lambda lines: [lines[0], *lines[2:], lines[1]]),
+        lambda data: with_lines(data, lambda lines: [lines[0], lines[1], *lines[1:]]),
     ],
     ids=[
         "plus-signed-count",
@@ -1080,6 +1098,7 @@ def with_lines(data: bytes, edit) -> bytes:
         "last-count-cut-short",
         "two-rows-swapped",
         "first-row-moved-to-the-end",
+        "a-row-duplicated",
     ],
 )
 def test_export_rejects_an_ngrams_csv_its_writer_never_writes(capsys, corpus, tmp_path, edit):
@@ -1423,6 +1442,11 @@ def with_second_total(lines, total):
     return lines[:2] + [",".join([day, cls, count, total, share])] + lines[3:]
 
 
+def swap_first_buckets(lines):
+    """The first two buckets' six-row blocks of a series.csv swapped."""
+    return [lines[0], *lines[7:13], *lines[1:7], *lines[13:]]
+
+
 CHART_U1 = ["chart", "--class", "happy", "--user", "u1"]
 CHART_OCCURRENCES = CHART_U1 + ["--measure", "occurrences"]
 EXPORT_U1 = ["export", "--user", "u1", "--what"]
@@ -1488,6 +1512,10 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         # series.csv's own redundancy
         ("u2/series.csv", lambda lines: with_first_count(lines, "906"), ["detect"]),
         ("u2/series.csv", lambda lines: with_second_total(lines, "2"), ["detect"]),
+        # bucket starts must strictly increase
+        ("u2/series.csv", swap_first_buckets, ["detect"]),
+        ("u1/series.csv", swap_first_buckets, CHART_U1),
+        ("u1/series.csv", swap_first_buckets, EXPORT_U1 + ["series"]),
     ],
     ids=[
         "series-cut-mid-row",
@@ -1512,6 +1540,9 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "export-series-space-before-a-count",
         "series-class-count-above-the-total",
         "series-total-differs-in-a-bucket",
+        "series-buckets-swapped-detect",
+        "series-buckets-swapped-chart",
+        "series-buckets-swapped-export",
     ],
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):

@@ -40,7 +40,6 @@ from facewall.ingest import REQUIRED_FIELDS, RecordRejected, load_corpus, user_s
 from facewall.lexer import Token, TokenKind, prune, tokenize
 from facewall.lexicon import ALL_CLASSES, EmotionClass, default_lexicon, lexicon_from_dict
 from facewall.ngrams import (
-    GRAM_SEP,
     NGramProfile,
     accumulate,
     ngrams_of_orders,
@@ -369,35 +368,28 @@ QUOTED_GRAMS = [
 
 def test_ngram_csv_is_the_sorted_rendered_rows(tmp_path):
     rng = random.Random(4242)
-    # two bigrams that render alike (an emoticon holding GRAM_SEP), with
-    # different counts: the rows must still come out by count
-    left = (("EMOTICON", f"x{GRAM_SEP}EMOTICON:y"), ("WORD", "z"))
-    right = (("EMOTICON", "x"), ("EMOTICON", f"y{GRAM_SEP}WORD:z"))
-    assert render_gram(left) == render_gram(right)
     path = tmp_path / "ngrams.csv"
     for _ in range(40):
         profile = NGramProfile("u")
         for _ in range(rng.randrange(0, 6)):
             accumulate(profile, random_post(rng), rng.choice((1, 2, 3)))
-        profile.counts[left] += rng.randrange(1, 4)
-        profile.counts[right] += rng.randrange(1, 4)
         for quoted in QUOTED_GRAMS:
             profile.counts[quoted] += rng.randrange(0, 3)
         write_ngram_csv(path, *interned_profile(profile))
         assert path.read_bytes() == reference_ngram_csv(profile)
-        # the check takes what the writer writes, equal rows included
+        # the check takes what the writer writes
         read_ngram_csv(path.read_bytes())
 
 
 # -- analyze from the per-token API ----------------------------------------------------
 
-# Emoticons that are also a word ("xo"), hold a CSV quote (':"('), or render
-# alike in a gram (the GRAM_SEP pair); a keyword that case-folds from "ß".
+# Emoticons that are also a word ("xo") or hold a CSV quote (':"('); a keyword
+# that case-folds from "ß".
 ORACLE_CLASSES = {
     "happy": {"words": ["happy", "great", "xo"], "emoticons": [":-)", ":)"]},
     "sad": {"words": ["sad", "gloomy", "Straße"], "emoticons": [":(", ':"(']},
-    "love": {"words": ["love"], "emoticons": ["<3", "xo", f"x{GRAM_SEP}EMOTICON:y"]},
-    "disappointment": {"words": ["sigh"], "emoticons": [f"y{GRAM_SEP}WORD:z", "x"]},
+    "love": {"words": ["love"], "emoticons": ["<3", "xo"]},
+    "disappointment": {"words": ["sigh"], "emoticons": ["x"]},
 }
 ORACLE_LEXICON = lexicon_from_dict({"classes": ORACLE_CLASSES})
 # Emoticons with whitespace inside, whose matches span two words, so the
@@ -415,8 +407,7 @@ SPACED_LEXICON = lexicon_from_dict(
 ORACLE_PIECES = [
     "The", "AN", "the", "a", "café", "cafe\u0301", "ß", "SS", "Straße", "STRASSE", "xo", "XO",
     "<3", "3", "1,000", '"quoted"', ':"(', ":-)", ":)", ":(", "happy", "great", "sad", "gloomy",
-    "love", "sigh", "sun", "rain", "http://a.b/c?d=1,2", "@bob", "!", f"x{GRAM_SEP}EMOTICON:y",
-    f"y{GRAM_SEP}WORD:z", "x", "z",
+    "love", "sigh", "sun", "rain", "http://a.b/c?d=1,2", "@bob", "!", "x", "z",
 ]
 ORACLE_ONLY = [":-)", "<3", "xo", "http://a.b/c?d=1,2", "@bob", "@bob http://x.y", "The AN a", ""]
 SPACED_PIECES = ORACLE_PIECES + [": )", "o\u3000o", ":", ")", "o", "o\u3000o\u3000o"]

@@ -158,10 +158,9 @@ def test_changed_granularity_lands_in_new_hash_dir(analyzed):
 
 def test_detect_store_summary(analyzed):
     store, config, _, _ = analyzed
-    reports, summary = detect_store(store, config, DetectorConfig())
-    assert summary.users == 2
-    assert summary.granularity == "month"
-    assert [r.user_id for r in reports] == ["u1", "u2"]
+    entries = detect_store(store, config, DetectorConfig())
+    assert [entry["user_id"] for entry in entries] == ["u1", "u2"]
+    assert all(entry["config"]["granularity"] == "month" for entry in entries)
 
 
 def test_model_export_is_reloadable(analyzed):
@@ -196,6 +195,6 @@ def test_detector_sensitivity_on_stationary_series():
         for _ in counts:
             buckets.append(TimeBucket(cursor, "month"))
             cursor = next_bucket_start(cursor, "month")
-        series = BucketSeries("u", "happy", buckets, counts, [50] * len(counts))
+        series = BucketSeries("happy", buckets, counts, [50] * len(counts))
         flags = zscore_flags(series, window, z_thresh, min_hits)
         assert any(f.bucket_index == t for f in flags), (counts, t)

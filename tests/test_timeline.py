@@ -23,20 +23,18 @@ from facewall.timeline import (
     VOLUME,
     BucketSeries,
     DetectorConfig,
-    DeviationReport,
     Flag,
     SeriesTable,
     TimeBucket,
     bucket_start,
     bucket_start_memo,
     bucketize,
-    build_report,
     emotion_series,
     jsd,
     next_bucket_start,
     read_occurrence_csv,
     read_series_csv,
-    report_to_dict,
+    report_entry,
     shift_flags,
     write_occurrence_csv,
     write_series_csv,
@@ -153,7 +151,7 @@ def test_emotion_series_empty_bucket():
 
 
 def make_series(counts, class_key="disappointment"):
-    return BucketSeries("u1", class_key, month_buckets(len(counts)), list(counts), [30] * len(counts))
+    return BucketSeries(class_key, month_buckets(len(counts)), list(counts), [30] * len(counts))
 
 
 def test_zscore_hand_computed_example():
@@ -591,51 +589,38 @@ def test_shift_flags_min_total_guard():
 # -- reports -----------------------------------------------------------------------
 
 
-def test_build_report_sorts_and_computes_severity():
+def test_report_entry_sorts_and_computes_severity():
     buckets = month_buckets(8)
     config = DetectorConfig()
     z_flag = zscore_flags(
-        BucketSeries("u1", "happy", buckets, [4, 4, 4, 4, 4, 4, 4, 12], [20] * 8),
+        BucketSeries("happy", buckets, [4, 4, 4, 4, 4, 4, 4, 12], [20] * 8),
         window=6,
         z_thresh=2.0,
         min_hits=3,
     )[0]
-    report = build_report("u1", [z_flag], config)
-    assert report.flags[0].severity == pytest.approx(z_flag.value / 2.0)
-    empty = build_report("u1", [], config)
-    assert empty.flags == ()
-
-
-def test_build_report_rejects_duplicates():
-    buckets = month_buckets(8)
-    flag = zscore_flags(
-        BucketSeries("u1", "happy", buckets, [4, 4, 4, 4, 4, 4, 4, 12], [20] * 8),
-        window=6,
-        z_thresh=2.0,
-        min_hits=3,
-    )[0]
-    with pytest.raises(ValueError, match="duplicate-flag"):
-        build_report("u1", [flag, flag], DetectorConfig())
+    entry = report_entry("u1", config, [z_flag], "month")
+    assert entry["flags"][0]["severity"] == pytest.approx(z_flag.value / 2.0)
+    assert report_entry("u1", config, [], "month")["flags"] == []
 
 
 def test_report_dict_is_deterministic_and_ordered():
     buckets = month_buckets(9)
-    series_a = BucketSeries("u1", "happy", buckets, [4] * 6 + [12, 4, 12], [20] * 9)
-    series_b = BucketSeries("u1", "sad", buckets, [4] * 6 + [12, 4, 12], [20] * 9)
+    series_a = BucketSeries("happy", buckets, [4] * 6 + [12, 4, 12], [20] * 9)
+    series_b = BucketSeries("sad", buckets, [4] * 6 + [12, 4, 12], [20] * 9)
     flags = zscore_flags(series_b, 6, 2.0, 3) + zscore_flags(series_a, 6, 2.0, 3)
-    report = build_report("u1", flags, DetectorConfig())
-    keys = [(f.bucket_index, f.signal, f.class_key) for f in report.flags]
-    assert keys == sorted(keys)
-    payload = report_to_dict(report, "month")
+    config = DetectorConfig()
+    payload = report_entry("u1", config, flags, "month")
+    keys = [(f["bucket_index"], f["signal"], f["class"]) for f in payload["flags"]]
+    assert keys == sorted(keys) and len(keys) == len(flags)
     assert json.dumps(payload, sort_keys=True) == json.dumps(
-        report_to_dict(report, "month"), sort_keys=True
+        report_entry("u1", config, reversed(flags), "month"), sort_keys=True
     )
     assert payload["flags"][0]["bucket_start"] == "2015-07-01"
     # the config lists every detector field, plus the bucket granularity
     assert set(payload["config"]) == {f.name for f in fields(DetectorConfig)} | {"granularity"}
     assert payload["config"]["granularity"] == "month"
     for field in fields(DetectorConfig):
-        assert payload["config"][field.name] == getattr(report.config, field.name)
+        assert payload["config"][field.name] == getattr(config, field.name)
 
 
 EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1)
@@ -656,10 +641,10 @@ flags_st = st.builds(
     # severity divides by the threshold
     threshold=report_floats.filter(bool),
 )
-reports_st = st.builds(
-    DeviationReport,
-    user_id=user_ids,
-    config=st.builds(
+# report_entry's arguments but the granularity: a user id, a config, flags
+reports_st = st.tuples(
+    user_ids,
+    st.builds(
         DetectorConfig,
         window=st.integers(2, 60),
         z_thresh=report_floats,
@@ -667,7 +652,7 @@ reports_st = st.builds(
         min_hits=st.integers(0, 10),
         min_total=st.integers(0, 10),
     ),
-    flags=st.lists(flags_st, max_size=4).map(tuple),
+    st.lists(flags_st, max_size=4),
 )
 
 
@@ -680,7 +665,7 @@ def report_json(entries) -> str:
 
 @given(st.lists(reports_st, max_size=4), st.sampled_from(GRANULARITIES))
 def test_write_json_writes_reports_as_json_dumps_with_indent(reports, granularity):
-    entries = [report_to_dict(report, granularity) for report in reports]
+    entries = [report_entry(*report, granularity) for report in reports]
     want = json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     assert report_json(entries) == want
 
@@ -688,17 +673,14 @@ def test_write_json_writes_reports_as_json_dumps_with_indent(reports, granularit
 def test_write_json_report_edge_cases():
     assert report_json([]) == "[]\n"
     config = DetectorConfig(z_thresh=math.inf, jsd_thresh=5e-324)
-    quiet = DeviationReport('"\\\x01é🙂', config, ())
     start = ts(2015, 1)
-    loud = DeviationReport(
-        "u",
-        config,
-        tuple(
-            Flag(i, start, "jsd", key, value, 1e308)
-            for i, (key, value) in enumerate([(None, -0.0), ("happy", math.inf), ("x\ny", 5e-324)])
-        ),
-    )
-    entries = [report_to_dict(report, "week") for report in (quiet, loud)]
+    loud = [
+        Flag(i, start, "jsd", key, value, 1e308)
+        for i, (key, value) in enumerate([(None, -0.0), ("happy", math.inf), ("x\ny", 5e-324)])
+    ]
+    entries = [
+        report_entry('"\\\x01é🙂', config, [], "week"), report_entry("u", config, loud, "week")
+    ]
     text = report_json(entries)
     assert text == json.dumps(entries, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     assert '"flags": [],' in text and "Infinity" in text and "-0.0" in text and "null" in text
@@ -735,7 +717,7 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
     assert table.counts["volume"] == [3, 1]
     assert table.totals == [3, 1]
 
-    series = table.to_series("happy", "u1", "month")
+    series = table.to_series("happy", "month")
     assert series.counts == [2, 0]
     assert series.buckets[1].start == ts(2015, 2)
 
