@@ -35,6 +35,7 @@ def _fmt(value: float) -> str:
 def render_series_chart(
     series: BucketSeries,
     title: str,
+    granularity: str,
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
     measure: str = "posts",
@@ -73,7 +74,7 @@ def render_series_chart(
     # x labels wherever the year changes (plus the first bucket)
     last_year = None
     for i, bucket in enumerate(series.buckets):
-        year = bucket.start.year
+        year = bucket.year
         if year != last_year:
             parts.append(
                 f'<line class="grid" x1="{_fmt(x_at(i))}" y1="{_fmt(MARGIN_TOP)}" '
@@ -105,7 +106,7 @@ def render_series_chart(
         )
 
     unit = "posts" if measure == "posts" else "lexicon occurrences"
-    legend = f"{series.class_key}: {unit} per {series.buckets[0].granularity if n else 'bucket'} (solid, left axis)"
+    legend = f"{series.class_key}: {unit} per {granularity if n else 'bucket'} (solid, left axis)"
     if measure == "posts":
         legend += " / share of bucket posts (dashed, 0-1)"
     parts.append(

@@ -240,15 +240,15 @@ def cmd_chart(args: argparse.Namespace) -> int:
     store, config, meta, scope = _open_analysis(args)
     scope_label = args.user if args.user is not None else "all users"
     table = load_series_table(store, config, scope)
-    series = table.to_series(args.cls, meta["config"]["granularity"])
+    series = table.to_series(args.cls)
     if args.measure == "occurrences":
         starts, occ_counts = load_occurrence_counts(store, config, scope)
-        if starts != table.bucket_starts:
+        if starts != table.buckets:
             raise artifact_error("corrupt-artifact", scope, OCCURRENCES_CSV)
         series.counts = occ_counts[args.cls]
-    width, height = args.size
     title = f"{args.cls}: {scope_label}"
-    svg = render_series_chart(series, title, width=width, height=height, measure=args.measure)
+    granularity = meta["config"]["granularity"]
+    svg = render_series_chart(series, title, granularity, *args.size, measure=args.measure)
     _write_output(args.out, lambda out: out.write(svg))
     return EXIT_OK
 

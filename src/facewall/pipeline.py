@@ -16,7 +16,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date
 from itertools import repeat
 
 from . import classifier, ngrams
@@ -37,7 +37,6 @@ from .timeline import (
     DetectorConfig,
     Flag,
     SeriesTable,
-    TimeBucket,
     bucket_start_memo,
     bucketize,
     emotion_series,
@@ -105,7 +104,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     posts; otherwise the cascade runs rule-only. Tokens are interned, and
     the cascade sees the shared canonical tokens. A user's posts are two
     lists filled as the log is read, their id tuples and their bucket
-    starts, one shared datetime per UTC date (bucket_start_memo); the
+    starts, one shared date per UTC day (bucket_start_memo); the
     training documents are picked from them once the whole log is read.
     Each distinct id gram of the run gets a dense gram id, and a profile is
     two arrays, the dense ids of its grams and their counts, ranked and
@@ -119,7 +118,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     config_hash = config.config_hash
     interner = TokenInterner(lexicon.emoticon_table())
     # per user: the posts' id tuples and their bucket starts, in log order
-    by_user: dict[str, tuple[list[tuple[int, ...]], list[datetime]]] = {}
+    by_user: dict[str, tuple[list[tuple[int, ...]], list[date]]] = {}
     left_out: set[str] = set()
     # the log's timestamps are UTC (parse_rfc3339), so date() is the UTC date
     starts = bucket_start_memo(config.granularity)
@@ -172,7 +171,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
     # @all's count of each dense gram id
     totals = array("Q")
     # (bucket start, the user's row of columns in that bucket) over all users
-    user_rows: list[tuple[datetime, tuple[int, ...]]] = []
+    user_rows: list[tuple[date, tuple[int, ...]]] = []
     for user_id in users:
         posts, starts = by_user.pop(user_id)
         counts = Counter(ngrams.interned_grams(posts, config.n_max))
@@ -195,7 +194,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
         sums.append(list(map(len, groups)))
         sums += _bucket_sums([[row for _, row in group] for group in groups])
         _write_series(store, user_scope(user_id), buckets, sums, config_hash)
-        user_rows.extend(zip([bucket.start for bucket in buckets], zip(*sums)))
+        user_rows.extend(zip(buckets, zip(*sums)))
     # one bucketize over the users' bucket starts lines their rows up
     buckets, groups = bucketize(user_rows, config.granularity)
     _write_series(store, ALL_SCOPE, buckets, _bucket_sums(groups), config_hash)
@@ -243,17 +242,16 @@ def _bucket_sums(groups: list[list[tuple[int, ...]]]) -> list[list[int]]:
 
 
 def _write_series(
-    store: Store, scope: str, buckets: list[TimeBucket], columns: list[list[int]], config_hash: str
+    store: Store, scope: str, buckets: list[date], columns: list[list[int]], config_hash: str
 ) -> None:
     """A scope's series.csv and occurrences.csv, from its columns: the series
     counts in SERIES_CLASS_KEYS order, then the occurrences in
     OCCURRENCE_CLASS_KEYS order."""
-    starts = [bucket.key for bucket in buckets]
     series = dict(zip(SERIES_CLASS_KEYS, columns))
     occurrences = dict(zip(OCCURRENCE_CLASS_KEYS, columns[len(SERIES_CLASS_KEYS) :]))
     out_dir = store.derived_dir(scope, config_hash)
-    write_series_csv(out_dir / SERIES_CSV, SeriesTable(starts, series, series[VOLUME]))
-    write_occurrence_csv(out_dir / OCCURRENCES_CSV, starts, occurrences)
+    write_series_csv(out_dir / SERIES_CSV, SeriesTable(buckets, series))
+    write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
 
 
 # -- reading the cache ------------------------------------------------------
@@ -330,7 +328,7 @@ def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> Serie
 
 def load_occurrence_counts(
     store: Store, config: AnalysisConfig, scope: str
-) -> tuple[list[str], dict[str, list[int]]]:
+) -> tuple[list[date], dict[str, list[int]]]:
     return _load(store, config, scope, OCCURRENCES_CSV, read_occurrence_csv)
 
 
@@ -359,20 +357,20 @@ def detect_store(store: Store, config: AnalysisConfig, detector: DetectorConfig)
     entries = []
     for user_id in meta["users"]:
         table = load_series_table(store, config, user_scope(user_id))
-        flags = detect_user(table, granularity, detector)
+        flags = detect_user(table, detector)
         entries.append(report_entry(user_id, detector, flags, granularity))
     return entries
 
 
-def detect_user(table: SeriesTable, granularity: str, detector: DetectorConfig) -> list[Flag]:
+def detect_user(table: SeriesTable, detector: DetectorConfig) -> list[Flag]:
     """Both detectors' flags over one user's cached series."""
     flags = []
     for cls in LEXICON_CLASSES:
-        series = table.to_series(cls.value, granularity)
+        series = table.to_series(cls.value)
         flags.extend(zscore_flags(series, detector.window, detector.z_thresh, detector.min_hits))
     flags.extend(
         shift_flags(
-            table.counts, table.totals, table.buckets(granularity),
+            table.counts, table.counts[VOLUME], table.buckets,
             detector.window, detector.jsd_thresh, detector.min_total,
         )
     )

@@ -42,36 +42,32 @@ SERIES_CLASS_KEYS = OCCURRENCE_CLASS_KEYS + (VOLUME,)
 T = TypeVar("T")
 
 
-def bucket_start(stamp: datetime, granularity: str) -> datetime:
-    """UTC start of the calendar period containing stamp."""
-    if stamp.tzinfo is None:
-        raise ValueError("naive timestamps cannot be bucketed")
-    stamp = stamp.astimezone(timezone.utc)
+def bucket_start(stamp: date, granularity: str) -> date:
+    """Start date of the calendar period containing stamp: an aware
+    datetime, read in UTC, or a date, read as a UTC day."""
+    if isinstance(stamp, datetime):  # a datetime is also a date
+        if stamp.tzinfo is None:
+            raise ValueError("naive timestamps cannot be bucketed")
+        stamp = stamp.astimezone(timezone.utc).date()
     if granularity == "week":
-        day = stamp.date() - timedelta(days=stamp.weekday())
-        return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+        return stamp - timedelta(days=stamp.weekday())
     if granularity == "month":
-        return datetime(stamp.year, stamp.month, 1, tzinfo=timezone.utc)
+        return date(stamp.year, stamp.month, 1)
     if granularity == "quarter":
-        month = ((stamp.month - 1) // 3) * 3 + 1
-        return datetime(stamp.year, month, 1, tzinfo=timezone.utc)
+        return date(stamp.year, (stamp.month - 1) // 3 * 3 + 1, 1)
     if granularity == "year":
-        return datetime(stamp.year, 1, 1, tzinfo=timezone.utc)
+        return date(stamp.year, 1, 1)
     raise ValueError(f"unknown granularity: {granularity!r}")
 
 
-def bucket_start_memo(granularity: str) -> dict[date, datetime]:
-    """starts[day] is bucket_start(stamp, granularity) for a stamp whose UTC
-    date is day, one shared datetime per date: every granularity's periods
-    start at a UTC midnight, so a stamp's start depends on its UTC date
-    alone. Filled on first look-up."""
-    utc = timezone.utc
-    return _Memo(
-        lambda day: bucket_start(datetime(day.year, day.month, day.day, tzinfo=utc), granularity)
-    )
+def bucket_start_memo(granularity: str) -> dict[date, date]:
+    """starts[day] is bucket_start(day, granularity), one shared date per
+    day: every granularity's periods start at a UTC midnight, so a stamp's
+    start depends on its UTC date alone. Filled on first look-up."""
+    return _Memo(lambda day: bucket_start(day, granularity))
 
 
-def next_bucket_start(start: datetime, granularity: str) -> datetime:
+def next_bucket_start(start: date, granularity: str) -> date:
     if granularity == "week":
         return start + timedelta(days=7)
     if granularity in ("month", "quarter"):
@@ -83,37 +79,22 @@ def next_bucket_start(start: datetime, granularity: str) -> datetime:
     raise ValueError(f"unknown granularity: {granularity!r}")
 
 
-@dataclass(frozen=True)
-class TimeBucket:
-    start: datetime
-    granularity: str
-
-    @property
-    def key(self) -> str:
-        return self.start.date().isoformat()
-
-
 def bucketize(
-    items: Iterable[tuple[datetime, T]], granularity: str
-) -> tuple[list[TimeBucket], list[list[T]]]:
-    """Assign items to calendar buckets, materializing empty buckets so the
-    range from first to last item is contiguous and gap-free. Each distinct
-    stamp's start is computed once a call."""
+    items: Iterable[tuple[date, T]], granularity: str
+) -> tuple[list[date], list[list[T]]]:
+    """Assign items, each stamped with an aware datetime or a UTC day, to
+    calendar buckets given by their start dates, materializing empty
+    buckets so the range from first to last item is contiguous and
+    gap-free. Each distinct stamp's start is computed once a call."""
     start_of = _Memo(lambda ts: bucket_start(ts, granularity))
     stamped = [(start_of[ts], value) for ts, value in items]
     if not stamped:
         return [], []
-    first = min(s for s, _ in stamped)
     last = max(s for s, _ in stamped)
-    buckets: list[TimeBucket] = []
-    index_of: dict[datetime, int] = {}
-    cursor = first
-    while True:
-        index_of[cursor] = len(buckets)
-        buckets.append(TimeBucket(cursor, granularity))
-        if cursor == last:
-            break
-        cursor = next_bucket_start(cursor, granularity)
+    buckets = [min(s for s, _ in stamped)]
+    while buckets[-1] != last:
+        buckets.append(next_bucket_start(buckets[-1], granularity))
+    index_of = {start: i for i, start in enumerate(buckets)}
     groups: list[list[T]] = [[] for _ in buckets]
     for start, value in stamped:
         groups[index_of[start]].append(value)
@@ -123,7 +104,7 @@ def bucketize(
 @dataclass
 class BucketSeries:
     class_key: str
-    buckets: Sequence[TimeBucket]
+    buckets: Sequence[date]
     counts: list[int]
     totals: list[int]
 
@@ -133,7 +114,7 @@ class BucketSeries:
 
 
 def emotion_series(
-    buckets: Sequence[TimeBucket],
+    buckets: Sequence[date],
     bucket_labels: Sequence[Sequence[frozenset[EmotionClass]]],
     cls: EmotionClass | str,
 ) -> BucketSeries:
@@ -156,7 +137,7 @@ def emotion_series(
 @dataclass(frozen=True)
 class Flag:
     bucket_index: int
-    bucket_start: datetime
+    bucket_start: date
     signal: str  # "zscore" | "jsd"
     class_key: str | None
     value: float
@@ -268,7 +249,7 @@ def zscore_flags(
         else:
             z, flagged = math.inf, count > sx / window
         if flagged:
-            flags.append(Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh))
+            flags.append(Flag(t, series.buckets[t], "zscore", series.class_key, z, z_thresh))
     return flags
 
 
@@ -313,7 +294,7 @@ def _jsd(p: Sequence[float], q: Sequence[float], sum_p: float, sum_q: float) -> 
 def shift_flags(
     class_counts: Mapping[str, Sequence[int]],
     totals: Sequence[int],
-    buckets: Sequence[TimeBucket],
+    buckets: Sequence[date],
     window: int = DetectorConfig.window,
     jsd_thresh: float = DetectorConfig.jsd_thresh,
     min_total: int = DetectorConfig.min_total,
@@ -360,7 +341,7 @@ def shift_flags(
             continue
         value = _jsd(rows[i], pooled_rows[i], mass, pooled_mass)
         if value >= jsd_thresh:
-            flags.append(Flag(t, buckets[t].start, "jsd", None, value, jsd_thresh))
+            flags.append(Flag(t, buckets[t], "jsd", None, value, jsd_thresh))
     return flags
 
 
@@ -381,7 +362,7 @@ def report_entry(
         "flags": [
             {
                 "bucket_index": f.bucket_index,
-                "bucket_start": f.bucket_start.date().isoformat(),
+                "bucket_start": f.bucket_start.isoformat(),
                 "signal": f.signal,
                 "class": f.class_key,
                 "value": f.value,
@@ -395,45 +376,25 @@ def report_entry(
 
 @dataclass
 class SeriesTable:
-    """Parsed series.csv: bucket starts plus per-class count columns."""
+    """Parsed series.csv: bucket start dates plus per-class count columns,
+    the VOLUME column being the bucket totals."""
 
-    bucket_starts: list[str]
+    buckets: list[date]
     counts: dict[str, list[int]]
-    totals: list[int]
 
-    def buckets(self, granularity: str) -> Sequence[TimeBucket]:
-        return _TableBuckets(self.bucket_starts, granularity)
-
-    def to_series(self, class_key: str, granularity: str) -> BucketSeries:
-        counts, totals = list(self.counts[class_key]), list(self.totals)
-        return BucketSeries(class_key, self.buckets(granularity), counts, totals)
-
-
-class _TableBuckets(Sequence):
-    """A SeriesTable's buckets, each built when read: the detectors read a
-    bucket's start only for the buckets they flag."""
-
-    def __init__(self, starts: list[str], granularity: str) -> None:
-        self._starts = starts
-        self._granularity = granularity
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def __getitem__(self, index: int) -> TimeBucket:
-        start = datetime.fromisoformat(self._starts[index]).replace(tzinfo=timezone.utc)
-        return TimeBucket(start, self._granularity)
+    def to_series(self, class_key: str) -> BucketSeries:
+        return BucketSeries(class_key, self.buckets, self.counts[class_key], self.counts[VOLUME])
 
 
 def write_series_csv(path: str | Path, table: SeriesTable) -> None:
     """Bit-exact series export of the table read_series_csv returns: one
     row per (bucket, class) in SERIES_CLASS_KEYS order, proportions with
     exactly six decimals (half-even, from the binary double)."""
-    columns = [table.counts[key] for key in SERIES_CLASS_KEYS]
+    columns = [table.counts[key] for key in SERIES_CLASS_KEYS]  # the totals last
     with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(SERIES_HEADER)
-        for i, (start, total) in enumerate(zip(table.bucket_starts, table.totals)):
+        for i, (start, total) in enumerate(zip(map(date.isoformat, table.buckets), columns[-1])):
             for key, column in zip(SERIES_CLASS_KEYS, columns):
                 count = column[i]
                 share = count / total if total else 0.0
@@ -453,11 +414,11 @@ def read_series_csv(data: bytes) -> SeriesTable:
     volume = counts[VOLUME]
     if any(any(map(gt, counts[key], volume)) for key in OCCURRENCE_CLASS_KEYS):
         raise ValueError("a class count in CSV exceeds its bucket's total")
-    return SeriesTable(starts, counts, volume)
+    return SeriesTable(starts, counts)
 
 
 def write_occurrence_csv(
-    path: str | Path, bucket_starts: Sequence[str], counts: Mapping[str, Sequence[int]]
+    path: str | Path, buckets: Sequence[date], counts: Mapping[str, Sequence[int]]
 ) -> None:
     """occurrences.csv of the bucket starts and class columns that
     read_occurrence_csv returns: one row per (bucket, class), classes in
@@ -465,26 +426,26 @@ def write_occurrence_csv(
     with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(OCCURRENCE_HEADER)
-        for i, start in enumerate(bucket_starts):
+        for i, start in enumerate(map(date.isoformat, buckets)):
             for key in OCCURRENCE_CLASS_KEYS:
                 writer.writerow([start, key, counts[key][i]])
 
 
-def read_occurrence_csv(data: bytes) -> tuple[list[str], dict[str, list[int]]]:
-    """Bucket starts and per-class counts of the bytes of an
+def read_occurrence_csv(data: bytes) -> tuple[list[date], dict[str, list[int]]]:
+    """Bucket start dates and per-class counts of the bytes of an
     occurrences.csv; a file that deviates from its layout raises ValueError."""
     starts, counts = _bucket_columns(data, OCCURRENCE_HEADER, OCCURRENCE_CLASS_KEYS)
     return starts, dict(zip(OCCURRENCE_CLASS_KEYS, _counts(counts)))
 
 
 def _bucket_columns(data: bytes, header: list[str], keys: Sequence[str]) -> list:
-    """The bucket starts of the bytes of a derived CSV with one row per
-    bucket and key, the keys in the given order within each bucket, then
-    the columns of each field after the key: [k] holds the field of key k's
-    rows, one a bucket. The bytes are decoded as a text-mode open reads a
-    file: UTF-8, universal newlines. Raises ValueError for a wrong header,
+    """The bucket start dates of the bytes of a derived CSV with one row
+    per bucket and key, the keys in the given order within each bucket,
+    then the columns of each field after the key: [k] holds the field of key
+    k's rows, one a bucket. The bytes are decoded as a text-mode open reads
+    a file: UTF-8, universal newlines. Raises ValueError for a wrong header,
     a cut or ragged body, rows out of key order, or bucket starts that are
-    not ISO dates in strictly increasing order."""
+    not YYYY-MM-DD dates in strictly increasing order."""
     head, _, body = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().partition("\n")
     if head.split(",") != header:
         raise ValueError(f"unexpected CSV header: {head!r}")
@@ -501,15 +462,20 @@ def _bucket_columns(data: bytes, header: list[str], keys: Sequence[str]) -> list
         raise ValueError("CSV rows out of bucket and key order")
     if any(days[k::depth] != starts for k in range(1, depth)):
         raise ValueError("CSV rows of one bucket differ in bucket start")
+    # date.fromisoformat also reads other ISO forms from Python 3.11 on
+    if not _START_TEXT.fullmatch(",".join(starts)):
+        raise ValueError("a CSV bucket start that is not YYYY-MM-DD")
     days = list(map(date.fromisoformat, starts))
     if not all(map(lt, days, days[1:])):
         raise ValueError("CSV bucket starts out of increasing order")
     stride = width * depth
-    return [starts] + [
+    return [days] + [
         [fields[i + width * k :: stride] for k in range(depth)] for i in range(2, width)
     ]
 
 
+_DATE_TEXT = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_START_TEXT = re.compile(f"(?:{_DATE_TEXT}(?:,{_DATE_TEXT})*)?")
 _COUNT_TEXT = re.compile(r"[0-9,]*")
 
 

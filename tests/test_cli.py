@@ -1447,6 +1447,19 @@ def swap_first_buckets(lines):
     return [lines[0], *lines[7:13], *lines[1:7], *lines[13:]]
 
 
+def in_week_form(rows):
+    """An edit that writes the first bucket's start, 2015-01-01, in its rows
+    (rows of them) as the ISO week date 2015-W01-4, which date.fromisoformat
+    reads from Python 3.11 on."""
+
+    def edit(lines):
+        assert lines[1].startswith("2015-01-01,")
+        first = [with_day(line, "2015-W01-4") for line in lines[1 : rows + 1]]
+        return [lines[0], *first, *lines[rows + 1 :]]
+
+    return edit
+
+
 CHART_U1 = ["chart", "--class", "happy", "--user", "u1"]
 CHART_OCCURRENCES = CHART_U1 + ["--measure", "occurrences"]
 EXPORT_U1 = ["export", "--user", "u1", "--what"]
@@ -1516,6 +1529,11 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         ("u2/series.csv", swap_first_buckets, ["detect"]),
         ("u1/series.csv", swap_first_buckets, CHART_U1),
         ("u1/series.csv", swap_first_buckets, EXPORT_U1 + ["series"]),
+        # bucket starts must be written YYYY-MM-DD
+        ("u1/series.csv", in_week_form(6), ["detect"]),
+        ("u1/series.csv", in_week_form(6), CHART_U1),
+        ("u1/series.csv", in_week_form(6), EXPORT_U1 + ["series"]),
+        ("u1/occurrences.csv", in_week_form(5), CHART_OCCURRENCES),
     ],
     ids=[
         "series-cut-mid-row",
@@ -1543,6 +1561,10 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "series-buckets-swapped-detect",
         "series-buckets-swapped-chart",
         "series-buckets-swapped-export",
+        "series-start-in-week-form-detect",
+        "series-start-in-week-form-chart",
+        "series-start-in-week-form-export",
+        "occurrences-start-in-week-form",
     ],
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):

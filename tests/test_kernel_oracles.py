@@ -52,7 +52,6 @@ from facewall.rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store
 from facewall.timeline import (
     SERIES_CLASS_KEYS,
-    VOLUME,
     SeriesTable,
     bucketize,
     emotion_series,
@@ -449,13 +448,12 @@ def reference_scope(out, records, profile, granularity) -> None:
     its own posts."""
     out.mkdir(parents=True)
     buckets, groups = bucketize(records, granularity)
-    starts = [bucket.key for bucket in buckets]
     labels = [[label.labels for label in group] for group in groups]
     counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
-    write_series_csv(out / "series.csv", SeriesTable(starts, counts, counts[VOLUME]))
+    write_series_csv(out / "series.csv", SeriesTable(buckets, counts))
     hits = [sum((label.hits for label in group), Counter()) for group in groups]
     occurrences = {cls.value: [bucket[cls] for bucket in hits] for cls in ALL_CLASSES}
-    write_occurrence_csv(out / "occurrences.csv", starts, occurrences)
+    write_occurrence_csv(out / "occurrences.csv", buckets, occurrences)
     (out / "ngrams.csv").write_bytes(reference_ngram_csv(profile))
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import statistics
 from collections import Counter
+from datetime import date
 
 import pytest
 
@@ -16,7 +17,7 @@ from facewall.pipeline import (
 )
 from facewall.ingest import load_corpus, user_scope
 from facewall.store import ALL_SCOPE, Store
-from facewall.timeline import BucketSeries, DetectorConfig, TimeBucket, next_bucket_start, zscore_flags
+from facewall.timeline import BucketSeries, DetectorConfig, next_bucket_start, zscore_flags
 from helpers import ngram_rows, post_record, write_jsonl
 
 LEX = default_lexicon()
@@ -59,19 +60,17 @@ def test_volume_conservation_per_user_and_aggregate(analyzed):
     for user, expected in per_user.items():
         table = load_series_table(store, config, user_scope(user))
         assert sum(table.counts["volume"]) == expected
-        assert table.totals == table.counts["volume"]
-        add("series", table.bucket_starts, {**table.counts, "total": table.totals})
+        add("series", table.buckets, table.counts)
         add("occurrences", *load_occurrence_counts(store, config, user_scope(user)))
     all_table = load_series_table(store, config, ALL_SCOPE)
     assert sum(all_table.counts["volume"]) == len(records)
 
     # every @all column is the bucket-wise sum of its users' columns
     starts, occurrences = load_occurrence_counts(store, config, ALL_SCOPE)
-    assert starts == all_table.bucket_starts
+    assert starts == all_table.buckets
     columns = {("series", key): column for key, column in all_table.counts.items()}
-    columns["series", "total"] = all_table.totals
     columns.update((("occurrences", key), column) for key, column in occurrences.items())
-    assert len(columns) == len(sums) == 12
+    assert len(columns) == len(sums) == 11
     for name, column in columns.items():
         assert set(sums[name]) <= set(starts), name
         assert column == [sums[name][start] for start in starts], name
@@ -92,17 +91,17 @@ def test_a_post_is_bucketed_by_its_utc_date(tmp_path, granularity):
     config = AnalysisConfig(granularity=granularity, lexicon_digest=LEX.digest())
     analyze_store(store, LEX, config)
     table = load_series_table(store, config, user_scope("u1"))
-    by_start = dict(zip(table.bucket_starts, table.totals))
+    by_start = dict(zip(table.buckets, table.counts["volume"]))
     if granularity == "week":
-        assert by_start == {"2015-02-23": 2, "2015-03-02": 1}
+        assert by_start == {date(2015, 2, 23): 2, date(2015, 3, 2): 1}
     else:
-        assert by_start == {"2015-02-01": 1, "2015-03-01": 2}
+        assert by_start == {date(2015, 2, 1): 1, date(2015, 3, 1): 2}
 
 
 def test_series_counts_can_exceed_totals_only_via_multilabel(analyzed):
     store, config, _, _ = analyzed
     table = load_series_table(store, config, user_scope("u1"))
-    for i, total in enumerate(table.totals):
+    for i, total in enumerate(table.counts["volume"]):
         class_sum = sum(
             table.counts[key][i] for key in ("happy", "sad", "love", "disappointment", "neutral")
         )
@@ -188,12 +187,10 @@ def test_detector_sensitivity_on_stationary_series():
             continue
         injected = max(min_hits, int(mu + (z_thresh + 2) * sigma) + 1)
         counts[t] = injected
-        from datetime import datetime, timezone
-
-        cursor = datetime(2013, 1, 1, tzinfo=timezone.utc)
+        cursor = date(2013, 1, 1)
         buckets = []
         for _ in counts:
-            buckets.append(TimeBucket(cursor, "month"))
+            buckets.append(cursor)
             cursor = next_bucket_start(cursor, "month")
         series = BucketSeries("happy", buckets, counts, [50] * len(counts))
         flags = zscore_flags(series, window, z_thresh, min_hits)

@@ -7,7 +7,7 @@ import statistics
 import sys
 from dataclasses import fields
 from itertools import accumulate
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -25,7 +25,6 @@ from facewall.timeline import (
     DetectorConfig,
     Flag,
     SeriesTable,
-    TimeBucket,
     bucket_start,
     bucket_start_memo,
     bucketize,
@@ -54,12 +53,10 @@ def ts(year, month, day=1, hour=0):
 
 
 def month_buckets(n, year=2015, month=1):
-    buckets = []
-    start = ts(year, month)
-    for _ in range(n):
-        buckets.append(TimeBucket(start, "month"))
-        start = next_bucket_start(start, "month")
-    return buckets
+    buckets = [date(year, month, 1)]
+    while len(buckets) < n:
+        buckets.append(next_bucket_start(buckets[-1], "month"))
+    return buckets[:n]
 
 
 # -- bucket arithmetic ---------------------------------------------------------
@@ -67,26 +64,32 @@ def month_buckets(n, year=2015, month=1):
 
 def test_bucket_start_boundaries():
     stamp = datetime(2015, 8, 19, 13, 45, tzinfo=UTC)
-    assert bucket_start(stamp, "month") == ts(2015, 8)
-    assert bucket_start(stamp, "quarter") == ts(2015, 7)
-    assert bucket_start(stamp, "year") == ts(2015, 1)
+    assert bucket_start(stamp, "month") == date(2015, 8, 1)
+    assert bucket_start(stamp, "quarter") == date(2015, 7, 1)
+    assert bucket_start(stamp, "year") == date(2015, 1, 1)
     # 2015-08-19 is a Wednesday; the week starts Monday the 17th
-    assert bucket_start(stamp, "week") == ts(2015, 8, 17)
+    assert bucket_start(stamp, "week") == date(2015, 8, 17)
+    for granularity in GRANULARITIES:
+        assert type(bucket_start(stamp, granularity)) is date
 
 
 def test_bucket_start_respects_utc_offsets():
     # local wall date is Feb 1 01:00 at +02:00, but the UTC instant is still
     # Jan 31 23:00; the UTC instant decides the bucket
-    from datetime import timedelta
-
     local = datetime(2015, 2, 1, 1, 0, tzinfo=timezone(timedelta(hours=2)))
-    assert bucket_start(local, "month") == ts(2015, 1)
+    assert bucket_start(local, "month") == date(2015, 1, 1)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_a_naive_datetime_cannot_be_bucketed(granularity):
+    with pytest.raises(ValueError, match="naive"):
+        bucket_start(datetime(2015, 3, 30, 12), granularity)
+    with pytest.raises(ValueError, match="naive"):
+        bucketize([(datetime(2015, 3, 30), "x")], granularity)
 
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_the_bucket_start_memo_is_bucket_start(granularity):
-    from datetime import timedelta
-
     starts = bucket_start_memo(granularity)
     plus_two = timezone(timedelta(hours=2))
     stamps = [
@@ -103,15 +106,20 @@ def test_the_bucket_start_memo_is_bucket_start(granularity):
         datetime(2015, 3, 30, 2, tzinfo=plus_two),
     ]
     for stamp in stamps + stamps[::-1]:
-        assert starts[stamp.astimezone(UTC).date()] == bucket_start(stamp, granularity)
-    # one shared datetime per date
+        day = stamp.astimezone(UTC).date()
+        assert starts[day] == bucket_start(stamp, granularity)
+        # a date is read as a UTC day: its start is its UTC midnight's
+        midnight = datetime(day.year, day.month, day.day, tzinfo=UTC)
+        assert bucket_start(day, granularity) == bucket_start(midnight, granularity)
+        assert type(starts[day]) is date
+    # one shared date per day
     assert starts[stamps[1].date()] is starts[stamps[2].date()]
 
 
 def test_bucketize_zero_fills_gaps():
     posts = [(ts(2015, 1, 10), "a"), (ts(2015, 1, 20), "b"), (ts(2015, 3, 5), "c")]
     buckets, groups = bucketize(posts, "month")
-    assert [b.start for b in buckets] == [ts(2015, 1), ts(2015, 2), ts(2015, 3)]
+    assert buckets == [date(2015, 1, 1), date(2015, 2, 1), date(2015, 3, 1)]
     assert [len(g) for g in groups] == [2, 0, 1]
 
 
@@ -222,7 +230,7 @@ def reference_zscore_flags(series, window, z_thresh, min_hits):
         base = counts[t - window : t]
         mu = statistics.fmean(base)
         sigma = statistics.stdev(base)
-        start = series.buckets[t].start
+        start = series.buckets[t]
         if sigma > 0:
             z = (count - mu) / sigma
             if z >= z_thresh:
@@ -253,7 +261,7 @@ def rolling_zscore_flags(series, window, z_thresh, min_hits):
         else:
             z, flagged = math.inf, count > mu
         if flagged:
-            flags.append(Flag(t, series.buckets[t].start, "zscore", series.class_key, z, z_thresh))
+            flags.append(Flag(t, series.buckets[t], "zscore", series.class_key, z, z_thresh))
     return flags
 
 
@@ -270,7 +278,7 @@ def reference_shift_flags(class_counts, totals, buckets, window, jsd_thresh, min
             continue
         value = jsd(current, pooled)
         if value >= jsd_thresh:
-            flags.append(Flag(t, buckets[t].start, "jsd", None, value, jsd_thresh))
+            flags.append(Flag(t, buckets[t], "jsd", None, value, jsd_thresh))
     return flags
 
 
@@ -634,7 +642,7 @@ user_ids = st.one_of(
 flags_st = st.builds(
     Flag,
     bucket_index=st.integers(0, 10**6),
-    bucket_start=st.datetimes(timezones=st.just(UTC)),
+    bucket_start=st.dates(),
     signal=st.sampled_from(("zscore", "jsd")),
     class_key=st.one_of(st.none(), st.sampled_from([c.value for c in ALL_CLASSES]), st.text()),
     value=report_floats,
@@ -673,7 +681,7 @@ def test_write_json_writes_reports_as_json_dumps_with_indent(reports, granularit
 def test_write_json_report_edge_cases():
     assert report_json([]) == "[]\n"
     config = DetectorConfig(z_thresh=math.inf, jsd_thresh=5e-324)
-    start = ts(2015, 1)
+    start = date(2015, 1, 1)
     loud = [
         Flag(i, start, "jsd", key, value, 1e308)
         for i, (key, value) in enumerate([(None, -0.0), ("happy", math.inf), ("x\ny", 5e-324)])
@@ -692,7 +700,7 @@ def test_write_json_report_edge_cases():
 def labeled_table(buckets, labels):
     """The series table of bucketed labels, as analyze builds a user's."""
     counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
-    return SeriesTable([bucket.key for bucket in buckets], counts, counts[VOLUME])
+    return SeriesTable(buckets, counts)
 
 
 def test_series_csv_round_trip_and_formatting(tmp_path):
@@ -712,14 +720,13 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
 
     table = read_series_csv(path.read_bytes())
     assert table == written
-    assert table.bucket_starts == ["2015-01-01", "2015-02-01"]
+    assert table.buckets == [date(2015, 1, 1), date(2015, 2, 1)]
     assert table.counts["happy"] == [2, 0]
     assert table.counts["volume"] == [3, 1]
-    assert table.totals == [3, 1]
 
-    series = table.to_series("happy", "month")
-    assert series.counts == [2, 0]
-    assert series.buckets[1].start == ts(2015, 2)
+    series = table.to_series("happy")
+    assert series.counts == [2, 0] and series.totals == [3, 1]
+    assert series.buckets[1] == date(2015, 2, 1)
 
 
 def test_proportion_half_even_formatting(tmp_path):
@@ -744,7 +751,8 @@ def reference_read_series_csv(path):
                 bucket_starts.append(day)
                 totals.append(total)
             counts[class_key].append(count)
-    return SeriesTable(bucket_starts, counts, totals)
+    assert totals == counts[VOLUME]
+    return SeriesTable(list(map(date.fromisoformat, bucket_starts)), counts)
 
 
 def random_table(rng, length):
@@ -757,7 +765,7 @@ def random_table(rng, length):
         key: list(totals) if key == VOLUME else [rng.randint(0, total) for total in totals]
         for key in SERIES_CLASS_KEYS
     }
-    return SeriesTable([bucket.key for bucket in buckets], counts, totals)
+    return SeriesTable(buckets, counts)
 
 
 def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
@@ -769,7 +777,7 @@ def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
         write_series_csv(path, table)
         want = reference_read_series_csv(path)
         assert read_series_csv(path.read_bytes()) == want == table, length
-        assert len(want.bucket_starts) == length
+        assert len(want.buckets) == length
 
 
 def series_lines(tmp_path):
@@ -805,6 +813,10 @@ SERIES_DAMAGE = {
         lambda lines: [lines[0]] + [with_field(line, 0, "2015-13-01") for line in lines[1:7]]
         + lines[7:]
     ),
+    # the same date in other ISO 8601 forms, which date.fromisoformat reads
+    # from Python 3.11 on
+    "bucket-start-in-iso-week-form": lambda lines: with_first_start(lines, iso_week_date),
+    "bucket-start-in-basic-form": lambda lines: with_first_start(lines, "{:%Y%m%d}".format),
     "extra-field": lambda lines: lines[:4] + [lines[4].rstrip("\r\n") + ",x\r\n"] + lines[5:],
     "row-split-in-two": lambda lines: lines[:4] + split_row(lines[4]) + lines[5:],
     "bad-header": lambda lines: ["bucket_start,class,count,total\r\n"] + lines[1:],
@@ -822,6 +834,16 @@ SERIES_DAMAGE = {
         lambda lines: lines[:6] + [with_field(lines[6], 2, total_of(lines[6]) + "0")] + lines[7:]
     ),
 }
+
+
+def iso_week_date(day):
+    return "{}-W{:02d}-{}".format(*day.isocalendar())
+
+
+def with_first_start(lines, render):
+    """The first bucket's six rows with their start date rendered by render."""
+    start = render(date.fromisoformat(lines[1].split(",")[0]))
+    return [lines[0]] + [with_field(line, 0, start) for line in lines[1:7]] + lines[7:]
 
 
 def with_second_count(lines, count):
@@ -851,7 +873,7 @@ def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
 @pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_6", " 7", "7 ", "+7", "-0", "07", ""])
 def test_read_occurrence_csv_takes_only_ascii_digit_counts(tmp_path, count):
     path = tmp_path / "occurrences.csv"
-    write_occurrence_csv(path, ["2015-01-01"], {key: [3] for key in OCCURRENCE_CLASS_KEYS})
+    write_occurrence_csv(path, [date(2015, 1, 1)], {key: [3] for key in OCCURRENCE_CLASS_KEYS})
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text(
         "".join(lines[:2] + [with_field(lines[2], 2, count + "\r\n")] + lines[3:]),
@@ -877,7 +899,7 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
     text = "\r\n".join(rows) + "\r\n"
     path.write_text(text, encoding="utf-8", newline="")
     starts, counts = read_occurrence_csv(path.read_bytes())
-    assert starts == ["2015-01-01", "2015-02-01"]
+    assert starts == [date(2015, 1, 1), date(2015, 2, 1)]
     assert counts == {"happy": [3, 0], "sad": [0, 2], "love": [1, 0],
                       "disappointment": [0, 5], "neutral": [7, 0]}
     path.write_text(text[:-9], encoding="utf-8", newline="")
@@ -889,10 +911,10 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
 
 
 def bucket_starts(draw):
-    """The starts of up to 12 consecutive month buckets."""
+    """The start dates of up to 12 consecutive month buckets."""
     length = draw(st.integers(0, 12))
     year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
-    return [bucket.key for bucket in month_buckets(length, year=year, month=month)]
+    return month_buckets(length, year=year, month=month)
 
 
 def count_columns(draw, keys, length):
@@ -909,7 +931,7 @@ def series_tables(draw):
     totals = count_columns(draw, [VOLUME], len(starts))[VOLUME]
     counts = {key: [draw(st.integers(0, total)) for total in totals] for key in SERIES_CLASS_KEYS}
     counts[VOLUME] = totals
-    return SeriesTable(starts, counts, totals)
+    return SeriesTable(starts, counts)
 
 
 # the file is rewritten for every example, so sharing tmp_path is harmless
