@@ -14,22 +14,19 @@ import sys
 from collections import Counter
 
 from .charts import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_series_chart
-from .ingest import FORMATS, load_corpus
+from .ingest import FORMATS, load_corpus, user_scope
 from .lexicon import LEXICON_CLASSES, EmotionLexicon, LexiconError, default_lexicon, load_lexicon
 from .pipeline import (
     AnalysisConfig,
-    OCCURRENCES_CSV,
     analyze_store,
-    artifact_error,
     detect_store,
     load_export,
     load_occurrence_counts,
-    load_series_table,
+    load_series,
     resolve_analysis,
-    scope_for,
 )
-from .store import Store, StoreError, write_json
-from .timeline import GRANULARITIES, VOLUME, DetectorConfig
+from .store import ALL_SCOPE, Store, StoreError, write_json
+from .timeline import GRANULARITIES, VOLUME, BucketSeries, DetectorConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,16 +160,16 @@ def _open(args: argparse.Namespace) -> tuple[EmotionLexicon, Store, AnalysisConf
     return lexicon, store, config
 
 
-def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, dict, str]:
-    """The store, config, analysis meta and derived scope that chart and
-    export read; no --user means the all-users aggregate."""
+def _open_analysis(args: argparse.Namespace) -> tuple[Store, AnalysisConfig, str]:
+    """The store, config and derived scope that chart and export read; no
+    --user means the all-users aggregate, and a user must be analyzed."""
     _, store, config = _open(args)
-    meta = resolve_analysis(store, config)
-    try:
-        scope = scope_for(meta, args.user)
-    except KeyError:
-        raise _Failure(EXIT_INPUT, f"unknown user: {args.user!r}") from None
-    return store, config, meta, scope
+    users = resolve_analysis(store, config)
+    if args.user is None:
+        return store, config, ALL_SCOPE
+    if args.user not in users:
+        raise _Failure(EXIT_INPUT, f"unknown user: {args.user!r}")
+    return store, config, user_scope(args.user)
 
 
 def _write_output(path: str, write) -> None:
@@ -237,18 +234,15 @@ def cmd_chart(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_INPUT, f"unknown measure: {args.measure!r}")
     if args.measure == "occurrences" and args.cls == VOLUME:
         raise _Failure(EXIT_INPUT, "volume has no occurrence series")
-    store, config, meta, scope = _open_analysis(args)
+    store, config, scope = _open_analysis(args)
     scope_label = args.user if args.user is not None else "all users"
-    table = load_series_table(store, config, scope)
-    series = table.to_series(args.cls)
+    buckets, counts = load_series(store, config, scope)
+    totals = counts[VOLUME]
     if args.measure == "occurrences":
-        starts, occ_counts = load_occurrence_counts(store, config, scope)
-        if starts != table.buckets:
-            raise artifact_error("corrupt-artifact", scope, OCCURRENCES_CSV)
-        series.counts = occ_counts[args.cls]
+        counts = load_occurrence_counts(store, config, scope, buckets)
+    series = BucketSeries(args.cls, buckets, counts[args.cls], totals)
     title = f"{args.cls}: {scope_label}"
-    granularity = meta["config"]["granularity"]
-    svg = render_series_chart(series, title, granularity, *args.size, measure=args.measure)
+    svg = render_series_chart(series, title, config.granularity, *args.size, measure=args.measure)
     _write_output(args.out, lambda out: out.write(svg))
     return EXIT_OK
 
@@ -283,7 +277,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if args.what not in ("series", "ngrams"):
         raise _Failure(EXIT_INPUT, f"unknown export kind: {args.what!r}")
-    store, config, _, scope = _open_analysis(args)
+    store, config, scope = _open_analysis(args)
     # A damaged file is a store error, as in chart and detect; the export
     # itself is the cached bytes that were checked.
     data = load_export(store, config, scope, args.what)

@@ -34,9 +34,9 @@ from .timeline import (
     OCCURRENCE_CLASS_KEYS,
     SERIES_CLASS_KEYS,
     VOLUME,
+    BucketSeries,
     DetectorConfig,
     Flag,
-    SeriesTable,
     bucket_start_memo,
     bucketize,
     emotion_series,
@@ -250,16 +250,17 @@ def _write_series(
     series = dict(zip(SERIES_CLASS_KEYS, columns))
     occurrences = dict(zip(OCCURRENCE_CLASS_KEYS, columns[len(SERIES_CLASS_KEYS) :]))
     out_dir = store.derived_dir(scope, config_hash)
-    write_series_csv(out_dir / SERIES_CSV, SeriesTable(buckets, series))
+    write_series_csv(out_dir / SERIES_CSV, buckets, series)
     write_occurrence_csv(out_dir / OCCURRENCES_CSV, buckets, occurrences)
 
 
 # -- reading the cache ------------------------------------------------------
 
 
-def resolve_analysis(store: Store, config: AnalysisConfig) -> dict:
-    """Locate the analysis meta for this config; errors are store errors so
-    the CLI maps them to exit 3."""
+def resolve_analysis(store: Store, config: AnalysisConfig) -> list[str]:
+    """The users of the analysis the config names, whose analysis.json must
+    state that config; errors are store errors, so the CLI maps them to
+    exit 3."""
     meta_path = store.derived_dir(META_SCOPE, config.config_hash) / META_JSON
     try:
         with store_io():
@@ -268,37 +269,18 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> dict:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError):  # not JSON or UTF-8; nested too deep
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON) from None
-    if not _is_meta(meta):
+    users = meta.get("users") if isinstance(meta, dict) else None
+    if not (
+        isinstance(users, list)
+        and meta.get("config") == config.semantic_fields()
+        and isinstance(meta.get("record_count"), int)
+        # analyze lists no user id that is empty or too long for a directory name
+        and all(isinstance(user, str) and not lacks_scope(user) for user in users)
+    ):
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON)
     if meta["record_count"] != store.record_count:
-        raise StoreError(
-            "stale-analysis",
-            "store changed since analyze; re-run `facewall analyze`",
-        )
-    return meta
-
-
-def _is_meta(meta: object) -> bool:
-    """Whether parsed analysis.json has the fields the readers use."""
-    return (
-        isinstance(meta, dict)
-        and isinstance(meta.get("record_count"), int)
-        and isinstance(meta.get("config"), dict)
-        and isinstance(meta["config"].get("granularity"), str)
-        and isinstance(meta.get("users"), list)
-        # analyze lists no user id that is empty or too long for a directory name
-        and all(isinstance(user, str) and not lacks_scope(user) for user in meta["users"])
-    )
-
-
-def scope_for(meta: dict, user_id: str | None) -> str:
-    """Directory scope for a user (validated against the analysis) or the
-    all-users aggregate."""
-    if user_id is None:
-        return ALL_SCOPE
-    if user_id not in meta["users"]:
-        raise KeyError(user_id)
-    return user_scope(user_id)
+        raise StoreError("stale-analysis", "store changed since analyze; re-run `facewall analyze`")
+    return users
 
 
 def artifact_error(reason: str, scope: str, name: str) -> StoreError:
@@ -322,24 +304,36 @@ def _load(store: Store, config: AnalysisConfig, scope: str, name: str, read):
         raise artifact_error("corrupt-artifact", scope, name) from None
 
 
-def load_series_table(store: Store, config: AnalysisConfig, scope: str) -> SeriesTable:
-    return _load(store, config, scope, SERIES_CSV, read_series_csv)
+def load_series(store: Store, config: AnalysisConfig, scope: str) -> tuple[list[date], dict]:
+    read = lambda data: read_series_csv(data, config.granularity)  # noqa: E731
+    return _load(store, config, scope, SERIES_CSV, read)
 
 
 def load_occurrence_counts(
-    store: Store, config: AnalysisConfig, scope: str
-) -> tuple[list[date], dict[str, list[int]]]:
-    return _load(store, config, scope, OCCURRENCES_CSV, read_occurrence_csv)
+    store: Store, config: AnalysisConfig, scope: str, starts: list[date]
+) -> dict[str, list[int]]:
+    """A scope's occurrence columns; an occurrences.csv whose bucket starts
+    are not the given starts of its series.csv is corrupt-artifact."""
+
+    def read(data: bytes) -> dict[str, list[int]]:
+        occurrence_starts, counts = read_occurrence_csv(data)
+        if occurrence_starts != starts:
+            raise ValueError("occurrences.csv and series.csv differ in bucket starts")
+        return counts
+
+    return _load(store, config, scope, OCCURRENCES_CSV, read)
 
 
 def load_export(store: Store, config: AnalysisConfig, scope: str, what: str) -> bytes:
     """The bytes of a scope's series.csv (what "series") or ngrams.csv (what
     "ngrams"), read once and checked as detect and chart check what they
     read: the export is the bytes that passed."""
-    check = read_series_csv if what == "series" else ngrams.read_ngram_csv
 
     def checked(data: bytes) -> bytes:
-        check(data)
+        if what == "series":
+            read_series_csv(data, config.granularity)
+        else:
+            ngrams.read_ngram_csv(data)
         return data
 
     return _load(store, config, scope, SERIES_CSV if what == "series" else NGRAMS_CSV, checked)
@@ -352,25 +346,25 @@ def detect_store(store: Store, config: AnalysisConfig, detector: DetectorConfig)
     """report.json's entries: one per analyzed user, in the analysis's
     user order, each the user's report_entry."""
     detector.validate()
-    meta = resolve_analysis(store, config)
-    granularity = meta["config"]["granularity"]
     entries = []
-    for user_id in meta["users"]:
-        table = load_series_table(store, config, user_scope(user_id))
-        flags = detect_user(table, detector)
-        entries.append(report_entry(user_id, detector, flags, granularity))
+    for user_id in resolve_analysis(store, config):
+        buckets, counts = load_series(store, config, user_scope(user_id))
+        flags = detect_user(buckets, counts, detector)
+        entries.append(report_entry(user_id, detector, flags, config.granularity))
     return entries
 
 
-def detect_user(table: SeriesTable, detector: DetectorConfig) -> list[Flag]:
+def detect_user(
+    buckets: list[date], counts: dict[str, list[int]], detector: DetectorConfig
+) -> list[Flag]:
     """Both detectors' flags over one user's cached series."""
     flags = []
     for cls in LEXICON_CLASSES:
-        series = table.to_series(cls.value)
+        series = BucketSeries(cls.value, buckets, counts[cls.value], counts[VOLUME])
         flags.extend(zscore_flags(series, detector.window, detector.z_thresh, detector.min_hits))
     flags.extend(
         shift_flags(
-            table.counts, table.counts[VOLUME], table.buckets,
+            counts, counts[VOLUME], buckets,
             detector.window, detector.jsd_thresh, detector.min_total,
         )
     )

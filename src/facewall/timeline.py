@@ -67,16 +67,24 @@ def bucket_start_memo(granularity: str) -> dict[date, date]:
     return _Memo(lambda day: bucket_start(day, granularity))
 
 
+# the months of one bucket of each granularity but week
+_MONTHS = {"month": 1, "quarter": 3, "year": 12}
+
+
 def next_bucket_start(start: date, granularity: str) -> date:
     if granularity == "week":
         return start + timedelta(days=7)
-    if granularity in ("month", "quarter"):
-        step = 1 if granularity == "month" else 3
-        month = start.month - 1 + step
-        return start.replace(year=start.year + month // 12, month=month % 12 + 1)
-    if granularity == "year":
-        return start.replace(year=start.year + 1)
-    raise ValueError(f"unknown granularity: {granularity!r}")
+    if granularity not in _MONTHS:
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    month = start.month - 1 + _MONTHS[granularity]
+    return start.replace(year=start.year + month // 12, month=month % 12 + 1)
+
+
+def _periods(first: date, last: date, granularity: str) -> int:
+    """The number of buckets from the one starting at first to last's, both counted."""
+    if granularity == "week":
+        return (last - first).days // 7 + 1
+    return ((last.year - first.year) * 12 + last.month - first.month) // _MONTHS[granularity] + 1
 
 
 def bucketize(
@@ -374,47 +382,42 @@ def report_entry(
     }
 
 
-@dataclass
-class SeriesTable:
-    """Parsed series.csv: bucket start dates plus per-class count columns,
-    the VOLUME column being the bucket totals."""
-
-    buckets: list[date]
-    counts: dict[str, list[int]]
-
-    def to_series(self, class_key: str) -> BucketSeries:
-        return BucketSeries(class_key, self.buckets, self.counts[class_key], self.counts[VOLUME])
-
-
-def write_series_csv(path: str | Path, table: SeriesTable) -> None:
-    """Bit-exact series export of the table read_series_csv returns: one
+def write_series_csv(
+    path: str | Path, buckets: Sequence[date], counts: Mapping[str, Sequence[int]]
+) -> None:
+    """Bit-exact series.csv of the bucket starts and class columns that
+    read_series_csv returns, the VOLUME column being the bucket totals: one
     row per (bucket, class) in SERIES_CLASS_KEYS order, proportions with
     exactly six decimals (half-even, from the binary double)."""
-    columns = [table.counts[key] for key in SERIES_CLASS_KEYS]  # the totals last
+    columns = [counts[key] for key in SERIES_CLASS_KEYS]  # the totals last
     with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(SERIES_HEADER)
-        for i, (start, total) in enumerate(zip(map(date.isoformat, table.buckets), columns[-1])):
+        for i, (start, total) in enumerate(zip(map(date.isoformat, buckets), columns[-1])):
             for key, column in zip(SERIES_CLASS_KEYS, columns):
                 count = column[i]
                 share = count / total if total else 0.0
                 writer.writerow([start, key, count, total, f"{share:.6f}"])
 
 
-def read_series_csv(data: bytes) -> SeriesTable:
-    """Parse the bytes of a series.csv column by column; a file that
-    deviates from the layout write_series_csv gives raises ValueError. So
-    does one whose redundancy does not hold: within a bucket, every row
-    gives the same total, the volume count is that total, and no class
-    count exceeds it."""
+def read_series_csv(data: bytes, granularity: str) -> tuple[list[date], dict[str, list[int]]]:
+    """Bucket start dates and per-class counts of the bytes of a series.csv
+    of the given granularity, read column by column; a file that deviates
+    from the layout write_series_csv gives raises ValueError. So does one
+    whose redundancy does not hold: no bucket is missing between its first
+    and last start, and within a bucket, every row gives the same total,
+    the volume count is that total, and no class count exceeds it."""
     starts, counts, totals, _ = _bucket_columns(data, SERIES_HEADER, SERIES_CLASS_KEYS)
+    # the starts strictly increase, so as many as the periods means no gap
+    if starts and len(starts) != _periods(starts[0], starts[-1], granularity):
+        raise ValueError("a bucket missing from CSV")
     if totals.count(counts[-1]) != len(totals):  # the volume row is last
         raise ValueError("CSV rows of one bucket differ in total")
     counts = dict(zip(SERIES_CLASS_KEYS, _counts(counts)))
     volume = counts[VOLUME]
     if any(any(map(gt, counts[key], volume)) for key in OCCURRENCE_CLASS_KEYS):
         raise ValueError("a class count in CSV exceeds its bucket's total")
-    return SeriesTable(starts, counts)
+    return starts, counts
 
 
 def write_occurrence_csv(

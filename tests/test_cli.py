@@ -1460,6 +1460,25 @@ def in_week_form(rows):
     return edit
 
 
+def replaced(old, new):
+    """An edit that replaces the one line holding old text with new text."""
+
+    def edit(lines):
+        assert sum(old in line for line in lines) == 1
+        return [line.replace(old, new) for line in lines]
+
+    return edit
+
+
+# analysis.json then no longer states the config its directory's hash digests
+FORTNIGHT = replaced('"granularity": "month"', '"granularity": "fortnight"')
+
+
+def without_third_bucket(lines):
+    """A series.csv's third bucket's six rows deleted, the first and last kept."""
+    return lines[:13] + lines[19:]
+
+
 CHART_U1 = ["chart", "--class", "happy", "--user", "u1"]
 CHART_OCCURRENCES = CHART_U1 + ["--measure", "occurrences"]
 EXPORT_U1 = ["export", "--user", "u1", "--what"]
@@ -1500,6 +1519,13 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         ),
         ("@meta/analysis.json", lambda lines: ["[]\n"], ["detect"]),
         ("@meta/analysis.json", lambda lines: ["[" * 100_000], ["detect"]),
+        # analysis.json must state the config its hash names
+        ("@meta/analysis.json", FORTNIGHT, ["detect"]),
+        ("@meta/analysis.json", FORTNIGHT, CHART_U1),
+        ("@meta/analysis.json", FORTNIGHT, CHART_OCCURRENCES),
+        ("@meta/analysis.json", FORTNIGHT, EXPORT_U1 + ["series"]),
+        ("@meta/analysis.json", FORTNIGHT, EXPORT_U1 + ["ngrams"]),
+        ("@meta/analysis.json", replaced('"n_max": 3', '"n_max": 2'), ["detect"]),
         (
             "@all/series.csv",
             lambda lines: lines[:-3] + [lines[-3][:9]],
@@ -1534,6 +1560,10 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         ("u1/series.csv", in_week_form(6), CHART_U1),
         ("u1/series.csv", in_week_form(6), EXPORT_U1 + ["series"]),
         ("u1/occurrences.csv", in_week_form(5), CHART_OCCURRENCES),
+        # no bucket may be missing between the first and the last
+        ("u1/series.csv", without_third_bucket, ["detect"]),
+        ("u1/series.csv", without_third_bucket, CHART_U1),
+        ("u1/series.csv", without_third_bucket, EXPORT_U1 + ["series"]),
     ],
     ids=[
         "series-cut-mid-row",
@@ -1547,6 +1577,12 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "meta-cut-export",
         "meta-not-an-object",
         "meta-nested-too-deep",
+        "meta-granularity-edited-detect",
+        "meta-granularity-edited-chart",
+        "meta-granularity-edited-chart-occurrences",
+        "meta-granularity-edited-export-series",
+        "meta-granularity-edited-export-ngrams",
+        "meta-n-max-edited-detect",
         "export-series-cut-mid-row",
         "export-series-cut-at-a-row-boundary",
         "export-ngrams-cut-mid-row",
@@ -1565,6 +1601,9 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "series-start-in-week-form-chart",
         "series-start-in-week-form-export",
         "occurrences-start-in-week-form",
+        "series-bucket-dropped-detect",
+        "series-bucket-dropped-chart",
+        "series-bucket-dropped-export",
     ],
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):

@@ -52,7 +52,6 @@ from facewall.rfc3339 import canonical_text, format_rfc3339, parse_rfc3339
 from facewall.store import ALL_SCOPE, MODEL_SCOPE, Store
 from facewall.timeline import (
     SERIES_CLASS_KEYS,
-    SeriesTable,
     bucketize,
     emotion_series,
     write_occurrence_csv,
@@ -450,7 +449,7 @@ def reference_scope(out, records, profile, granularity) -> None:
     buckets, groups = bucketize(records, granularity)
     labels = [[label.labels for label in group] for group in groups]
     counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
-    write_series_csv(out / "series.csv", SeriesTable(buckets, counts))
+    write_series_csv(out / "series.csv", buckets, counts)
     hits = [sum((label.hits for label in group), Counter()) for group in groups]
     occurrences = {cls.value: [bucket[cls] for bucket in hits] for cls in ALL_CLASSES}
     write_occurrence_csv(out / "occurrences.csv", buckets, occurrences)

@@ -12,7 +12,7 @@ from facewall.pipeline import (
     analyze_store,
     detect_store,
     load_occurrence_counts,
-    load_series_table,
+    load_series,
     resolve_analysis,
 )
 from facewall.ingest import load_corpus, user_scope
@@ -58,17 +58,16 @@ def test_volume_conservation_per_user_and_aggregate(analyzed):
             sums.setdefault((name, key), Counter()).update(dict(zip(starts, column)))
 
     for user, expected in per_user.items():
-        table = load_series_table(store, config, user_scope(user))
-        assert sum(table.counts["volume"]) == expected
-        add("series", table.buckets, table.counts)
-        add("occurrences", *load_occurrence_counts(store, config, user_scope(user)))
-    all_table = load_series_table(store, config, ALL_SCOPE)
-    assert sum(all_table.counts["volume"]) == len(records)
+        starts, counts = load_series(store, config, user_scope(user))
+        assert sum(counts["volume"]) == expected
+        add("series", starts, counts)
+        add("occurrences", starts, load_occurrence_counts(store, config, user_scope(user), starts))
+    starts, all_counts = load_series(store, config, ALL_SCOPE)
+    assert sum(all_counts["volume"]) == len(records)
 
     # every @all column is the bucket-wise sum of its users' columns
-    starts, occurrences = load_occurrence_counts(store, config, ALL_SCOPE)
-    assert starts == all_table.buckets
-    columns = {("series", key): column for key, column in all_table.counts.items()}
+    occurrences = load_occurrence_counts(store, config, ALL_SCOPE, starts)
+    columns = {("series", key): column for key, column in all_counts.items()}
     columns.update((("occurrences", key), column) for key, column in occurrences.items())
     assert len(columns) == len(sums) == 11
     for name, column in columns.items():
@@ -90,8 +89,8 @@ def test_a_post_is_bucketed_by_its_utc_date(tmp_path, granularity):
     store.append_batch(load_corpus(write_jsonl(tmp_path / "c.jsonl", records), "jsonl"))
     config = AnalysisConfig(granularity=granularity, lexicon_digest=LEX.digest())
     analyze_store(store, LEX, config)
-    table = load_series_table(store, config, user_scope("u1"))
-    by_start = dict(zip(table.buckets, table.counts["volume"]))
+    starts, counts = load_series(store, config, user_scope("u1"))
+    by_start = dict(zip(starts, counts["volume"]))
     if granularity == "week":
         assert by_start == {date(2015, 2, 23): 2, date(2015, 3, 2): 1}
     else:
@@ -100,10 +99,10 @@ def test_a_post_is_bucketed_by_its_utc_date(tmp_path, granularity):
 
 def test_series_counts_can_exceed_totals_only_via_multilabel(analyzed):
     store, config, _, _ = analyzed
-    table = load_series_table(store, config, user_scope("u1"))
-    for i, total in enumerate(table.counts["volume"]):
+    _, counts = load_series(store, config, user_scope("u1"))
+    for i, total in enumerate(counts["volume"]):
         class_sum = sum(
-            table.counts[key][i] for key in ("happy", "sad", "love", "disappointment", "neutral")
+            counts[key][i] for key in ("happy", "sad", "love", "disappointment", "neutral")
         )
         # single-label fixture: label counts partition the bucket exactly
         assert class_sum == total
@@ -111,16 +110,20 @@ def test_series_counts_can_exceed_totals_only_via_multilabel(analyzed):
 
 def test_occurrence_cache_readable(analyzed):
     store, config, _, _ = analyzed
-    starts, counts = load_occurrence_counts(store, config, user_scope("u1"))
-    assert len(starts) == 12
+    starts, _ = load_series(store, config, user_scope("u1"))
+    counts = load_occurrence_counts(store, config, user_scope("u1"), starts)
+    assert len(starts) == len(counts["happy"]) == 12
     assert sum(counts["happy"]) >= 48  # one emoticon occurrence per happy post
 
 
 def test_meta_lists_sorted_users_and_matches_record_count(analyzed):
     store, config, summary, records = analyzed
-    meta = resolve_analysis(store, config)
+    assert resolve_analysis(store, config) == ["u1", "u2"]
+    meta_path = store.derived_dir("@meta", config.config_hash) / "analysis.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     assert meta["users"] == sorted(meta["users"]) == ["u1", "u2"]
-    assert meta["record_count"] == len(records)
+    assert meta["config"] == config.semantic_fields()
+    assert meta["record_count"] == store.record_count == len(records)
     assert summary.users == 2
 
 

@@ -24,7 +24,6 @@ from facewall.timeline import (
     BucketSeries,
     DetectorConfig,
     Flag,
-    SeriesTable,
     bucket_start,
     bucket_start_memo,
     bucketize,
@@ -135,6 +134,23 @@ def test_monthly_range_2010_to_2016_is_84_buckets():
 
 
 # -- series ---------------------------------------------------------------------
+
+
+@given(
+    st.sampled_from(GRANULARITIES),
+    st.dates(date(1900, 1, 1), date(2100, 12, 31)),
+    st.dates(date(1900, 1, 1), date(2100, 12, 31)),
+)
+def test_periods_counts_the_buckets_that_bucketize_spans(granularity, a, b):
+    a, b = min(a, b), max(a, b)
+    first, last = bucket_start(a, granularity), bucket_start(b, granularity)
+    want = len(bucketize([(a, 0), (b, 0)], granularity)[0])
+    assert timeline._periods(first, last, granularity) == want
+
+
+def test_next_bucket_start_rejects_an_unknown_granularity():
+    with pytest.raises(ValueError, match="unknown granularity"):
+        next_bucket_start(date(2015, 1, 1), "fortnight")
 
 
 def test_emotion_series_counts_and_proportions():
@@ -698,9 +714,10 @@ def test_write_json_report_edge_cases():
 
 
 def labeled_table(buckets, labels):
-    """The series table of bucketed labels, as analyze builds a user's."""
+    """The bucket starts and series columns of bucketed labels, as analyze
+    builds a user's."""
     counts = {key: emotion_series(buckets, labels, key).counts for key in SERIES_CLASS_KEYS}
-    return SeriesTable(buckets, counts)
+    return buckets, counts
 
 
 def test_series_csv_round_trip_and_formatting(tmp_path):
@@ -711,29 +728,26 @@ def test_series_csv_round_trip_and_formatting(tmp_path):
     ]
     written = labeled_table(buckets, labels)
     path = tmp_path / "series.csv"
-    write_series_csv(path, written)
+    write_series_csv(path, *written)
 
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "bucket_start,class,count,total,proportion"
     assert lines[1] == "2015-01-01,happy,2,3,0.666667"
     assert "2015-01-01,volume,3,3,1.000000" in lines
 
-    table = read_series_csv(path.read_bytes())
+    table = read_series_csv(path.read_bytes(), "month")
     assert table == written
-    assert table.buckets == [date(2015, 1, 1), date(2015, 2, 1)]
-    assert table.counts["happy"] == [2, 0]
-    assert table.counts["volume"] == [3, 1]
-
-    series = table.to_series("happy")
-    assert series.counts == [2, 0] and series.totals == [3, 1]
-    assert series.buckets[1] == date(2015, 2, 1)
+    starts, counts = table
+    assert starts == [date(2015, 1, 1), date(2015, 2, 1)]
+    assert counts["happy"] == [2, 0]
+    assert counts["volume"] == [3, 1]
 
 
 def test_proportion_half_even_formatting(tmp_path):
     buckets = month_buckets(1)
     labels = [[frozenset({HAPPY})] * 1 + [frozenset({NEUTRAL})] * 7]
     path = tmp_path / "series.csv"
-    write_series_csv(path, labeled_table(buckets, labels))
+    write_series_csv(path, *labeled_table(buckets, labels))
     assert path.read_text(encoding="utf-8").splitlines()[1].endswith("0.125000")
 
 
@@ -752,12 +766,13 @@ def reference_read_series_csv(path):
                 totals.append(total)
             counts[class_key].append(count)
     assert totals == counts[VOLUME]
-    return SeriesTable(list(map(date.fromisoformat, bucket_starts)), counts)
+    return list(map(date.fromisoformat, bucket_starts)), counts
 
 
 def random_table(rng, length):
-    """The series table of one scope, as analyze writes it: totals up to
-    10**9, the volume column equal to them, no class count above them."""
+    """The month bucket starts and series columns of one scope, as analyze
+    writes them: totals up to 10**9, the volume column equal to them, no
+    class count above them."""
     buckets = month_buckets(length, year=rng.randint(1990, 2030), month=rng.randint(1, 12))
     top = rng.choice((1, 10, 10**4, 10**9))
     totals = [rng.randint(0, top) for _ in range(length)]
@@ -765,7 +780,7 @@ def random_table(rng, length):
         key: list(totals) if key == VOLUME else [rng.randint(0, total) for total in totals]
         for key in SERIES_CLASS_KEYS
     }
-    return SeriesTable(buckets, counts)
+    return buckets, counts
 
 
 def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
@@ -774,15 +789,15 @@ def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
     lengths = [0, 1, 2] + [rng.randint(3, 400) for _ in range(60)]
     for length in lengths:
         table = random_table(rng, length)
-        write_series_csv(path, table)
+        write_series_csv(path, *table)
         want = reference_read_series_csv(path)
-        assert read_series_csv(path.read_bytes()) == want == table, length
-        assert len(want.buckets) == length
+        assert read_series_csv(path.read_bytes(), "month") == want == table, length
+        assert len(want[0]) == length
 
 
 def series_lines(tmp_path):
     path = tmp_path / "series.csv"
-    write_series_csv(path, random_table(random.Random(7), 3))
+    write_series_csv(path, *random_table(random.Random(7), 3))
     return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
@@ -801,6 +816,8 @@ SERIES_DAMAGE = {
     "cut-mid-row": lambda lines: lines[:-3] + [lines[-3][:9]],
     "cut-after-a-comma": lambda lines: lines[:-1] + [lines[-1][:11]],
     "cut-at-a-row-boundary-in-a-bucket": lambda lines: lines[:-2],
+    # the second of the three buckets' six-row blocks deleted
+    "a-middle-bucket-dropped": lambda lines: lines[:7] + lines[13:],
     "non-integer-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "1.5")] + lines[3:],
     "empty-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "")] + lines[3:],
     "negative-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "-1")] + lines[3:],
@@ -867,7 +884,7 @@ def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
     path, lines = series_lines(tmp_path)
     path.write_text("".join(SERIES_DAMAGE[damage](lines)), encoding="utf-8", newline="")
     with pytest.raises(ValueError):
-        read_series_csv(path.read_bytes())
+        read_series_csv(path.read_bytes(), "month")
 
 
 @pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_6", " 7", "7 ", "+7", "-0", "07", ""])
@@ -886,9 +903,9 @@ def test_read_occurrence_csv_takes_only_ascii_digit_counts(tmp_path, count):
 
 def test_read_series_csv_accepts_lf_line_ends(tmp_path):
     path, lines = series_lines(tmp_path)
-    want = read_series_csv(path.read_bytes())
+    want = read_series_csv(path.read_bytes(), "month")
     path.write_text("".join(line.replace("\r\n", "\n") for line in lines), encoding="utf-8")
-    assert read_series_csv(path.read_bytes()) == want
+    assert read_series_csv(path.read_bytes(), "month") == want
 
 
 def test_read_occurrence_csv_columns_and_damage(tmp_path):
@@ -911,10 +928,14 @@ def test_read_occurrence_csv_columns_and_damage(tmp_path):
 
 
 def bucket_starts(draw):
-    """The start dates of up to 12 consecutive month buckets."""
+    """A granularity and the start dates of up to 12 consecutive buckets
+    of it."""
+    granularity = draw(st.sampled_from(GRANULARITIES))
     length = draw(st.integers(0, 12))
-    year, month = draw(st.integers(1900, 2100)), draw(st.integers(1, 12))
-    return month_buckets(length, year=year, month=month)
+    starts = [bucket_start(draw(st.dates(date(1900, 1, 1), date(2100, 12, 31))), granularity)]
+    while len(starts) < length:
+        starts.append(next_bucket_start(starts[-1], granularity))
+    return granularity, starts[:length]
 
 
 def count_columns(draw, keys, length):
@@ -924,14 +945,14 @@ def count_columns(draw, keys, length):
 
 @st.composite
 def series_tables(draw):
-    """The series table of one scope with arbitrary counts, as analyze
-    writes it: the volume column equal to the totals, no class count above
-    them."""
-    starts = bucket_starts(draw)
+    """The granularity, bucket starts and series columns of one scope with
+    arbitrary counts, as analyze writes them: the volume column equal to
+    the totals, no class count above them."""
+    granularity, starts = bucket_starts(draw)
     totals = count_columns(draw, [VOLUME], len(starts))[VOLUME]
     counts = {key: [draw(st.integers(0, total)) for total in totals] for key in SERIES_CLASS_KEYS}
     counts[VOLUME] = totals
-    return SeriesTable(starts, counts)
+    return granularity, starts, counts
 
 
 # the file is rewritten for every example, so sharing tmp_path is harmless
@@ -941,16 +962,18 @@ reuses_tmp_path = settings(suppress_health_check=[HealthCheck.function_scoped_fi
 @reuses_tmp_path
 @given(series_tables())
 def test_series_csv_round_trips(tmp_path, table):
+    granularity, starts, counts = table
     path = tmp_path / "series.csv"
-    write_series_csv(path, table)
-    assert read_series_csv(path.read_bytes()) == table
+    write_series_csv(path, starts, counts)
+    assert read_series_csv(path.read_bytes(), granularity) == (starts, counts)
 
 
 @reuses_tmp_path
 @given(series_tables(), st.data())
 def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, written, data):
+    granularity, *table = written
     path = tmp_path / "series.csv"
-    write_series_csv(path, written)
+    write_series_csv(path, *table)
     body = path.read_bytes()
     at = data.draw(st.integers(0, len(body)))
     if data.draw(st.booleans()) or at == len(body):
@@ -959,16 +982,19 @@ def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, written, data
         damaged = body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
     path.write_bytes(damaged)
     try:
-        table = read_series_csv(path.read_bytes())
+        starts, counts = read_series_csv(path.read_bytes(), granularity)
     except ValueError:
         return
-    assert isinstance(table, SeriesTable)
+    assert list(counts) == list(SERIES_CLASS_KEYS)
+    for column in counts.values():
+        assert len(column) == len(starts)
+        assert all(type(count) is int and count >= 0 for count in column)
 
 
 @st.composite
 def occurrence_tables(draw):
     """One scope's bucket starts and class columns of lexicon occurrences."""
-    starts = bucket_starts(draw)
+    _, starts = bucket_starts(draw)
     return starts, count_columns(draw, OCCURRENCE_CLASS_KEYS, len(starts))
 
 
