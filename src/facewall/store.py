@@ -176,7 +176,10 @@ class AppendReceipt:
 class Store:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._manifest: dict | None = None
+        self.posts_path = self.root / POSTS_FILE
+        self.manifest_path = self.root / MANIFEST_FILE
+        self.derived_root = self.root / DERIVED_DIR
+        self.manifest: dict = {}  # open() loads it
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -189,22 +192,10 @@ class Store:
                     raise StoreError("store-io", f"no store at {store.root}")
                 store.root.mkdir(parents=True, exist_ok=True)
                 store.posts_path.touch(exist_ok=True)
-                store._manifest = {"schema_version": SCHEMA_VERSION, "record_count": 0}
+                store.manifest = {"schema_version": SCHEMA_VERSION, "record_count": 0}
                 store._save_manifest()
         store._load_manifest()
         return store
-
-    @property
-    def posts_path(self) -> Path:
-        return self.root / POSTS_FILE
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_FILE
-
-    @property
-    def derived_root(self) -> Path:
-        return self.root / DERIVED_DIR
 
     @contextmanager
     def lock(self):
@@ -235,22 +226,17 @@ class Store:
                 "schema-mismatch",
                 f"store schema {manifest.get('schema_version')!r}, expected {SCHEMA_VERSION}",
             )
-        if not isinstance(manifest.get("record_count"), int):
+        if type(manifest.get("record_count")) is not int:  # nor a bool
             raise StoreError("store-io", "unreadable manifest: bad record_count")
-        self._manifest = manifest
+        self.manifest = manifest
 
     def _save_manifest(self) -> None:
         with replacing(self.manifest_path) as handle:
-            write_json(handle, self._manifest)
-
-    @property
-    def manifest(self) -> dict:
-        assert self._manifest is not None
-        return self._manifest
+            write_json(handle, self.manifest)
 
     @property
     def record_count(self) -> int:
-        return int(self.manifest["record_count"])
+        return self.manifest["record_count"]
 
     # -- post log ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate, chain, compress, repeat
-from operator import ge, gt, lt, mul, sub
+from operator import attrgetter, ge, gt, lt, mul, sub
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
@@ -27,7 +27,9 @@ from .lexer import _Memo
 from .lexicon import ALL_CLASSES, EmotionClass
 from .store import replacing
 
-GRANULARITIES = ("week", "month", "quarter", "year")
+# the months of one bucket of each granularity but week, which is 7 days
+_MONTHS = {"month": 1, "quarter": 3, "year": 12}
+GRANULARITIES = ("week", *_MONTHS)
 
 # Pseudo-class for the post-volume series (the per-user activity chart).
 VOLUME = "volume"
@@ -42,6 +44,14 @@ SERIES_CLASS_KEYS = OCCURRENCE_CLASS_KEYS + (VOLUME,)
 T = TypeVar("T")
 
 
+def _months(granularity: str) -> int:
+    """The months of one bucket of a granularity but week; ValueError for
+    a name that is not in GRANULARITIES."""
+    if granularity not in _MONTHS:
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    return _MONTHS[granularity]
+
+
 def bucket_start(stamp: date, granularity: str) -> date:
     """Start date of the calendar period containing stamp: an aware
     datetime, read in UTC, or a date, read as a UTC day."""
@@ -51,32 +61,22 @@ def bucket_start(stamp: date, granularity: str) -> date:
         stamp = stamp.astimezone(timezone.utc).date()
     if granularity == "week":
         return stamp - timedelta(days=stamp.weekday())
-    if granularity == "month":
-        return date(stamp.year, stamp.month, 1)
-    if granularity == "quarter":
-        return date(stamp.year, (stamp.month - 1) // 3 * 3 + 1, 1)
-    if granularity == "year":
-        return date(stamp.year, 1, 1)
-    raise ValueError(f"unknown granularity: {granularity!r}")
+    k = _months(granularity)
+    return date(stamp.year, (stamp.month - 1) // k * k + 1, 1)
 
 
 def bucket_start_memo(granularity: str) -> dict[date, date]:
-    """starts[day] is bucket_start(day, granularity), one shared date per
-    day: every granularity's periods start at a UTC midnight, so a stamp's
-    start depends on its UTC date alone. Filled on first look-up."""
-    return _Memo(lambda day: bucket_start(day, granularity))
-
-
-# the months of one bucket of each granularity but week
-_MONTHS = {"month": 1, "quarter": 3, "year": 12}
+    """starts[stamp] is bucket_start(stamp, granularity), computed once a
+    stamp; the stamp is anything bucket_start takes. Every granularity's
+    periods start at a UTC midnight, so keyed by UTC day it is one shared
+    date per day. Filled on first look-up."""
+    return _Memo(lambda stamp: bucket_start(stamp, granularity))
 
 
 def next_bucket_start(start: date, granularity: str) -> date:
     if granularity == "week":
         return start + timedelta(days=7)
-    if granularity not in _MONTHS:
-        raise ValueError(f"unknown granularity: {granularity!r}")
-    month = start.month - 1 + _MONTHS[granularity]
+    month = start.month - 1 + _months(granularity)
     return start.replace(year=start.year + month // 12, month=month % 12 + 1)
 
 
@@ -84,7 +84,7 @@ def _periods(first: date, last: date, granularity: str) -> int:
     """The number of buckets from the one starting at first to last's, both counted."""
     if granularity == "week":
         return (last - first).days // 7 + 1
-    return ((last.year - first.year) * 12 + last.month - first.month) // _MONTHS[granularity] + 1
+    return ((last.year - first.year) * 12 + last.month - first.month) // _months(granularity) + 1
 
 
 def bucketize(
@@ -94,7 +94,7 @@ def bucketize(
     calendar buckets given by their start dates, materializing empty
     buckets so the range from first to last item is contiguous and
     gap-free. Each distinct stamp's start is computed once a call."""
-    start_of = _Memo(lambda ts: bucket_start(ts, granularity))
+    start_of = bucket_start_memo(granularity)
     stamped = [(start_of[ts], value) for ts, value in items]
     if not stamped:
         return [], []
@@ -404,11 +404,20 @@ def read_series_csv(data: bytes, granularity: str) -> tuple[list[date], dict[str
     """Bucket start dates and per-class counts of the bytes of a series.csv
     of the given granularity, read column by column; a file that deviates
     from the layout write_series_csv gives raises ValueError. So does one
-    whose redundancy does not hold: no bucket is missing between its first
-    and last start, and within a bucket, every row gives the same total,
-    the volume count is that total, and no class count exceeds it."""
+    whose redundancy does not hold: every start is the start of its bucket,
+    no bucket is missing between the first and the last, and within a
+    bucket, every row gives the same total, the volume count is that total,
+    and no class count exceeds it."""
     starts, counts, totals, _ = _bucket_columns(data, SERIES_HEADER, SERIES_CLASS_KEYS)
-    # the starts strictly increase, so as many as the periods means no gap
+    if granularity == "week":
+        off_grid = any(map(date.weekday, starts))  # Monday is 0
+    else:
+        firsts = {(1, month) for month in range(1, 13, _months(granularity))}
+        off_grid = not firsts.issuperset(map(attrgetter("day", "month"), starts))
+    if off_grid:
+        raise ValueError("a CSV bucket start that does not start its bucket")
+    # strictly increasing starts of buckets, as many as the periods they
+    # span, are the granularity's consecutive buckets: none is missing
     if starts and len(starts) != _periods(starts[0], starts[-1], granularity):
         raise ValueError("a bucket missing from CSV")
     if totals.count(counts[-1]) != len(totals):  # the volume row is last

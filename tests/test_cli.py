@@ -5,6 +5,7 @@ import gc
 import json
 import os
 from collections import Counter
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -445,10 +446,10 @@ def test_main_builds_the_parser_once_per_process(capsys, corpus, tmp_path):
     assert build_parser() is build_parser()
 
 
-def analyzed_store(capsys, corpus, tmp_path):
+def analyzed_store(capsys, corpus, tmp_path, *analyze_args):
     store = str(tmp_path / "store")
     run(capsys, "ingest", "--input", str(corpus), "--format", "jsonl", "--store", store)
-    code, out, err = run(capsys, "analyze", "--store", store)
+    code, out, err = run(capsys, "analyze", "--store", store, *analyze_args)
     assert code == 0
     return store, out, err
 
@@ -905,9 +906,10 @@ def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):
         b"[]\n",
         b'\xff{"schema_version": 1}\n',
         b'{"schema_version": 1, "analyses": {}}\n',
+        b'{"schema_version": 1, "record_count": true}\n',
         b"[" * 100_000,
     ],
-    ids=["array", "non-utf8", "no-record-count", "nested-too-deep"],
+    ids=["array", "non-utf8", "no-record-count", "bool-record-count", "nested-too-deep"],
 )
 def test_damaged_manifest_is_a_store_error(capsys, corpus, tmp_path, damage):
     store = tmp_path / "store"
@@ -1608,6 +1610,31 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
 )
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):
     store, _, _ = analyzed_store(capsys, corpus, tmp_path)
+    expect_corrupt_artifact(capsys, tmp_path, store, damaged, edit, argv)
+
+
+def second_start_a_day_late(lines):
+    """A series.csv's second bucket's start moved a day later in its six
+    rows: still between its neighbours', and as many starts as periods."""
+    day = date.fromisoformat(lines[7].split(",")[0]) + timedelta(days=1)
+    return lines[:7] + [with_day(line, day.isoformat()) for line in lines[7:13]] + lines[13:]
+
+
+@pytest.mark.parametrize("bucket", ["week", "month"])
+@pytest.mark.parametrize(
+    "argv", [["detect"], CHART_U1, EXPORT_U1 + ["series"]], ids=["detect", "chart", "export"]
+)
+def test_a_bucket_start_that_starts_no_bucket_is_a_store_error(
+    capsys, corpus, tmp_path, bucket, argv
+):
+    store, _, _ = analyzed_store(capsys, corpus, tmp_path, "--bucket", bucket)
+    argv = argv + ["--bucket", bucket]
+    expect_corrupt_artifact(capsys, tmp_path, store, "u1/series.csv", second_start_a_day_late, argv)
+
+
+def expect_corrupt_artifact(capsys, tmp_path, store, damaged, edit, argv):
+    """argv exits 3, naming damaged as a corrupt artifact, once edit has
+    rewritten the lines of the analyzed store's file damaged."""
     scope, name = damaged.split("/")
     (hash_dir,) = (tmp_path / "store" / "derived" / scope).iterdir()
     rewrite(hash_dir / name, edit)

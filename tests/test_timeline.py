@@ -148,9 +148,30 @@ def test_periods_counts_the_buckets_that_bucketize_spans(granularity, a, b):
     assert timeline._periods(first, last, granularity) == want
 
 
-def test_next_bucket_start_rejects_an_unknown_granularity():
-    with pytest.raises(ValueError, match="unknown granularity"):
-        next_bucket_start(date(2015, 1, 1), "fortnight")
+# a series.csv of one empty bucket, 2015-01-01
+ONE_BUCKET_SERIES = "".join(
+    f"{line}\r\n"
+    for line in [",".join(timeline.SERIES_HEADER)]
+    + [f"2015-01-01,{key},0,0,0.000000" for key in SERIES_CLASS_KEYS]
+).encode()
+
+# one call of each calendar function, made with the given granularity
+CALENDAR_CALLS = {
+    "bucket_start": lambda granularity: bucket_start(date(2015, 1, 1), granularity),
+    "next_bucket_start": lambda granularity: next_bucket_start(date(2015, 1, 1), granularity),
+    "_periods": lambda granularity: timeline._periods(
+        date(2015, 1, 1), date(2015, 3, 1), granularity
+    ),
+    "bucketize": lambda granularity: bucketize([(date(2015, 1, 1), "x")], granularity),
+    "read_series_csv": lambda granularity: read_series_csv(ONE_BUCKET_SERIES, granularity),
+}
+
+
+@pytest.mark.parametrize("call", list(CALENDAR_CALLS))
+def test_the_calendar_rejects_an_unknown_granularity(call):
+    with pytest.raises(ValueError, match="unknown granularity: 'fortnight'"):
+        CALENDAR_CALLS[call]("fortnight")
+    CALENDAR_CALLS[call]("month")
 
 
 def test_emotion_series_counts_and_proportions():
@@ -795,9 +816,13 @@ def test_read_series_csv_matches_the_csv_reader_reference(tmp_path):
         assert len(want[0]) == length
 
 
-def series_lines(tmp_path):
+def series_lines(tmp_path, granularity="month"):
+    """A series.csv of three buckets of the granularity, week or month."""
     path = tmp_path / "series.csv"
-    write_series_csv(path, *random_table(random.Random(7), 3))
+    starts, counts = random_table(random.Random(7), 3)
+    if granularity == "week":
+        starts = [bucket_start(starts[0], "week") + timedelta(weeks=i) for i in range(3)]
+    write_series_csv(path, starts, counts)
     return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
@@ -818,6 +843,10 @@ SERIES_DAMAGE = {
     "cut-at-a-row-boundary-in-a-bucket": lambda lines: lines[:-2],
     # the second of the three buckets' six-row blocks deleted
     "a-middle-bucket-dropped": lambda lines: lines[:7] + lines[13:],
+    # the second bucket's start moved off the first day of its bucket,
+    # still between its neighbours' and as many starts as periods
+    "a-bucket-start-off-its-month": lambda lines: with_second_start(lines, timedelta(days=1)),
+    "a-bucket-start-off-its-week": lambda lines: with_second_start(lines, timedelta(days=1)),
     "non-integer-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "1.5")] + lines[3:],
     "empty-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "")] + lines[3:],
     "negative-count": lambda lines: lines[:2] + [with_field(lines[2], 2, "-1")] + lines[3:],
@@ -863,6 +892,12 @@ def with_first_start(lines, render):
     return [lines[0]] + [with_field(line, 0, start) for line in lines[1:7]] + lines[7:]
 
 
+def with_second_start(lines, shift):
+    """The second bucket's six rows with their start date shifted."""
+    start = (date.fromisoformat(lines[7].split(",")[0]) + shift).isoformat()
+    return lines[:7] + [with_field(line, 0, start) for line in lines[7:13]] + lines[13:]
+
+
 def with_second_count(lines, count):
     return lines[:2] + [with_field(lines[2], 2, count)] + lines[3:]
 
@@ -881,10 +916,34 @@ def total_plus_one(line):
 
 @pytest.mark.parametrize("damage", sorted(SERIES_DAMAGE))
 def test_read_series_csv_rejects_a_damaged_file(tmp_path, damage):
-    path, lines = series_lines(tmp_path)
+    granularity = "week" if damage.endswith("-week") else "month"
+    path, lines = series_lines(tmp_path, granularity)
+    assert read_series_csv(path.read_bytes(), granularity)
     path.write_text("".join(SERIES_DAMAGE[damage](lines)), encoding="utf-8", newline="")
     with pytest.raises(ValueError):
-        read_series_csv(path.read_bytes(), "month")
+        read_series_csv(path.read_bytes(), granularity)
+
+
+@pytest.mark.parametrize(
+    "granularity, start",
+    [
+        ("week", date(2015, 1, 6)),
+        ("month", date(2015, 1, 2)),
+        ("quarter", date(2015, 2, 1)),
+        ("year", date(2015, 4, 1)),
+    ],
+    ids=GRANULARITIES,
+)
+def test_read_series_csv_takes_only_the_starts_of_buckets(tmp_path, granularity, start):
+    path = tmp_path / "series.csv"
+    counts = {key: [1] for key in SERIES_CLASS_KEYS}
+    first = bucket_start(start, granularity)
+    write_series_csv(path, [first], counts)
+    assert read_series_csv(path.read_bytes(), granularity) == ([first], counts)
+    # one bucket, so only its start can be wrong
+    write_series_csv(path, [start], counts)
+    with pytest.raises(ValueError, match="does not start its bucket"):
+        read_series_csv(path.read_bytes(), granularity)
 
 
 @pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_6", " 7", "7 ", "+7", "-0", "07", ""])
@@ -986,6 +1045,9 @@ def test_damaged_series_csv_parses_or_raises_value_error(tmp_path, written, data
     except ValueError:
         return
     assert list(counts) == list(SERIES_CLASS_KEYS)
+    # the starts that parse are the granularity's consecutive buckets
+    assert all(bucket_start(start, granularity) == start for start in starts)
+    assert all(next_bucket_start(a, granularity) == b for a, b in zip(starts, starts[1:]))
     for column in counts.values():
         assert len(column) == len(starts)
         assert all(type(count) is int and count >= 0 for count in column)
