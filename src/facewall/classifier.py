@@ -157,9 +157,6 @@ class NBModel:
         """False only when no gram of the post can be in the vocabulary."""
         return not self._gram_elements.isdisjoint(map(_token_key, tokens))
 
-    def features_of(self, tokens: Sequence[Token]) -> Counter[Gram]:
-        return ngrams_of_orders(tokens, self.n_max)
-
     def log_posteriors(self, features: Mapping[Gram, int]) -> dict[EmotionClass, float]:
         """Unnormalized log posterior per class; out-of-vocabulary grams are
         skipped."""
@@ -256,7 +253,7 @@ def train_nb(
 
 def nb_predict(model: NBModel, tokens: Sequence[Token]) -> dict[EmotionClass, float]:
     """Normalized posterior over the model's classes (log-space softmax)."""
-    return _softmax(model, model.log_posteriors(model.features_of(tokens)))
+    return _softmax(model, model.log_posteriors(ngrams_of_orders(tokens, model.n_max)))
 
 
 def _softmax(model: NBModel, logs: Mapping[EmotionClass, float]) -> dict[EmotionClass, float]:
@@ -285,7 +282,7 @@ def classify_post(
         return _new_label(PostLabel, (winners, METHOD_LEXICON, scores, w_hits))
     # no hits: e_hits is the label's empty Counter
     if model is not None and model._may_score(tokens):
-        features = model.features_of(tokens)
+        features = ngrams_of_orders(tokens, model.n_max)
         if any(gram in model.vocabulary for gram in features):
             logs = model.log_posteriors(features)
             posterior = _softmax(model, logs)

@@ -12,6 +12,7 @@ import functools
 import gc
 import sys
 from collections import Counter
+from dataclasses import fields
 
 from .charts import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_series_chart
 from .ingest import FORMATS, load_corpus, user_scope
@@ -98,8 +99,10 @@ def build_parser() -> _Parser:
     detect.add_argument("--store", required=True, metavar="DIR")
     detect.add_argument("--out", required=True, metavar="FILE.json")
     detect.add_argument("--window", type=int, default=DetectorConfig.window)
-    detect.add_argument("--z", type=float, default=DetectorConfig.z_thresh)
-    detect.add_argument("--jsd", type=float, default=DetectorConfig.jsd_thresh)
+    detect.add_argument("--z", dest="z_thresh", metavar="Z", type=float,
+                        default=DetectorConfig.z_thresh)
+    detect.add_argument("--jsd", dest="jsd_thresh", metavar="JSD", type=float,
+                        default=DetectorConfig.jsd_thresh)
     detect.add_argument("--min-hits", type=int, default=DetectorConfig.min_hits)
     detect.add_argument("--min-total", type=int, default=DetectorConfig.min_total)
     _add_analysis_flags(detect)
@@ -248,13 +251,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    detector = DetectorConfig(
-        window=args.window,
-        z_thresh=args.z,
-        jsd_thresh=args.jsd,
-        min_hits=args.min_hits,
-        min_total=args.min_total,
-    )
+    detector = DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
     try:
         detector.validate()
     except ValueError as exc:

@@ -78,8 +78,13 @@ class AnalysisConfig:
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.semantic_fields(), sort_keys=True)
-        return sha256(blob.encode("ascii")).hexdigest()[:12]
+        return sha256(_canonical_json(self.semantic_fields()).encode("ascii")).hexdigest()[:12]
+
+
+def _canonical_json(value) -> str:
+    """The text config_hash digests. Unlike ==, it tells true from 1 and
+    3.0 from 3."""
+    return json.dumps(value, sort_keys=True)
 
 
 @dataclass
@@ -190,8 +195,7 @@ def analyze_store(store: Store, lexicon: EmotionLexicon, config: AnalysisConfig)
             records.append((start, (label.labels, row)))
         buckets, groups = bucketize(records, config.granularity)
         label_groups = [[labels for labels, _ in group] for group in groups]
-        sums = [emotion_series(buckets, label_groups, cls).counts for cls in ALL_CLASSES]
-        sums.append(list(map(len, groups)))
+        sums = [emotion_series(buckets, label_groups, key).counts for key in SERIES_CLASS_KEYS]
         sums += _bucket_sums([[row for _, row in group] for group in groups])
         _write_series(store, user_scope(user_id), buckets, sums, config_hash)
         user_rows.extend(zip(buckets, zip(*sums)))
@@ -267,13 +271,14 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> list[str]:
             if not meta_path.exists():
                 raise StoreError("not-analyzed", "run `facewall analyze` first")
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        stated = _canonical_json(meta.get("config")) if isinstance(meta, dict) else None
     except (ValueError, RecursionError):  # not JSON or UTF-8; nested too deep
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON) from None
     users = meta.get("users") if isinstance(meta, dict) else None
     if not (
         isinstance(users, list)
-        and meta.get("config") == config.semantic_fields()
-        and isinstance(meta.get("record_count"), int)
+        and stated == _canonical_json(config.semantic_fields())
+        and type(meta.get("record_count")) is int  # nor a bool
         # analyze lists no user id that is empty or too long for a directory name
         and all(isinstance(user, str) and not lacks_scope(user) for user in users)
     ):

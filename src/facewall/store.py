@@ -92,13 +92,13 @@ def write_json(handle: TextIO, value) -> None:
     ensure_ascii=False, indent=2) + "\n" for a value of dicts with str
     keys, lists and scalars.
 
-    Only the frame of brackets and indents is built here, one rule per
-    container shape: a list of non-empty flat dicts, and a container of
-    scalars only, go to the C encoder in pieces of up to JSON_CHUNK_MEMBERS
-    members, each with its member separator already indented; any other
-    container is written member by member. The document is never whole,
-    and the pure-Python encoder, which indent=2 selects and which leaves a
-    reference cycle behind, never runs."""
+    Only the frame of brackets and indents is built here. A list of
+    non-empty flat dicts, and a container of scalars only, take one chunked
+    loop: each piece of up to JSON_CHUNK_MEMBERS members is one call of the
+    C encoder, with its separators already indented, and "," + the member
+    indent joins the pieces. Any other container is written member by
+    member. The document is never whole, and the pure-Python encoder, which
+    indent=2 selects and which leaves a reference cycle behind, never runs."""
     _write_value(handle.write, value, 0)
     handle.write("\n")
 
@@ -114,16 +114,23 @@ def _write_value(write, value, depth: int) -> None:
         return
     pad = "\n" + "  " * (depth + 1)
     write(("[" if keys is None else "{") + pad)
-    if keys is None and _flat_dicts(items):
-        _write_flat_dicts(write, items, depth + 1)
-    elif _all_scalars(items):
+    flat = keys is None and _flat_dicts(items)
+    if flat or _all_scalars(items):
         for start in range(0, len(items), JSON_CHUNK_MEMBERS):
             if start:
                 write("," + pad)
             stop = start + JSON_CHUNK_MEMBERS
             piece = items[start:stop]
-            piece = piece if keys is None else dict(zip(keys[start:stop], piece))
-            write(_scalars(depth + 1).encode(piece)[1:-1])
+            if flat:
+                # A JSON string holds no raw newline, and in a dict a key
+                # follows a separator, so each "},\n<inner>{" ends a dict.
+                inner = pad + "  "
+                piece = _scalars(depth + 2).encode(piece)[2:-2]
+                piece = piece.replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
+                write("{" + inner + piece + pad + "}")
+            else:
+                piece = piece if keys is None else dict(zip(keys[start:stop], piece))
+                write(_scalars(depth + 1).encode(piece)[1:-1])
     else:
         for index, item in enumerate(items):
             if index:
@@ -144,19 +151,6 @@ def _flat_dicts(items) -> bool:
     """Whether items are all non-empty dicts of scalars; tested in C."""
     values = chain.from_iterable(map(dict.values, items))
     return set(map(type, items)) == {dict} and all(items) and _all_scalars(values)
-
-
-def _write_flat_dicts(write, dicts, depth: int) -> None:
-    """Write a list's flat dicts, `depth` levels in, JSON_CHUNK_MEMBERS at
-    most to a piece that the C encoder writes with every separator starting
-    a line depth + 1 levels in. A JSON string holds no raw newline, and in a
-    dict a key follows a separator, so each "},\n<pad>{" ends a dict."""
-    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    boundary, between = "}," + inner + "{", pad + "}," + pad + "{" + inner
-    for start in range(0, len(dicts), JSON_CHUNK_MEMBERS):
-        piece = _scalars(depth + 1).encode(dicts[start : start + JSON_CHUNK_MEMBERS])
-        write((between if start else "{" + inner) + piece[2:-2].replace(boundary, between))
-    write(pad + "}")
 
 
 @cache
@@ -221,10 +215,12 @@ class Store:
             raise StoreError("store-io", f"unreadable manifest: {exc}") from exc
         if not isinstance(manifest, dict):
             raise StoreError("store-io", "unreadable manifest: not a JSON object")
-        if manifest.get("schema_version") != SCHEMA_VERSION:
+        version = manifest.get("schema_version")
+        if type(version) is not int:  # nor a bool
+            raise StoreError("store-io", "unreadable manifest: bad schema_version")
+        if version != SCHEMA_VERSION:
             raise StoreError(
-                "schema-mismatch",
-                f"store schema {manifest.get('schema_version')!r}, expected {SCHEMA_VERSION}",
+                "schema-mismatch", f"store schema {version}, expected {SCHEMA_VERSION}"
             )
         if type(manifest.get("record_count")) is not int:  # nor a bool
             raise StoreError("store-io", "unreadable manifest: bad record_count")

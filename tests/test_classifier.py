@@ -25,6 +25,7 @@ from facewall.lexicon import (
     lexicon_from_dict,
     load_lexicon,
 )
+from facewall.ngrams import ngrams_of_orders
 from helpers import emoticon, model_json, oracle_posteriors, word, words
 
 LEX = default_lexicon()
@@ -326,7 +327,7 @@ def test_model_stage_scores_are_the_posterior():
                 docs.append((words(*[rng.choice(vocab) for _ in range(rng.randrange(0, 4))]), cls))
         model = train_nb(docs, n_max=rng.choice([1, 2, 3]), min_train_docs=1)
         query = words(*[rng.choice(vocab) for _ in range(rng.randrange(1, 4))])
-        if not any(gram in model.vocabulary for gram in model.features_of(query)):
+        if not any(gram in model.vocabulary for gram in ngrams_of_orders(query, model.n_max)):
             continue
         label = classify_post(query, LEX, model)
         methods.add(label.method)

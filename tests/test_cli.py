@@ -5,6 +5,7 @@ import gc
 import json
 import os
 from collections import Counter
+from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -61,13 +62,10 @@ def test_parser_defaults_are_the_config_defaults(argv):
     args = build_parser().parse_args([*argv, "--store", "s"])
     assert AnalysisConfig(granularity=args.bucket, n_max=args.ngrams) == AnalysisConfig()
     if argv[0] == "detect":
-        detector = DetectorConfig(
-            window=args.window,
-            z_thresh=args.z,
-            jsd_thresh=args.jsd,
-            min_hits=args.min_hits,
-            min_total=args.min_total,
-        )
+        # every detector setting is a detect option stored under its field's name
+        names = [field.name for field in fields(DetectorConfig)]
+        assert set(names) <= set(vars(args))
+        detector = DetectorConfig(**{name: getattr(args, name) for name in names})
         assert detector == DetectorConfig()
 
 
@@ -907,9 +905,14 @@ def test_ingest_keeps_a_whole_post_log(capsys, corpus, tmp_path):
         b'\xff{"schema_version": 1}\n',
         b'{"schema_version": 1, "analyses": {}}\n',
         b'{"schema_version": 1, "record_count": true}\n',
+        b'{"schema_version": true, "record_count": 17}\n',
+        b'{"schema_version": 1.0, "record_count": 17}\n',
         b"[" * 100_000,
     ],
-    ids=["array", "non-utf8", "no-record-count", "bool-record-count", "nested-too-deep"],
+    ids=[
+        "array", "non-utf8", "no-record-count", "bool-record-count", "bool-schema-version",
+        "float-schema-version", "nested-too-deep",
+    ],
 )
 def test_damaged_manifest_is_a_store_error(capsys, corpus, tmp_path, damage):
     store = tmp_path / "store"
@@ -1528,6 +1531,9 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         ("@meta/analysis.json", FORTNIGHT, EXPORT_U1 + ["series"]),
         ("@meta/analysis.json", FORTNIGHT, EXPORT_U1 + ["ngrams"]),
         ("@meta/analysis.json", replaced('"n_max": 3', '"n_max": 2'), ["detect"]),
+        # the config as config_hash's text states it: == takes 3.0 for 3 and true for 1
+        ("@meta/analysis.json", replaced('"n_max": 3', '"n_max": 3.0'), ["detect"]),
+        ("@meta/analysis.json", replaced('"schema": 1\n', '"schema": true\n'), ["detect"]),
         (
             "@all/series.csv",
             lambda lines: lines[:-3] + [lines[-3][:9]],
@@ -1585,6 +1591,8 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "meta-granularity-edited-export-series",
         "meta-granularity-edited-export-ngrams",
         "meta-n-max-edited-detect",
+        "meta-n-max-a-float-detect",
+        "meta-config-schema-a-bool-detect",
         "export-series-cut-mid-row",
         "export-series-cut-at-a-row-boundary",
         "export-ngrams-cut-mid-row",
@@ -1611,6 +1619,16 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
 def test_corrupt_derived_file_is_a_store_error(capsys, corpus, tmp_path, damaged, edit, argv):
     store, _, _ = analyzed_store(capsys, corpus, tmp_path)
     expect_corrupt_artifact(capsys, tmp_path, store, damaged, edit, argv)
+
+
+@pytest.mark.parametrize("argv", [["detect"], CHART_U1], ids=["detect", "chart"])
+def test_a_record_count_of_true_is_a_store_error(capsys, tmp_path, argv):
+    """analysis.json's record count must be the int analyze wrote: on a
+    one-post store, true == 1 would pass it as the store's count."""
+    one = write_jsonl(tmp_path / "one.jsonl", [post_record("u1", "2015-01-03T10:00:00Z", "hi")])
+    store, _, _ = analyzed_store(capsys, one, tmp_path)
+    true_count = replaced('"record_count": 1', '"record_count": true')
+    expect_corrupt_artifact(capsys, tmp_path, store, "@meta/analysis.json", true_count, argv)
 
 
 def second_start_a_day_late(lines):

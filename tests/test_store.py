@@ -213,6 +213,11 @@ def written_json(value) -> str:
 @example([], 1)
 @example({"": [], "\u2028": {}, "a": [{}, [], "\u2028"], "b": {"c": [1, 2.5, True]}}, 2)
 @example([{"a": "},\n  {", "b": 1}, {"},": "}"}, {"c": float("inf")}], 2)
+# flat dicts exactly one chunk long, one dict longer than a chunk, and
+# strings that hold a joint of the encoder's pieces at each depth
+@example([{"a": 1, "b": "x"}, {"c": None}], 2)
+@example([{"a": 1, "b": "x"}, {"c": None}, {"d": 2.5}], 2)
+@example({"e": [{"a": "},\n  {"}, {"b": "},\n    {"}, {"},\n      {": "}"}]}, 2)
 @example({"a": [{"b": [1]}, {"c": 2}], "d": [{"e": {}}, {"f": []}]}, 1)
 def test_write_json_is_json_dumps_with_indent(value, chunk):
     want = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
