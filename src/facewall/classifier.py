@@ -91,17 +91,8 @@ def occurrence_hits(tokens: Sequence[Token], lexicon: EmotionLexicon) -> Counter
     """Emoticon plus word lexicon occurrences per class, outside the
     cascade: always equal to the hits classify_post returns."""
     e_hits, w_hits = _rule_hits(tokens, lexicon)
-    return _add_into(e_hits, w_hits)
-
-
-def _add_into(
-    hits: Counter[EmotionClass], more: Mapping[EmotionClass, int]
-) -> Counter[EmotionClass]:
-    """Adds more's counts into hits, new classes after the old as
-    Counter.update adds them, and returns hits."""
-    for cls, n in more.items():
-        hits[cls] = hits.get(cls, 0) + n
-    return hits
+    e_hits.update(w_hits)
+    return e_hits
 
 
 def _smoothed_log(count: int, mass: int, alpha: float, vocab_size: int) -> float:
@@ -274,7 +265,8 @@ def classify_post(
     if e_hits:
         labels, scores = frozenset(e_hits), {c: float(n) for c, n in e_hits.items()}
         # the word hits join e_hits only once labels and scores are taken
-        return _new_label(PostLabel, (labels, METHOD_EMOTICON, scores, _add_into(e_hits, w_hits)))
+        e_hits.update(w_hits)
+        return _new_label(PostLabel, (labels, METHOD_EMOTICON, scores, e_hits))
     if w_hits:
         best = max(w_hits.values())
         winners = frozenset(cls for cls, n in w_hits.items() if n == best)

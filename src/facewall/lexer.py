@@ -31,10 +31,6 @@ class TokenKind(Enum):
     NUMBER = "number"
     PUNCT = "punct"
 
-    # Members are singletons, so identity hashing is exact; Enum's own
-    # __hash__ is Python code, run for every token a kind set tests.
-    __hash__ = object.__hash__
-
 
 class Token(namedtuple("Token", "kind surface start end")):
     """One scanned token: a value, immutable, equal and hashed by its
@@ -45,15 +41,11 @@ class Token(namedtuple("Token", "kind surface start end")):
     def __new__(cls, kind: TokenKind, surface: str, start: int, end: int) -> "Token":
         if start >= end:
             raise ValueError("token span must be non-empty")
-        return _new_token(cls, (kind, surface, start, end))
+        return tuple.__new__(cls, (kind, surface, start, end))
 
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
-
-
-# Builds a Token without the span check; only for spans known non-empty.
-_new_token = tuple.__new__
 
 
 # URL: scheme or leading www. up to the next whitespace. MENTION: @ then up
@@ -83,9 +75,6 @@ class EmoticonTable:
             raise ValueError("duplicate emoticon table entry")
         self.entries: tuple[str, ...] = tuple(sorted(entries, key=lambda e: (-len(e), e)))
         self._scanner = _compile_scanner(self.entries)
-        # token kind by scanner group number, the Match.lastindex of a token
-        groups = self._scanner.groupindex
-        self._group_kinds = (None,) + tuple(TokenKind[g] for g in sorted(groups, key=groups.get))
 
     def scan(self, text: str) -> Iterator[re.Match]:
         return self._scanner.finditer(text)
@@ -114,17 +103,12 @@ def tokenize(text: str, table: EmoticonTable) -> list[Token]:
     text lands in exactly one token span; spans index that normalized form.
     """
     norm = unicodedata.normalize("NFC", text)
-    kinds, word = table._group_kinds, TokenKind.WORD
     tokens: list[Token] = []
-    append = tokens.append
     for m in table.scan(norm):
-        kind = kinds[m.lastindex]
-        start, end = m.span()
-        surface = norm[start:end]
-        if kind is word:
-            surface = surface.casefold()
-        # every branch of the scanner matches at least one character
-        append(_new_token(Token, (kind, surface, start, end)))
+        # each branch is one named group with none inside, so lastgroup is the kind
+        kind = TokenKind[m.lastgroup]
+        surface = m.group().casefold() if kind is TokenKind.WORD else m.group()
+        tokens.append(Token(kind, surface, *m.span()))
     return tokens
 
 
@@ -135,11 +119,10 @@ _PRUNED_KINDS = frozenset({TokenKind.URL, TokenKind.MENTION, TokenKind.PUNCT})
 
 def prune(tokens: Iterable[Token]) -> list[Token]:
     """Drop URLs, mentions, punctuation, and bare articles; keep order."""
-    word = TokenKind.WORD
     return [
         t
         for t in tokens
-        if t.kind not in _PRUNED_KINDS and not (t.kind is word and t.surface in ARTICLES)
+        if t.kind not in _PRUNED_KINDS and not (t.kind is TokenKind.WORD and t.surface in ARTICLES)
     ]
 
 
@@ -161,7 +144,7 @@ def _id_scanner(table: EmoticonTable, tokens: list[Token]) -> Callable[[str], tu
     token appended to tokens."""
 
     def intern(key: tuple[TokenKind, str]) -> int:
-        tokens.append(_new_token(Token, (*key, 0, len(key[1]))))
+        tokens.append(Token(*key, 0, len(key[1])))
         return len(tokens) - 1
 
     ids = _Memo(intern)

@@ -279,8 +279,9 @@ def resolve_analysis(store: Store, config: AnalysisConfig) -> list[str]:
         isinstance(users, list)
         and stated == _canonical_json(config.semantic_fields())
         and type(meta.get("record_count")) is int  # nor a bool
-        # analyze lists no user id that is empty or too long for a directory name
+        # analyze lists ids sorted, each once, none empty or too long for a directory name
         and all(isinstance(user, str) and not lacks_scope(user) for user in users)
+        and sorted(set(users)) == users
     ):
         raise artifact_error("corrupt-artifact", META_SCOPE, META_JSON)
     if meta["record_count"] != store.record_count:

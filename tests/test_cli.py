@@ -1484,6 +1484,13 @@ def without_third_bucket(lines):
     return lines[:13] + lines[19:]
 
 
+def swapped_users(lines):
+    """analysis.json's users u1 and u2 listed in the other order."""
+    swap = {'    "u1",\n': '    "u2",\n', '    "u2"\n': '    "u1"\n'}
+    assert sum(line in swap for line in lines) == 2
+    return [swap.get(line, line) for line in lines]
+
+
 CHART_U1 = ["chart", "--class", "happy", "--user", "u1"]
 CHART_OCCURRENCES = CHART_U1 + ["--measure", "occurrences"]
 EXPORT_U1 = ["export", "--user", "u1", "--what"]
@@ -1534,6 +1541,10 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         # the config as config_hash's text states it: == takes 3.0 for 3 and true for 1
         ("@meta/analysis.json", replaced('"n_max": 3', '"n_max": 3.0'), ["detect"]),
         ("@meta/analysis.json", replaced('"schema": 1\n', '"schema": true\n'), ["detect"]),
+        # analysis.json lists each user once, in sorted order
+        ("@meta/analysis.json", replaced('"u2"', '"u1"'), ["detect"]),
+        ("@meta/analysis.json", swapped_users, CHART_U1),
+        ("@meta/analysis.json", swapped_users, EXPORT_U1 + ["series"]),
         (
             "@all/series.csv",
             lambda lines: lines[:-3] + [lines[-3][:9]],
@@ -1593,6 +1604,9 @@ EXPORT_U1 = ["export", "--user", "u1", "--what"]
         "meta-n-max-edited-detect",
         "meta-n-max-a-float-detect",
         "meta-config-schema-a-bool-detect",
+        "meta-user-repeated-detect",
+        "meta-users-swapped-chart",
+        "meta-users-swapped-export",
         "export-series-cut-mid-row",
         "export-series-cut-at-a-row-boundary",
         "export-ngrams-cut-mid-row",

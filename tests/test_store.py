@@ -208,6 +208,14 @@ def written_json(value) -> str:
     return handle.getvalue()
 
 
+def first_difference(got: str, want: str) -> str:
+    """Where got first differs from want, for an assertion message; the
+    tests assert on the bool got == want, so pytest never diffs two long
+    texts."""
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return f"first difference at offset {at}: {got[at : at + 40]!r} != {want[at : at + 40]!r}"
+
+
 @given(json_values, st.integers(1, 4))
 @example({}, 1)
 @example([], 1)
@@ -222,8 +230,12 @@ def written_json(value) -> str:
 def test_write_json_is_json_dumps_with_indent(value, chunk):
     want = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     with mock.patch.object(store_module, "JSON_CHUNK_MEMBERS", chunk):
-        assert written_json(value) == want
-    assert written_json(value) == want
+        got = written_json(value)
+    same = got == want
+    assert same, first_difference(got, want)
+    got = written_json(value)
+    same = got == want
+    assert same, first_difference(got, want)
 
 
 def test_write_json_never_writes_a_large_container_whole():
@@ -235,7 +247,10 @@ def test_write_json_never_writes_a_large_container_whole():
     pieces = []
     handle = mock.Mock(write=pieces.append)
     write_json(handle, value)
-    assert "".join(pieces) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    got = "".join(pieces)
+    want = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    same = got == want
+    assert same, first_difference(got, want)
     # each piece holds at most JSON_CHUNK_MEMBERS members: scalars, one a
     # line, or flat dicts, one "bucket" key each
     members = [piece.count('"bucket"') or piece.count("\n") + 1 for piece in pieces]
